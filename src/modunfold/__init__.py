@@ -7,13 +7,11 @@ checks the measured error against closed-form performance predictions.
 """
 
 from .baselines import HodConfig, conventional_adc, hod_recover
-from .dsp import (ComplexSpectrum, FirLowpass, OobSystem, TukeyWindow,
-                  build_oob_system, design_lowpass, dft_normalized,
-                  filter_zero_delay, least_squares_apply, matrix_inf_norm,
-                  min_singular_value, select_columns, tukey_window)
+from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
+                  design_lowpass, filter_zero_delay, kernel_block,
+                  matrix_inf_norm, tukey_window)
 from .errors import ConfigurationError, InfeasibleError, OverloadError
-from .guarantees import (ComplexityEstimate, TheoryReport, complexity_estimate,
-                         estimate_interference_norm, guard_bin_count,
+from .guarantees import (TheoryReport, estimate_interference_norm, guard_bin_count,
                          min_oversampling, min_oversampling_for_folds,
                          predict_mse_conventional, predict_mse_modulo,
                          quantization_noise_power, required_bits,
@@ -23,8 +21,7 @@ from .modulo_adc import (AdcConfig, AdcOutput, acquire, fold, quantize_uniform,
 from .signal_model import (PulseTrain, PulseTrainSpec, SampledSignal,
                            estimate_inf_norm, generate_pulse_train,
                            nominal_sample_count, raised_cosine, sample_signal)
-from .unfold import (RecoveryConfig, SegmentCarry, UnfoldResult,
-                     residue_pre_estimate, round_to_lattice, scaling_correction,
-                     segment_starts, unfold, windowed_first_difference)
+from .unfold import (RecoveryConfig, UnfoldResult, residue_pre_estimate,
+                     round_to_lattice, segment_starts, unfold)
 
 __version__ = "0.1.0"

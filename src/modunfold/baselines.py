@@ -83,5 +83,5 @@ def hod_recover(quantized_modulo, threshold: float, config: HodConfig) -> np.nda
     residue_diff = diffed - fold(diffed, threshold)
     estimate = residue_diff
     for _ in range(config.order):
-        estimate = round_to_lattice(np.cumsum(estimate), threshold)
+        estimate = 2.0 * threshold * round_to_lattice(np.cumsum(estimate), threshold)
     return y - estimate

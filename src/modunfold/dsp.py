@@ -1,32 +1,23 @@
 """Shared numeric primitives.
 
-Normalized DFT, out-of-band DFT systems with least-squares machinery,
-tapered-cosine (Tukey) windows, and linear-phase FIR lowpass design with
-zero-delay filtering.  Everything here is a pure function of its inputs.
+The out-of-band system of an N-point window is held as one real vector: the
+circulant kernel of P = V^H V, where V holds the normalized DFT rows of the
+out-of-band bins.  P[m, n] = kernel[(m - n) mod N] projects onto those bins,
+so every least-squares map over fold positions S is a Gram block of it,
+P[S, S], and its right-hand side a projection, (P d)[S].  Recovery and the
+interference-norm estimate both read the same kernel.  Also here:
+tapered-cosine (Tukey) windows and linear-phase FIR lowpass design with
+zero-delay filtering.  Everything is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import ConfigurationError
-
-log = logging.getLogger(__name__)
-
-_EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """DFT coefficients under the 1/sqrt(N) (Parseval-preserving) scaling."""
-
-    bins: np.ndarray
-    n: int
+from .errors import ConfigurationError, InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -55,19 +46,21 @@ class TukeyWindow:
 
 @dataclass(frozen=True)
 class OobSystem:
-    """Normalized DFT rows restricted to out-of-band frequencies.
+    """Out-of-band projector of an n-point window, as its circulant kernel.
 
-    Row k' of `v` evaluates the bin k = oob_bins[k'] of the normalized DFT:
-    v[k', m] = exp(-2j*pi*m*k/n)/sqrt(n).  A bin is out of band when its
-    frequency 2*pi*k/n lies strictly inside
+    A bin k is out of band when its frequency 2*pi*k/n lies strictly inside
     (band_fraction*pi + guard_width, 2*pi - band_fraction*pi - guard_width).
+    With V the normalized DFT rows of those bins,
+    V[k', m] = exp(-2j*pi*m*oob_bins[k']/n)/sqrt(n), the projector V^H V has
+    entry (m, m') = kernel[(m - m') mod n]; the kernel is real because the
+    bin set is conjugate-symmetric.
     """
 
     n: int
     band_fraction: float
     guard_width: float
     oob_bins: np.ndarray
-    v: np.ndarray
+    kernel: np.ndarray
 
     @property
     def num_bins(self) -> int:
@@ -83,14 +76,6 @@ class FirLowpass:
     length: int
 
 
-def dft_normalized(x) -> ComplexSpectrum:
-    """Length-N DFT with 1/sqrt(N) scaling: bins[k] = sum x[m] e^{-j2πkm/N} / sqrt(N)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("dft_normalized expects a nonempty 1-D real sequence")
-    return ComplexSpectrum(bins=np.fft.fft(x) / math.sqrt(x.size), n=x.size)
-
-
 def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndarray:
     """Sorted DFT bin indices strictly inside the out-of-band interval."""
     k = np.arange(n)
@@ -101,73 +86,40 @@ def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndar
 
 
 def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSystem:
-    """Build the out-of-band DFT matrix for an n-point window.
+    """Build the out-of-band projector kernel for an n-point window.
 
     band_fraction is the occupied fraction of the sampling bandwidth
     (1/oversampling); guard_width widens the excluded band on both sides to
-    absorb spectral leakage.
+    absorb spectral leakage.  No bin left out of band is an InfeasibleError.
     """
     if n < 1:
         raise ValueError("window length must be positive")
-    if not 0.0 < band_fraction < 1.0:
-        raise ConfigurationError(f"band_fraction must be in (0, 1), got {band_fraction}")
-    if guard_width < 0.0 or guard_width >= np.pi * (1.0 - band_fraction):
+    if band_fraction <= 0.0 or guard_width < 0.0:
         raise ConfigurationError(
-            f"guard_width {guard_width:.6g} leaves no out-of-band interval "
-            f"at band_fraction {band_fraction:.6g}"
-        )
+            f"need band_fraction > 0 and guard_width >= 0, got "
+            f"{band_fraction:.6g} and {guard_width:.6g}")
     bins = oob_bin_indices(n, band_fraction, guard_width)
     if bins.size == 0:
-        raise ConfigurationError(
+        raise InfeasibleError(
             f"no DFT bins fall in the out-of-band interval for n={n}, "
             f"band_fraction={band_fraction:.6g}, guard_width={guard_width:.6g}"
         )
-    v = np.exp(-2j * np.pi * np.outer(bins, np.arange(n)) / n) / math.sqrt(n)
+    indicator = np.zeros(n)
+    indicator[bins] = 1.0
     return OobSystem(n=n, band_fraction=band_fraction, guard_width=guard_width,
-                     oob_bins=bins, v=v)
+                     oob_bins=bins, kernel=np.fft.ifft(indicator).real)
 
 
-def select_columns(system: OobSystem, indices) -> np.ndarray:
-    """Columns of the out-of-band matrix at the given sample indices."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0:
-        return np.empty((system.num_bins, 0), dtype=complex)
-    if idx.min() < 0 or idx.max() >= system.n:
-        raise ValueError(f"column index out of range 0..{system.n - 1}")
-    if len(np.unique(idx)) != idx.size:
-        raise ValueError("duplicate column indices")
-    return system.v[:, idx]
+def kernel_block(system: OobSystem, rows, cols) -> np.ndarray:
+    """P[rows, cols] of the out-of-band projector, batched over leading axes.
 
-
-def least_squares_apply(a, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x ~ rhs.
-
-    Rank-revealing solve with tolerance rows * eps * sigma_max.  A
-    rank-deficient system is logged (with its smallest singular value) but
-    still yields the minimum-norm solution.
+    rows (..., r) and cols (..., c) are window positions; the result has
+    shape (..., r, c).  With rows == cols it is the Gram matrix of the fold
+    columns V[:, rows].
     """
-    a = np.asarray(a)
-    rhs = np.asarray(rhs)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("expected a nonempty matrix")
-    rows, cols = a.shape
-    if cols > rows:
-        raise ValueError(f"system has more unknowns ({cols}) than equations ({rows})")
-    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=rows * _EPS)
-    if rank < cols:
-        log.warning(
-            "rank-deficient least-squares system: rank %d < %d columns "
-            "(min singular value %.3e)", rank, cols, sv[-1] if sv.size else 0.0,
-        )
-    return x
-
-
-def min_singular_value(a) -> float:
-    """Smallest singular value; the full-column-rank test is sigma_min > tol."""
-    a = np.asarray(a)
-    if a.size == 0:
-        raise ValueError("expected a nonempty matrix")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    return system.kernel[(rows[..., :, None] - cols[..., None, :]) % system.n]
 
 
 def matrix_inf_norm(a) -> float:

@@ -84,10 +84,14 @@ class ExperimentConfig:
             if not value:
                 raise ConfigurationError(f"{name} must be nonempty")
             setattr(self, name, value)
-        if self.num_pulses < 1 or self.m_trials < 1:
-            raise ConfigurationError("counts must be positive")
+        if self.m_trials < 1:
+            raise ConfigurationError("m_trials must be positive")
         if self.trials is not None and self.trials < 1:
             raise ConfigurationError("trials must be positive")
+        try:
+            self.signal_spec(0)
+        except ValueError as err:
+            raise ConfigurationError(f"bad test-signal settings: {err}") from err
 
     @property
     def effective_trials(self) -> int:

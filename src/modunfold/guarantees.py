@@ -3,9 +3,9 @@
 Calculators for the guard-bin count, the minimal oversampling factor that
 keeps the fold-position least-squares systems full rank, the modulo
 threshold that realizes it, the bit-depth margin driven by the worst-case
-off-support interference norm (estimated by Monte Carlo), the predicted
-mean-squared error of the folded and conventional pipelines, and an
-operation-count model of the sliding recovery.
+off-support interference norm (estimated by Monte Carlo on the same
+out-of-band kernel recovery solves with), and the predicted mean-squared
+error of the folded and conventional pipelines.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import oob_bin_indices
+from .dsp import build_oob_system, kernel_block
 from .errors import InfeasibleError
 
 
@@ -73,19 +73,6 @@ def required_bits(interference_norm: float) -> float:
     return 3.0 + math.log2(1.0 + 0.75 * interference_norm)
 
 
-def _oob_kernel(length: int, oversampling: float, guard_width: float) -> tuple[np.ndarray, int]:
-    # Circulant kernel of V^H V for the out-of-band system: entry (m, n)
-    # depends only on (m - n) mod N and is real because the bin set is
-    # conjugate-symmetric.
-    bins = oob_bin_indices(length, 1.0 / oversampling, guard_width)
-    if bins.size == 0:
-        raise InfeasibleError(
-            f"no out-of-band bins at length {length}, oversampling {oversampling:g}")
-    indicator = np.zeros(length)
-    indicator[bins] = 1.0
-    return np.fft.ifft(indicator).real, bins.size
-
-
 def estimate_interference_norm(length: int, oversampling: float, guard_width: float,
                                set_size: int, trials: int, seed,
                                batch: int = 512) -> float:
@@ -104,10 +91,10 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         return 0.0
     if trials < 1:
         raise ValueError("trials must be positive")
-    kernel, num_bins = _oob_kernel(length, oversampling, guard_width)
-    if set_size > num_bins:
+    system = build_oob_system(length, 1.0 / oversampling, guard_width)
+    if set_size > system.num_bins:
         raise InfeasibleError(
-            f"fold sets of {set_size} exceed the {num_bins} out-of-band "
+            f"fold sets of {set_size} exceed the {system.num_bins} out-of-band "
             "equations; the least-squares systems cannot be full rank")
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, length)).argsort(axis=1)
@@ -116,8 +103,8 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         chunk = draws[lo:lo + batch]
         inside = chunk[:, :set_size]
         outside = chunk[:, set_size:]
-        gram = kernel[(inside[:, :, None] - inside[:, None, :]) % length]
-        cross = kernel[(inside[:, :, None] - outside[:, None, :]) % length]
+        gram = kernel_block(system, inside, inside)
+        cross = kernel_block(system, inside, outside)
         solved = np.linalg.solve(gram, cross)
         worst = max(worst, float(np.abs(solved).sum(axis=2).max()))
     return worst
@@ -155,35 +142,6 @@ def quantization_noise_power(bits: int, full_scale: float) -> float:
     if bits < 1:
         raise ValueError("bits must be positive")
     return full_scale ** 2 / 2 ** (2 * bits)
-
-
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Operation-count model of the sliding recovery (constants dropped)."""
-
-    segments: float
-    per_segment_flops: float
-    total_order: float
-    speedup_vs_whole: float
-
-
-def complexity_estimate(num_samples: int, window_length: int, alpha: float,
-                        band_fraction: float) -> ComplexityEstimate:
-    """Cost model: segments ~ N0/(N(1-a/2)), each dominated by the
-    (1-rho)^3 N^3 pseudoinverse, against whole-signal recovery at
-    (1-rho)^3 N0^3."""
-    if num_samples < window_length:
-        raise ValueError("signal shorter than one window")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    segments = num_samples / (window_length * (1.0 - alpha / 2.0))
-    per_segment = (1.0 - band_fraction) ** 3 * window_length ** 3
-    return ComplexityEstimate(
-        segments=segments,
-        per_segment_flops=per_segment,
-        total_order=segments * per_segment,
-        speedup_vs_whole=num_samples ** 2 * (1.0 - alpha / 2.0) / window_length ** 2,
-    )
 
 
 @dataclass(frozen=True)

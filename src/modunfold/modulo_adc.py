@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverloadError
+from .errors import ConfigurationError, OverloadError
 from .signal_model import SampledSignal
 
 # Relative slack on the overload test; the no-overload margin is exact in
@@ -127,6 +127,9 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
     exact folded signal), which isolates fold-recovery behaviour in tests.
     """
     f = np.asarray(signal.samples, dtype=float)
+    if not np.isfinite(f).all():
+        raise ConfigurationError(
+            f"signal sample {int(np.argmin(np.isfinite(f)))} is not finite")
     lam_p = config.threshold
     if abs(f[0]) > lam_p:
         raise ValueError(

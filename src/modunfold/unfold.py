@@ -1,24 +1,31 @@
 """Sliding-DFT unfolding of modulo-sampled signals.
 
-Pipeline per overlapping segment: first-difference, taper with a Tukey
-window, take the out-of-band DFT bins, least-squares-solve for the windowed
-residue jumps at the flagged fold positions, undo the taper by summing the
-previous segment's windowed tail over the overlap, round to the residue
-lattice, and accumulate the jumps into a running residue estimate.  The
-unfolded signal is the quantized stream minus that estimate, lowpassed back
-to the signal band.
+The quantized stream is cut into overlapping segments of one window length.
+In a segment, the windowed first difference d of the folded samples is the
+windowed difference of the signal, which is in band, plus the windowed
+residue jumps at the flagged fold positions S.  Only the jumps survive the
+out-of-band projector P = V^H V of the window (see `dsp.OobSystem`), so they
+solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
+least-squares system.  Segments with the same fold count share one batched
+solve.  A value solved at position p of the segment that starts at `start`
+belongs to sample start + p; the two window tapers covering an overlapped
+sample sum to one, so adding every segment's values at their samples
+restores the unwindowed jumps.  Those are rounded to integer counts of the
+2*threshold lattice and integrated into the residue, and the unfolded
+signal is the quantized stream minus the residue, lowpassed back to the
+signal band.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
-                  design_lowpass, dft_normalized, filter_zero_delay,
-                  least_squares_apply, tukey_window)
+from .dsp import (FirLowpass, OobSystem, build_oob_system, design_lowpass,
+                  filter_zero_delay, kernel_block, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -60,25 +67,13 @@ class RecoveryConfig:
         return self.length - self.overlap
 
 
-@dataclass
-class SegmentCarry:
-    """State handed from one segment to the next.
-
-    prev_windowed_tail holds the last overlap-many samples of the previous
-    segment's windowed residue pre-estimate; adding them to the next
-    segment's head restores unit scaling because paired window edges sum to
-    one.  running_residue tracks the accumulated residue at the segment
-    boundary and stays on the 2*threshold lattice.
-    """
-
-    prev_last_quantized: float = 0.0
-    prev_windowed_tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    running_residue: float = 0.0
-
-
 @dataclass(frozen=True)
 class UnfoldResult:
-    """Recovered signal plus the residue estimate used to unfold it."""
+    """Recovered signal plus the residue estimate used to unfold it.
+
+    segments_skipped counts the segments without a flagged sample, which
+    need no solve.
+    """
 
     recovered: np.ndarray
     residue: np.ndarray
@@ -86,89 +81,79 @@ class UnfoldResult:
     segments_skipped: int
 
 
-def segment_starts(num_samples: int, length: int, alpha: float) -> tuple[list[int], bool]:
+def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     """Start indices of the overlapping segments covering a buffer.
 
     Starts advance by hop = length * (1 - alpha/2) while they stay below
-    num_samples, so every sample index lands in some [start, start + hop).
-    Returns the starts and whether the final segment overruns the buffer
-    (it is then zero-padded by the caller).
+    num_samples, so every sample index lands in some [start, start + hop);
+    the caller zero-pads the buffer to the end of the last segment.
     """
     if length > num_samples:
         raise ValueError(f"segment length {length} exceeds buffer {num_samples}")
-    window = tukey_window(length, alpha)
-    starts = list(range(0, num_samples, window.hop))
-    return starts, starts[-1] + length > num_samples
+    return np.arange(0, num_samples, tukey_window(length, alpha).hop)
 
 
-def windowed_first_difference(segment, prev_last: float, window: TukeyWindow) -> np.ndarray:
-    """window * (segment[n] - segment[n-1]) with segment[-1] = prev_last."""
-    segment = np.asarray(segment, dtype=float)
-    if segment.size != window.n:
-        raise ValueError(f"segment length {segment.size} != window length {window.n}")
-    return window.coefficients * np.diff(segment, prepend=prev_last)
+def residue_pre_estimate(diffed, flags, system: OobSystem) -> np.ndarray:
+    """Windowed residue jumps at the flagged samples of a batch of segments.
 
+    diffed[i] is the windowed first difference of segment i and flags[i] its
+    fold flags, both of shape (segments, n).  The values at the flagged
+    positions S of a segment solve P[S, S] x = (P d)[S]; segments with equal
+    fold counts are solved together.  Returns one value per flagged sample,
+    in the row-major order of np.nonzero(flags).
 
-def residue_pre_estimate(diffed, fold_indices, system: OobSystem) -> np.ndarray:
-    """Windowed residue-jump pre-estimate from the out-of-band DFT bins.
-
-    Solves the least-squares system restricted to the flagged columns, takes
-    the real part (residues are real; the imaginary part of the solution is
-    numerical noise from the conjugate-paired bins), and scatters the values
-    into a full-length vector that is zero off the fold set.
+    A segment with more folds than out-of-band equations raises
+    InfeasibleError; one whose Gram has smallest eigenvalue at most
+    n*eps times its largest raises ConfigurationError.  Both name the first
+    such segment by its row.
     """
     diffed = np.asarray(diffed, dtype=float)
-    idx = np.asarray(fold_indices, dtype=int)
-    out = np.zeros(system.n)
-    if idx.size == 0:
-        return out
-    if idx.size > system.num_bins:
+    rows, cols = np.nonzero(flags)
+    folds = np.bincount(rows, minlength=diffed.shape[0])
+    values = np.zeros(cols.size)
+    if folds.max(initial=0) > system.num_bins:
+        row = int(np.argmax(folds > system.num_bins))
         raise InfeasibleError(
-            f"{idx.size} folds in one segment exceed the {system.num_bins} "
+            f"segment {row}: {folds[row]} folds exceed the {system.num_bins} "
             "out-of-band equations; the oversampling factor is too low for "
-            "this fold density"
-        )
-    spectrum = dft_normalized(diffed).bins[system.oob_bins]
-    columns = system.v[:, idx]
-    sv = np.linalg.svd(columns, compute_uv=False)
-    if sv[-1] <= columns.shape[0] * np.finfo(float).eps * sv[0]:
+            "this fold density")
+    n = system.n
+    oob_mask = np.zeros(n // 2 + 1)
+    oob_mask[system.oob_bins[system.oob_bins <= n // 2]] = 1.0
+    first = np.cumsum(folds) - folds
+    singular = []
+    for k in np.unique(folds[folds > 0]):
+        segs = np.flatnonzero(folds == k)
+        entries = first[segs, None] + np.arange(k)
+        positions = cols[entries]
+        projected = np.fft.irfft(np.fft.rfft(diffed[segs]) * oob_mask, n)
+        rhs = np.take_along_axis(projected, positions, axis=1)
+        gram = kernel_block(system, positions, positions)
+        eig = np.linalg.eigvalsh(gram)
+        bad = eig[:, 0] <= n * np.finfo(float).eps * eig[:, -1]
+        if bad.any():
+            singular.append((segs[bad][0], eig[bad][0]))
+            continue
+        values[entries] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    if singular:
+        row, eig = min(singular, key=lambda item: item[0])
         raise ConfigurationError(
-            f"fold-position columns are rank deficient "
-            f"(min singular value {sv[-1]:.3e}); residues are not identifiable"
-        )
-    out[idx] = least_squares_apply(columns, spectrum).real
-    return out
-
-
-def scaling_correction(current, carry: SegmentCarry, alpha: float) -> np.ndarray:
-    """Undo the window taper over the overlap and advance the carry.
-
-    Returns the corrected pre-estimate on [0, hop): the previous segment's
-    windowed tail is added over the first overlap-many samples (paired
-    window edges sum to one), the flat region passes through.  The tail of
-    `current` replaces carry.prev_windowed_tail for the next segment.
-    """
-    current = np.asarray(current, dtype=float)
-    n = current.size
-    overlap = int(round(alpha * n / 2))
-    if carry.prev_windowed_tail.size != overlap:
-        raise ValueError(
-            f"carry tail has {carry.prev_windowed_tail.size} samples, expected {overlap}")
-    hop = n - overlap
-    corrected = current[:hop].copy()
-    corrected[:overlap] += carry.prev_windowed_tail
-    carry.prev_windowed_tail = current[hop:].copy()
-    return corrected
+            f"segment {row}: fold-position Gram is singular (eigenvalues "
+            f"{eig[0]:.3e} to {eig[-1]:.3e}); residues are not identifiable")
+    return values
 
 
 def round_to_lattice(x, threshold: float):
-    """Round to the nearest multiple of 2*threshold, ties away from zero."""
+    """Index of the nearest multiple of 2*threshold, ties away from zero.
+
+    Returns int64 counts (a Python int for a scalar), so a residue built as
+    2*threshold*counts sits exactly on the lattice.
+    """
     if threshold <= 0.0:
         raise ValueError("modulo threshold must be positive")
     x = np.asarray(x, dtype=float)
-    spacing = 2.0 * threshold
-    out = spacing * np.sign(x) * np.floor(np.abs(x) / spacing + 0.5)
-    return float(out) if out.ndim == 0 else out
+    out = (np.sign(x) * np.floor(np.abs(x) / (2.0 * threshold) + 0.5)).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
 
 
 def recovery_lowpass(config: RecoveryConfig) -> FirLowpass:
@@ -195,10 +180,11 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     The stream is left-padded by one overlap of zeros before segmentation:
     the input is assumed to start from rest, and the padding guarantees the
     first real samples enter at full window weight so early folds get the
-    same overlap-add correction as any other (the untapered head of the
-    first window would otherwise attenuate them below the rounding
-    threshold).  Residue jumps are committed per segment on [start,
-    start + hop) and integrated in sample order into the running residue.
+    same overlap-add as any other (the untapered head of the first window
+    would otherwise attenuate them below the rounding threshold).  The
+    residue is 2*threshold times the running sum of the rounded lattice
+    counts, so where every rounding is right it equals residue_truth
+    exactly.
     """
     if not math.isclose(config.threshold, adc.config.threshold, rel_tol=1e-12):
         raise ConfigurationError(
@@ -208,45 +194,30 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
         raise ConfigurationError(
             f"recovery band fraction {config.band_fraction:.6g} != "
             f"signal band fraction {signal_meta.band_fraction:.6g}")
+    if not np.isfinite(adc.quantized).all():
+        raise ConfigurationError(
+            f"quantized sample {int(np.argmin(np.isfinite(adc.quantized)))} is not finite")
 
-    n = config.length
+    n, overlap = config.length, config.overlap
     window = tukey_window(n, config.alpha)
     system = build_oob_system(n, config.band_fraction, config.guard_width)
-    hop, overlap = config.hop, config.overlap
     num_real = adc.quantized.size
-
-    samples = np.concatenate([np.zeros(overlap), adc.quantized])
-    flags = np.concatenate([np.zeros(overlap, dtype=bool), adc.folding_bits])
-    starts, _ = segment_starts(max(samples.size, n), n, config.alpha)
+    starts = segment_starts(max(overlap + num_real, n), n, config.alpha)
     extent = starts[-1] + n
-    samples = np.concatenate([samples, np.zeros(extent - samples.size)])
-    flags = np.concatenate([flags, np.zeros(extent - flags.size, dtype=bool)])
+    samples = np.zeros(extent)
+    samples[overlap:overlap + num_real] = adc.quantized
+    flags = np.zeros(extent, dtype=bool)
+    flags[overlap:overlap + num_real] = adc.folding_bits
 
-    jumps = np.zeros(extent)
-    carry = SegmentCarry(prev_windowed_tail=np.zeros(overlap))
-    skipped = 0
-    for index, start in enumerate(starts):
-        segment = samples[start:start + n]
-        fold_set = np.flatnonzero(flags[start:start + n])
-        if fold_set.size == 0 and not carry.prev_windowed_tail.any():
-            # Quiet segment with nothing carried in: identically zero estimate.
-            skipped += 1
-            carry.prev_last_quantized = segment[-1]
-            continue
-        if fold_set.size == 0:
-            windowed = np.zeros(n)
-        else:
-            diffed = windowed_first_difference(
-                segment, samples[start - 1] if start else 0.0, window)
-            try:
-                windowed = residue_pre_estimate(diffed, fold_set, system)
-            except (InfeasibleError, ConfigurationError) as err:
-                raise type(err)(f"segment {index} (start {start}): {err}") from err
-        corrected = scaling_correction(windowed, carry, config.alpha)
-        jumps[start:start + hop] = round_to_lattice(corrected, config.threshold)
-        carry.prev_last_quantized = segment[-1]
-    residue = np.cumsum(jumps)[overlap:overlap + num_real]
-    carry.running_residue = residue[-1]
+    hop = config.hop
+    flag_view = sliding_window_view(flags, n)[::hop]
+    diffed = window.coefficients * sliding_window_view(np.diff(samples, prepend=0.0), n)[::hop]
+    values = residue_pre_estimate(diffed, flag_view, system)
+    rows, cols = np.nonzero(flag_view)
+    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=extent)
+    counts = np.cumsum(round_to_lattice(jumps[overlap:overlap + num_real], config.threshold))
+    residue = 2.0 * config.threshold * counts
     recovered = filter_zero_delay(adc.quantized - residue, recovery_lowpass(config))
     return UnfoldResult(recovered=recovered, residue=residue,
-                        segments_total=len(starts), segments_skipped=skipped)
+                        segments_total=starts.size,
+                        segments_skipped=int(np.count_nonzero(~flag_view.any(axis=1))))

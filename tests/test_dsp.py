@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from modunfold.dsp import (build_oob_system, design_lowpass, dft_normalized,
-                           filter_zero_delay, least_squares_apply,
-                           matrix_inf_norm, min_singular_value, select_columns,
-                           tukey_window)
-from modunfold.errors import ConfigurationError
+from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
+                           kernel_block, matrix_inf_norm, tukey_window)
+from modunfold.errors import ConfigurationError, InfeasibleError
+from oob_reference import (dft_normalized, least_squares_apply,
+                           min_singular_value, oob_matrix, select_columns)
 
 
 def brute_force_dft(x):
@@ -23,20 +23,22 @@ def brute_force_dft(x):
 
 
 class TestDftNormalized:
+    # The reference solver's DFT; the library applies the same projection
+    # through the circulant kernel.
     def test_constant_signal_is_dc_only(self):
-        assert_allclose(dft_normalized([1, 1, 1, 1]).bins, [2, 0, 0, 0], atol=1e-15)
+        assert_allclose(dft_normalized([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
 
     def test_impulse_is_flat(self):
-        assert_allclose(dft_normalized([1, 0, 0, 0]).bins, [0.5] * 4, atol=1e-15)
+        assert_allclose(dft_normalized([1, 0, 0, 0]), [0.5] * 4, atol=1e-15)
 
     def test_matches_brute_force(self):
         x = np.random.default_rng(11).normal(size=16)
-        assert_allclose(dft_normalized(x).bins, brute_force_dft(x), atol=1e-12)
+        assert_allclose(dft_normalized(x), brute_force_dft(x), atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_matches_brute_force_up_to_32(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        assert_allclose(dft_normalized(x).bins, brute_force_dft(x), atol=1e-12)
+        assert_allclose(dft_normalized(x), brute_force_dft(x), atol=1e-12)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +50,7 @@ class TestDftNormalized:
     def test_parseval(self, x):
         spec = dft_normalized(x)
         time_energy = float(np.sum(x ** 2))
-        freq_energy = float(np.sum(np.abs(spec.bins) ** 2))
+        freq_energy = float(np.sum(np.abs(spec) ** 2))
         assert abs(freq_energy - time_energy) <= 1e-10 * max(time_energy, 1.0)
 
     @given(arrays(np.float64, 24, elements=st.floats(-10, 10)),
@@ -56,8 +58,8 @@ class TestDftNormalized:
            st.floats(-5, 5), st.floats(-5, 5))
     @settings(deadline=None, max_examples=50)
     def test_linearity(self, x, y, a, b):
-        lhs = dft_normalized(a * x + b * y).bins
-        rhs = a * dft_normalized(x).bins + b * dft_normalized(y).bins
+        lhs = dft_normalized(a * x + b * y)
+        rhs = a * dft_normalized(x) + b * dft_normalized(y)
         assert np.abs(lhs - rhs).max() <= 1e-10 * (1 + np.abs(rhs).max())
 
 
@@ -86,14 +88,41 @@ class TestOobSystem:
 
     def test_rows_are_unit_norm(self):
         sys = build_oob_system(64, 0.25, np.pi / 32)
-        assert_allclose(np.linalg.norm(sys.v, axis=1), 1.0, atol=1e-12)
+        assert_allclose(np.linalg.norm(oob_matrix(sys), axis=1), 1.0, atol=1e-12)
 
     def test_entries_match_formula(self):
         sys = build_oob_system(16, 0.5, 0.0)
+        v = oob_matrix(sys)
         for row, k in enumerate(sys.oob_bins):
             for m in range(16):
                 expected = np.exp(-2j * np.pi * m * k / 16) / 4.0
-                assert abs(sys.v[row, m] - expected) < 1e-14
+                assert abs(v[row, m] - expected) < 1e-14
+
+    @pytest.mark.parametrize("n,rho,guard", [(64, 0.25, np.pi / 32),
+                                             (63, 0.25, 0.1), (16, 0.5, 0.0)])
+    def test_kernel_is_gram_of_oob_rows(self, n, rho, guard):
+        sys = build_oob_system(n, rho, guard)
+        v = oob_matrix(sys)
+        positions = np.arange(n)
+        assert_allclose(kernel_block(sys, positions, positions),
+                        (v.conj().T @ v).real, atol=1e-14)
+        assert np.abs((v.conj().T @ v).imag).max() < 1e-14
+
+    def test_kernel_is_a_projector(self):
+        sys = build_oob_system(64, 0.25, np.pi / 32)
+        p = kernel_block(sys, np.arange(64), np.arange(64))
+        assert_allclose(p @ p, p, atol=1e-13)
+        assert sys.kernel[0] == pytest.approx(sys.num_bins / 64)
+
+    def test_kernel_block_batches_over_leading_axes(self):
+        sys = build_oob_system(64, 0.25, np.pi / 32)
+        full = kernel_block(sys, np.arange(64), np.arange(64))
+        rows = np.array([[3, 17, 40], [0, 1, 63]])
+        cols = np.array([[5, 9], [62, 2]])
+        block = kernel_block(sys, rows, cols)
+        assert block.shape == (2, 3, 2)
+        for b in range(2):
+            assert_array_equal(block[b], full[np.ix_(rows[b], cols[b])])
 
     @pytest.mark.parametrize("n,rho,guard", [(64, 0.25, np.pi / 32),
                                              (63, 0.25, 0.1),
@@ -103,37 +132,41 @@ class TestOobSystem:
         assert {(n - k) % n for k in bins} == bins
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InfeasibleError):
             build_oob_system(7, 0.9, 0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InfeasibleError):
             build_oob_system(64, 0.25, np.pi)
+        with pytest.raises(ConfigurationError):
+            build_oob_system(64, 0.25, -0.1)
 
 
 class TestSelectColumns:
+    # Column selection of the reference solver's explicit V.
     def test_empty_selection(self):
         sys = build_oob_system(16, 0.5, 0.0)
-        assert select_columns(sys, []).shape == (sys.num_bins, 0)
+        assert select_columns(oob_matrix(sys), []).shape == (sys.num_bins, 0)
 
     def test_full_selection_returns_matrix(self):
-        sys = build_oob_system(16, 0.5, 0.0)
-        assert_array_equal(select_columns(sys, range(16)), sys.v)
+        v = oob_matrix(build_oob_system(16, 0.5, 0.0))
+        assert_array_equal(select_columns(v, range(16)), v)
 
     def test_columns_match_entry_formula(self):
         sys = build_oob_system(64, 0.25, 0.0)
-        cols = select_columns(sys, [3, 17])
+        cols = select_columns(oob_matrix(sys), [3, 17])
         for j, m in enumerate((3, 17)):
             expected = np.exp(-2j * np.pi * m * sys.oob_bins / 64) / 8.0
             assert_allclose(cols[:, j], expected, atol=1e-14)
 
     def test_out_of_range_rejected(self):
-        sys = build_oob_system(16, 0.5, 0.0)
+        v = oob_matrix(build_oob_system(16, 0.5, 0.0))
         with pytest.raises(ValueError):
-            select_columns(sys, [16])
+            select_columns(v, [16])
         with pytest.raises(ValueError):
-            select_columns(sys, [3, 3])
+            select_columns(v, [3, 3])
 
 
 class TestLeastSquares:
+    # The reference solver's complex least squares.
     def test_orthonormal_columns_invert_exactly(self):
         a = np.eye(4)[:, :2]
         rhs = a @ np.array([1.0, -2.0])
@@ -175,7 +208,7 @@ class TestLeastSquares:
     def test_oob_round_trip_at_recovery_scale(self):
         sys = build_oob_system(64, 0.25, np.pi / 32)
         rng = np.random.default_rng(9)
-        cols = select_columns(sys, rng.choice(64, size=6, replace=False))
+        cols = select_columns(oob_matrix(sys), rng.choice(64, size=6, replace=False))
         x0 = rng.normal(size=6)
         assert np.abs(least_squares_apply(cols, cols @ x0) - x0).max() < 1e-9
 
@@ -189,10 +222,14 @@ class TestMinSingularValue:
         assert min_singular_value(a) < 1e-12
 
     def test_fold_columns_well_conditioned_under_sufficiency(self):
-        # Four fold columns at OF=4 satisfy the full-rank sufficiency bound.
+        # Four fold columns at OF=4 satisfy the full-rank sufficiency bound;
+        # the Gram eigenvalues the library checks are their squares.
         sys = build_oob_system(64, 0.25, 0.0)
-        cols = select_columns(sys, [5, 19, 33, 60])
-        assert min_singular_value(cols) > 1e-8
+        folds = [5, 19, 33, 60]
+        sigma = min_singular_value(select_columns(oob_matrix(sys), folds))
+        assert sigma > 1e-8
+        gram = kernel_block(sys, folds, folds)
+        assert np.linalg.eigvalsh(gram)[0] == pytest.approx(sigma ** 2, rel=1e-9)
 
 
 class TestMatrixInfNorm:

@@ -26,6 +26,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(experiment="nope")
 
+    def test_rejects_bad_signal_spec(self):
+        with pytest.raises(ConfigurationError, match="beta"):
+            ExperimentConfig(beta=1.5)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(oversampling_list=())
@@ -194,6 +198,11 @@ class TestCli:
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = self._write(tmp_path, {"wat": 1})
         assert main(["mse-sweep", "--config", cfg, "--seed", "1"]) == 2
+
+    def test_bad_signal_spec_is_config_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {"span": 3})
+        assert main(["mse-sweep", "--config", cfg, "--seed", "1"]) == 2
+        assert "span" in capsys.readouterr().err
 
     def test_infeasible_everywhere_is_exit_3(self, tmp_path):
         cfg = self._write(tmp_path, {"oversampling_list": [2.0, 2.5]})

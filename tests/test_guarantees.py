@@ -5,8 +5,7 @@ import pytest
 
 from modunfold.dsp import build_oob_system, matrix_inf_norm
 from modunfold.errors import InfeasibleError
-from modunfold.guarantees import (complexity_estimate,
-                                  estimate_interference_norm, guard_bin_count,
+from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, min_oversampling_for_folds,
                                   predict_mse_conventional, predict_mse_modulo,
                                   quantization_noise_power, required_bits,
@@ -146,13 +145,14 @@ class TestInterferenceNorm:
     def test_matches_explicit_pseudoinverse(self):
         length, set_size, trials, seed = 64, 6, 50, 123
         fast = estimate_interference_norm(length, 4, 0.0, set_size, trials, seed)
-        system = build_oob_system(length, 0.25, 0.0)
+        bins = build_oob_system(length, 0.25, 0.0).oob_bins
+        v = np.exp(-2j * np.pi * np.outer(bins, np.arange(length)) / length) / np.sqrt(length)
         rng = np.random.default_rng(seed)
         draws = rng.random((trials, length)).argsort(axis=1)
         slow = 0.0
         for row in draws:
             inside, outside = row[:set_size], row[set_size:]
-            mapped = np.linalg.pinv(system.v[:, inside]) @ system.v[:, outside]
+            mapped = np.linalg.pinv(v[:, inside]) @ v[:, outside]
             slow = max(slow, matrix_inf_norm(mapped))
         assert fast == pytest.approx(slow, rel=1e-9)
 
@@ -182,23 +182,6 @@ class TestInterferenceNorm:
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):
             estimate_interference_norm(64, 4, 0.0, 60, 10, seed=0)
-
-
-class TestComplexityEstimate:
-    def test_reported_speedup_ratio(self):
-        est = complexity_estimate(100_000, 256, 0.25, 0.25)
-        assert 1.0 / est.speedup_vs_whole == pytest.approx(7.48e-6, rel=0.01)
-
-    def test_whole_signal_special_case(self):
-        est = complexity_estimate(4096, 4096, 0.0, 0.25)
-        assert est.segments == pytest.approx(1.0)
-        assert est.total_order == pytest.approx((1 - 0.25) ** 3 * 4096 ** 3)
-
-    def test_segments_linear_in_signal_length(self):
-        one = complexity_estimate(50_000, 256, 0.25, 0.25)
-        two = complexity_estimate(100_000, 256, 0.25, 0.25)
-        assert two.segments == pytest.approx(2 * one.segments)
-        assert two.total_order == pytest.approx(2 * one.total_order)
 
 
 class TestTheoryReport:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from modunfold.errors import OverloadError
+from modunfold.errors import ConfigurationError, OverloadError
 from modunfold.modulo_adc import (AdcConfig, acquire, fold, quantize_uniform,
                                   triangle_dither)
 from modunfold.signal_model import SampledSignal
@@ -153,6 +153,13 @@ class TestAcquire:
         sig = synthetic_signal(np.array([1.2, 0.0, 0.0]))
         with pytest.raises(ValueError, match="first sample"):
             acquire(sig, AdcConfig(bits=4, threshold=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.full(64, 0.2)
+        samples[5] = bad
+        with pytest.raises(ConfigurationError, match="sample 5 is not finite"):
+            acquire(synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0))
 
     def test_ideal_mode_bypasses_quantizer(self):
         ramp = np.linspace(0.0, 1.5, 64)
