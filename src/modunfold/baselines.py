@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import design_lowpass, filter_zero_delay
+from .errors import ConfigurationError
 from .modulo_adc import fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
-from .unfold import round_to_lattice
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,12 @@ class HodConfig:
     order: int = 3
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("difference order must be >= 1")
+        # A diverging order-K estimate grows like n^K/K!; its square can
+        # overflow float64 past order 16 on a billion samples.
+        if not 1 <= self.order <= 16:
+            raise ConfigurationError(f"difference order must be in [1, 16], got {self.order}")
         if self.threshold <= 0.0:
-            raise ValueError("modulo threshold must be positive")
+            raise ConfigurationError("modulo threshold must be positive")
 
 
 def conventional_full_scale(bits: int, peak: float) -> float:
@@ -52,9 +54,9 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     error on the affected samples.
     """
     if bits < 2:
-        raise ValueError("need bits >= 2")
+        raise ConfigurationError("need bits >= 2")
     if peak <= 0.0:
-        raise ValueError("peak amplitude must be positive")
+        raise ConfigurationError("peak amplitude must be positive")
     f = np.asarray(signal.samples, dtype=float)
     full_scale = conventional_full_scale(bits, peak)
     dither = triangle_dither(f.size, bits, full_scale, seed)
@@ -64,24 +66,26 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     return filter_zero_delay(quantized, lowpass)
 
 
-def hod_recover(quantized_modulo, threshold: float, config: HodConfig) -> np.ndarray:
+def hod_recover(quantized_modulo, config: HodConfig) -> np.ndarray:
     """Unfold modulo samples by K-th differences and centered re-folding.
 
-    The K-th first-difference of the samples is re-folded into
-    [-threshold, threshold): when the differenced clean signal plus noise
-    stays inside that interval, the fold removes exactly the residue jumps.
-    The implied residue differences are anti-differenced K times, re-snapped
-    to the 2*threshold lattice after each integration.  All differences take
-    the sample before the record to be zero, which anchors the result to
-    f_hat[0] = quantized_modulo[0]; that removes the usual unknown constant
-    because the first sample is within the threshold by assumption.
+    The K-th (config.order) first-difference of the samples is re-folded
+    into [-threshold, threshold), threshold = config.threshold: when the
+    differenced clean signal plus noise stays inside that interval, the
+    fold removes exactly the residue jumps.  The implied residue differences
+    are anti-differenced K times, re-snapped to the 2*threshold lattice after
+    each integration.  All differences take the sample before the record to
+    be zero, which anchors the result to f_hat[0] = quantized_modulo[0];
+    that removes the usual unknown constant because the first sample is
+    within the threshold by assumption.
     """
     y = np.asarray(quantized_modulo, dtype=float)
     diffed = y.copy()
     for _ in range(config.order):
         diffed = np.diff(diffed, prepend=0.0)
-    residue_diff = diffed - fold(diffed, threshold)
-    estimate = residue_diff
+    estimate = diffed - fold(diffed, config.threshold)
+    # Lattice units stay floats: a diverging estimate outgrows int64 counts.
+    spacing = 2.0 * config.threshold
     for _ in range(config.order):
-        estimate = 2.0 * threshold * round_to_lattice(np.cumsum(estimate), threshold)
+        estimate = spacing * np.round(np.cumsum(estimate) / spacing)
     return y - estimate

@@ -2,8 +2,8 @@
 
     modunfold <experiment> --config FILE [--seed N] [--out CSV] [--preset P]
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when every grid
-point was infeasible.
+Exit codes: 0 on success, 2 on any bad parameter (every parameter check
+raises ConfigurationError), 3 when every grid point was infeasible.
 """
 
 from __future__ import annotations
@@ -53,21 +53,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.experiment, preset=args.preset,
                           seed=args.seed, out=args.out)
-        if cfg.seed is None and cfg.experiment != "theory-only":
-            raise ConfigurationError(
-                f"{cfg.experiment} needs --seed (or a seed in the config)")
         rows, elapsed_ms = run_experiment(cfg)
+        _summarize(rows, elapsed_ms)
+        if cfg.out:
+            emit_csv(rows, cfg.out)
+            print(f"wrote {cfg.out}")
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _summarize(rows, elapsed_ms)
-    if cfg.out:
-        try:
-            emit_csv(rows, cfg.out)
-        except ConfigurationError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        print(f"wrote {cfg.out}")
     if rows and all(r.status != "ok" for r in rows):
         print("error: every grid point was infeasible", file=sys.stderr)
         return 3

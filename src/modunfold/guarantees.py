@@ -16,13 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import build_oob_system, kernel_block
-from .errors import InfeasibleError
+from .errors import ConfigurationError, InfeasibleError
+from .modulo_adc import AdcConfig
+
+# Fold sets solved per batched Gram solve in estimate_interference_norm.
+_TRIAL_BATCH = 512
 
 
 def guard_bin_count(guard_width: float, length: int) -> int:
     """DFT bins excluded by the leakage guard: 2 * ceil(guard_width * N / pi)."""
     if guard_width < 0.0:
-        raise ValueError("guard_width must be nonnegative")
+        raise ConfigurationError("guard_width must be nonnegative")
     return 2 * math.ceil(guard_width * length / np.pi)
 
 
@@ -54,7 +58,7 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
     peak / (oversampling * (1 - guard_bins/N) - 2).
     """
     if peak <= 0.0:
-        raise ValueError("peak amplitude must be positive")
+        raise ConfigurationError("peak amplitude must be positive")
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
     if denom <= 0.0:
         raise InfeasibleError(
@@ -69,13 +73,12 @@ def required_bits(interference_norm: float) -> float:
     bits > 3 + log2(1 + 0.75 * interference_norm).
     """
     if interference_norm < 0.0:
-        raise ValueError("interference norm must be nonnegative")
+        raise ConfigurationError("interference norm must be nonnegative")
     return 3.0 + math.log2(1.0 + 0.75 * interference_norm)
 
 
 def estimate_interference_norm(length: int, oversampling: float, guard_width: float,
-                               set_size: int, trials: int, seed,
-                               batch: int = 512) -> float:
+                               set_size: int, trials: int, seed) -> float:
     """Monte-Carlo max of ||pinv(V_S) V_Sc||_inf over random fold sets S.
 
     Bounds how strongly quantization noise at unflagged samples can leak
@@ -86,11 +89,13 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     whenever the fold columns are full rank.
     """
     if set_size < 0:
-        raise ValueError("set_size must be nonnegative")
+        raise ConfigurationError("set_size must be nonnegative")
     if set_size == 0:
         return 0.0
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ConfigurationError("trials must be positive")
+    if oversampling <= 0.0:
+        raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
     system = build_oob_system(length, 1.0 / oversampling, guard_width)
     if set_size > system.num_bins:
         raise InfeasibleError(
@@ -99,8 +104,8 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, length)).argsort(axis=1)
     worst = 0.0
-    for lo in range(0, trials, batch):
-        chunk = draws[lo:lo + batch]
+    for lo in range(0, trials, _TRIAL_BATCH):
+        chunk = draws[lo:lo + _TRIAL_BATCH]
         inside = chunk[:, :set_size]
         outside = chunk[:, set_size:]
         gram = kernel_block(system, inside, inside)
@@ -131,35 +136,29 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
 def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> float:
     """Predicted MSE of the conventional pipeline: peak^2 / (OF * (2^b - 2)^2)."""
     if bits < 2:
-        raise ValueError("need bits >= 2")
+        raise ConfigurationError("need bits >= 2")
     if oversampling < 1.0:
-        raise ValueError("oversampling factor must be >= 1")
+        raise ConfigurationError("oversampling factor must be >= 1")
     return peak ** 2 / (oversampling * (2 ** bits - 2) ** 2)
 
 
 def quantization_noise_power(bits: int, full_scale: float) -> float:
     """Noise power of the triangular-dithered quantizer: full_scale^2 / 2^(2b)."""
     if bits < 1:
-        raise ValueError("bits must be positive")
+        raise ConfigurationError("bits must be positive")
     return full_scale ** 2 / 2 ** (2 * bits)
 
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Everything the calculators can say about one operating point."""
+    """The calculators' verdicts and predictions for one operating point."""
 
-    oversampling: float
-    bits: int
-    length: int
-    guard_width: float
     guard_bins: int
     threshold: float
     full_scale: float
-    oversampling_ok: bool
     bits_ok: bool | None
     mse_modulo: float
     mse_modulo_db: float
-    mse_conventional: float
     mse_conventional_db: float
 
 
@@ -173,19 +172,15 @@ def theory_report(peak: float, oversampling: float, bits: int, length: int,
     when no estimate is supplied.
     """
     bins = guard_bin_count(guard_width, length)
-    of_ok = oversampling >= min_oversampling(length, bins)
     threshold = required_threshold(peak, oversampling, bins, length)
-    full_scale = 2 ** bits * threshold / (2 ** bits - 2)
+    full_scale = AdcConfig(bits=bits, threshold=threshold).full_scale
     mse_mod = predict_mse_modulo(peak, oversampling, bits, bins, guard_width, length)
     mse_conv = predict_mse_conventional(peak, oversampling, bits)
     bits_ok = None
     if interference_norm is not None:
         bits_ok = bits > required_bits(interference_norm)
     return TheoryReport(
-        oversampling=oversampling, bits=bits, length=length,
-        guard_width=guard_width, guard_bins=bins, threshold=threshold,
-        full_scale=full_scale, oversampling_ok=of_ok, bits_ok=bits_ok,
-        mse_modulo=mse_mod, mse_modulo_db=10.0 * math.log10(mse_mod),
-        mse_conventional=mse_conv,
-        mse_conventional_db=10.0 * math.log10(mse_conv),
-    )
+        guard_bins=bins, threshold=threshold, full_scale=full_scale,
+        bits_ok=bits_ok, mse_modulo=mse_mod,
+        mse_modulo_db=10.0 * math.log10(mse_mod),
+        mse_conventional_db=10.0 * math.log10(mse_conv))

@@ -29,10 +29,11 @@ class AdcConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"need bits >= 2 for a positive full scale, got {self.bits}")
+        # Two bits give a positive full scale; past 53 the step is below float64.
+        if not 2 <= self.bits <= 53:
+            raise ConfigurationError(f"need 2 <= bits <= 53, got {self.bits}")
         if self.threshold <= 0.0:
-            raise ValueError("modulo threshold must be positive")
+            raise ConfigurationError("modulo threshold must be positive")
 
     @property
     def full_scale(self) -> float:
@@ -69,7 +70,7 @@ def fold(x, threshold: float):
     multiple of 2*threshold.
     """
     if threshold <= 0.0:
-        raise ValueError("modulo threshold must be positive")
+        raise ConfigurationError("modulo threshold must be positive")
     x = np.asarray(x, dtype=float)
     r = np.mod(x + threshold, 2.0 * threshold) - threshold
     # np.mod can return the modulus itself for tiny negative inputs.
@@ -84,9 +85,9 @@ def triangle_dither(count: int, bits: int, full_scale: float, seed) -> np.ndarra
     uniforms on (-step/2, step/2].
     """
     if bits < 1:
-        raise ValueError("bits must be positive")
+        raise ConfigurationError("bits must be positive")
     if full_scale <= 0.0:
-        raise ValueError("full_scale must be positive")
+        raise ConfigurationError("full_scale must be positive")
     half = full_scale / 2 ** bits
     rng = np.random.default_rng(seed)
     # uniform() is closed on the left; negating flips the interval to (-h, h].
@@ -101,9 +102,9 @@ def quantize_uniform(x, bits: int, full_scale: float):
     full scale raise OverloadError naming the first offending sample.
     """
     if bits < 1:
-        raise ValueError("bits must be positive")
+        raise ConfigurationError("bits must be positive")
     if full_scale <= 0.0:
-        raise ValueError("full_scale must be positive")
+        raise ConfigurationError("full_scale must be positive")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -132,7 +133,7 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
             f"signal sample {int(np.argmin(np.isfinite(f)))} is not finite")
     lam_p = config.threshold
     if abs(f[0]) > lam_p:
-        raise ValueError(
+        raise ConfigurationError(
             f"first sample {f[0]:.6g} exceeds the modulo threshold {lam_p:.6g}; "
             "recovery would be off by an unknown residue offset"
         )

@@ -19,13 +19,13 @@ signal band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (FirLowpass, OobSystem, build_oob_system, design_lowpass,
-                  filter_zero_delay, kernel_block, tukey_window)
+from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
+                  design_lowpass, filter_zero_delay, kernel_block, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -33,7 +33,11 @@ from .signal_model import SampledSignal
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Window, guard-band, threshold and lowpass parameters for unfolding."""
+    """Window, guard-band, threshold and lowpass parameters for unfolding.
+
+    The window and out-of-band system are built once, here, by the functions
+    that check their parameters (no out-of-band bin is an InfeasibleError).
+    """
 
     length: int
     alpha: float
@@ -42,29 +46,22 @@ class RecoveryConfig:
     band_fraction: float
     lpf_length: int = 1025
     lpf_transition: float = np.pi / 64
+    window: TukeyWindow = field(init=False, repr=False, compare=False)
+    system: OobSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prod = self.alpha * self.length
-        if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0:
-            raise ConfigurationError(
-                f"alpha*length must be an even integer, got {prod!r}")
-        if not 0.0 < self.band_fraction < 1.0:
-            raise ConfigurationError("band_fraction must be in (0, 1)")
-        lo = self.band_fraction * np.pi + self.guard_width
-        if self.guard_width < 0.0 or lo >= np.pi:
-            raise ConfigurationError(
-                "guard band leaves no out-of-band interval")
-        if self.threshold <= 0.0:
-            raise ConfigurationError("modulo threshold must be positive")
+        object.__setattr__(self, "window", tukey_window(self.length, self.alpha))
+        object.__setattr__(self, "system", build_oob_system(
+            self.length, self.band_fraction, self.guard_width))
 
     @property
     def overlap(self) -> int:
         """Samples shared by consecutive segments (one window taper)."""
-        return int(round(self.alpha * self.length / 2))
+        return self.window.edge
 
     @property
     def hop(self) -> int:
-        return self.length - self.overlap
+        return self.window.hop
 
 
 @dataclass(frozen=True)
@@ -89,18 +86,18 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     the caller zero-pads the buffer to the end of the last segment.
     """
     if length > num_samples:
-        raise ValueError(f"segment length {length} exceeds buffer {num_samples}")
+        raise ConfigurationError(f"segment length {length} exceeds buffer {num_samples}")
     return np.arange(0, num_samples, tukey_window(length, alpha).hop)
 
 
-def residue_pre_estimate(diffed, flags, system: OobSystem) -> np.ndarray:
+def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
     """Windowed residue jumps at the flagged samples of a batch of segments.
 
-    diffed[i] is the windowed first difference of segment i and flags[i] its
-    fold flags, both of shape (segments, n).  The values at the flagged
-    positions S of a segment solve P[S, S] x = (P d)[S]; segments with equal
-    fold counts are solved together.  Returns one value per flagged sample,
-    in the row-major order of np.nonzero(flags).
+    diffed[i] is the windowed first difference of segment i, shape
+    (segments, n); (rows, cols) = np.nonzero(flags) locate its flagged
+    samples in row-major order.  The values at the flagged positions S of a
+    segment solve P[S, S] x = (P d)[S]; segments with equal fold counts are
+    solved together.  Returns one value per flagged sample, in that order.
 
     A segment with more folds than out-of-band equations raises
     InfeasibleError; one whose Gram has smallest eigenvalue at most
@@ -108,7 +105,6 @@ def residue_pre_estimate(diffed, flags, system: OobSystem) -> np.ndarray:
     such segment by its row.
     """
     diffed = np.asarray(diffed, dtype=float)
-    rows, cols = np.nonzero(flags)
     folds = np.bincount(rows, minlength=diffed.shape[0])
     values = np.zeros(cols.size)
     if folds.max(initial=0) > system.num_bins:
@@ -150,7 +146,7 @@ def round_to_lattice(x, threshold: float):
     2*threshold*counts sits exactly on the lattice.
     """
     if threshold <= 0.0:
-        raise ValueError("modulo threshold must be positive")
+        raise ConfigurationError("modulo threshold must be positive")
     x = np.asarray(x, dtype=float)
     out = (np.sign(x) * np.floor(np.abs(x) / (2.0 * threshold) + 0.5)).astype(np.int64)
     return int(out) if out.ndim == 0 else out
@@ -198,9 +194,7 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
         raise ConfigurationError(
             f"quantized sample {int(np.argmin(np.isfinite(adc.quantized)))} is not finite")
 
-    n, overlap = config.length, config.overlap
-    window = tukey_window(n, config.alpha)
-    system = build_oob_system(n, config.band_fraction, config.guard_width)
+    n, overlap, hop = config.length, config.overlap, config.hop
     num_real = adc.quantized.size
     starts = segment_starts(max(overlap + num_real, n), n, config.alpha)
     extent = starts[-1] + n
@@ -209,11 +203,11 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     flags = np.zeros(extent, dtype=bool)
     flags[overlap:overlap + num_real] = adc.folding_bits
 
-    hop = config.hop
     flag_view = sliding_window_view(flags, n)[::hop]
-    diffed = window.coefficients * sliding_window_view(np.diff(samples, prepend=0.0), n)[::hop]
-    values = residue_pre_estimate(diffed, flag_view, system)
+    diffed = config.window.coefficients * sliding_window_view(
+        np.diff(samples, prepend=0.0), n)[::hop]
     rows, cols = np.nonzero(flag_view)
+    values = residue_pre_estimate(diffed, rows, cols, config.system)
     jumps = np.bincount(starts[rows] + cols, weights=values, minlength=extent)
     counts = np.cumsum(round_to_lattice(jumps[overlap:overlap + num_real], config.threshold))
     residue = 2.0 * config.threshold * counts

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.baselines import (HodConfig, conventional_adc,
                                  conventional_full_scale, hod_recover)
+from modunfold.errors import ConfigurationError
 from modunfold.guarantees import predict_mse_conventional
 from modunfold.modulo_adc import AdcConfig, acquire, fold
 from modunfold.signal_model import (PulseTrainSpec, estimate_inf_norm,
@@ -57,9 +58,9 @@ class TestConventionalAdc:
 
     def test_bad_args(self):
         sig, peak = reference_signal(num_pulses=200)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             conventional_adc(sig, 1, peak, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             conventional_adc(sig, 4, -1.0, seed=0)
 
 
@@ -73,7 +74,7 @@ class TestHodRecover:
         adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=2),
                       ideal=True)
         assert adc.folding_bits.any()
-        recovered = hod_recover(adc.quantized, threshold,
+        recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=1))
         assert_allclose(recovered, sig.samples, atol=1e-9)
 
@@ -81,7 +82,7 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=300, seed=3)
         threshold = 2.0 * peak
         adc = acquire(sig, AdcConfig(bits=6, threshold=threshold, seed=3))
-        recovered = hod_recover(adc.quantized, threshold,
+        recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=1))
         assert_array_equal(recovered, adc.quantized)
 
@@ -92,7 +93,7 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=1000, oversampling=6.0, seed=4)
         threshold = required_threshold(peak, 6.0, guard_bin_count(np.pi / 32, 64), 64)
         adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=4))
-        recovered = hod_recover(adc.quantized, threshold,
+        recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=3))
         mse = np.mean((recovered - sig.samples) ** 2)
         assert 10 * np.log10(mse) > 0.0
@@ -102,7 +103,7 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=1000, oversampling=10.0, seed=5)
         threshold = required_threshold(peak, 10.0, guard_bin_count(np.pi / 32, 64), 64)
         adc = acquire(sig, AdcConfig(bits=5, threshold=threshold, seed=5))
-        recovered = hod_recover(adc.quantized, threshold,
+        recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=3))
         # Exact unfolding leaves only quantization noise.
         residual = recovered - sig.samples
@@ -112,10 +113,12 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=200, seed=6)
         threshold = 0.4 * peak
         adc = acquire(sig, AdcConfig(bits=5, threshold=threshold, seed=6))
-        recovered = hod_recover(adc.quantized, threshold,
+        recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=1))
         assert recovered[0] == adc.quantized[0]
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HodConfig(threshold=1.0, order=0)
+        with pytest.raises(ConfigurationError):
+            HodConfig(threshold=1.0, order=17)

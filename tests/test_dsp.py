@@ -268,12 +268,12 @@ class TestTukeyWindow:
         assert w.min() >= 0.0 and w.max() <= 1.0
 
     def test_odd_taper_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             tukey_window(10, 0.5)  # alpha*n = 5
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_bad_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             tukey_window(64, alpha)
 
 
@@ -348,5 +348,5 @@ class TestFilterZeroDelay:
         assert np.abs((y - x)[512:-512]).max() < 5e-3
 
     def test_short_signal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             filter_zero_delay(np.zeros(100), self.lowpass)

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modunfold.cli import main
 from modunfold.errors import ConfigurationError
-from modunfold.experiments import (ExperimentConfig, MGridRow, ResultRow,
-                                   emit_csv, load_config, run_compare_hod,
-                                   run_m_grid, run_mse_sweep, run_theory_only)
+from modunfold.experiments import (EXPERIMENTS, ExperimentConfig, MGridRow,
+                                   ResultRow, emit_csv, load_config,
+                                   run_compare_hod, run_m_grid, run_mse_sweep,
+                                   run_theory_only)
 
 FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
                   guard_width_list=(np.pi / 32,), lpf_length=257,
@@ -187,9 +190,10 @@ class TestCli:
         assert body.count("\n") == 2
         assert "mse_simulated_db" in body
 
-    def test_missing_seed_is_config_error(self, tmp_path):
+    def test_missing_seed_is_config_error(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {})
         assert main(["mse-sweep", "--config", cfg]) == 2
+        assert "needs --seed" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         assert main(["mse-sweep", "--config", str(tmp_path / "missing.json"),
@@ -207,3 +211,102 @@ class TestCli:
     def test_infeasible_everywhere_is_exit_3(self, tmp_path):
         cfg = self._write(tmp_path, {"oversampling_list": [2.0, 2.5]})
         assert main(["theory-only", "--config", cfg]) == 3
+        for experiment in EXPERIMENTS:
+            assert run_cli(tmp_path, experiment,
+                           {**TINY, "oversampling_list": [0.5]}) == 3
+
+
+# A config whose every experiment runs in tens of milliseconds.
+TINY = dict(num_pulses=150, oversampling_list=[6.0], lpf_length=257,
+            lpf_transition=np.pi / 16, trials=1, m_trials=10, m_lengths=[16],
+            m_set_fractions=[8], seed=1)
+SIMULATED = ("mse-sweep", "compare-hod")
+
+
+# Candidate values for one field: valid, out of range or of the wrong JSON
+# type.  `span` and `trials` stay small because each unit of them costs a
+# whole synthesis.
+SMALL_INTS = st.integers(-2, 24)
+INTS = st.one_of(SMALL_INTS, st.sampled_from([64, 257]))
+REALS = st.floats(-4.0, 64.0)
+WRONG_TYPES = st.sampled_from(["4", True, None, [], {}, 2.5, [[1]],
+                               float("nan"), float("inf")])
+CANDIDATES = {
+    **{name: st.one_of(INTS, WRONG_TYPES)
+       for name in ("num_pulses", "window_length", "lpf_length", "hod_order",
+                    "m_trials", "seed")},
+    **{name: st.one_of(st.integers(-2, 4), WRONG_TYPES) for name in ("span", "trials")},
+    **{name: st.one_of(REALS, WRONG_TYPES)
+       for name in ("beta", "symbol_period", "amp_low", "amp_high",
+                    "window_alpha", "lpf_transition")},
+    **{name: st.lists(st.one_of(ints, WRONG_TYPES), max_size=2)
+       for name, ints in (("bits_list", SMALL_INTS), ("m_lengths", INTS),
+                          ("m_set_fractions", SMALL_INTS))},
+    **{name: st.lists(st.one_of(REALS, WRONG_TYPES), max_size=2)
+       for name in ("oversampling_list", "guard_width_list")},
+}
+
+
+def run_cli(tmp_path, experiment, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return main([experiment, "--config", str(path)])
+
+
+class TestBadInput:
+    # One bad field each, run through every experiment that reads it (all
+    # four for the checks made at load).  beta, span, trials, m_trials and
+    # window_length 10 exited 2 before; the rest ended in a traceback, or in
+    # rows marked ok with a set size of 0 or a fractional bit count.
+    @pytest.mark.parametrize("field, value, experiments", [
+        ("window_alpha", 0, EXPERIMENTS),
+        ("window_alpha", 2, EXPERIMENTS),
+        ("bits_list", [1], SIMULATED + ("theory-only",)),
+        ("num_pulses", 1, SIMULATED),
+        ("guard_width_list", [-0.1], SIMULATED + ("theory-only",)),
+        ("hod_order", 0, ("compare-hod",)),
+        ("m_set_fractions", [0], EXPERIMENTS),
+        ("oversampling_list", ["4"], EXPERIMENTS),
+        ("window_length", 64.0, EXPERIMENTS),
+        ("num_pulses", 2.5, EXPERIMENTS),
+        ("oversampling_list", [0.0], ("m-grid",)),
+        ("m_lengths", [0], EXPERIMENTS),
+        ("m_set_fractions", [32], EXPERIMENTS),
+        ("bits_list", [2.5], EXPERIMENTS),
+        ("beta", 1.5, EXPERIMENTS),
+        ("span", 3, EXPERIMENTS),
+        ("trials", 0, EXPERIMENTS),
+        ("m_trials", 0, ("m-grid",)),
+        ("window_length", 10, EXPERIMENTS),
+        ("seed", -1, SIMULATED + ("m-grid",)),
+    ])
+    def test_probe_exits_2(self, tmp_path, capsys, field, value, experiments):
+        for experiment in experiments:
+            assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload", [
+        {"bits_list": [True]}, {"bits_list": 4}, {"seed": "1"}, {"num_pulses": None},
+        {"out": 5}, {"symbol_period": float("nan")},
+        {"oversampling_list": [float("inf")]}, {"trials": 1.0},
+    ])
+    def test_wrong_json_types_rejected_at_load(self, payload):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**{**TINY, **payload})
+
+    def test_bad_window_fails_before_synthesis(self, tmp_path, monkeypatch):
+        import modunfold.experiments as experiments
+
+        def synthesis(*args):
+            raise AssertionError("synthesis ran")
+        monkeypatch.setattr(experiments, "generate_pulse_train", synthesis)
+        assert run_cli(tmp_path, "mse-sweep", {**TINY, "window_alpha": 0.3}) == 2
+
+    @given(st.sampled_from(sorted(CANDIDATES)).flatmap(
+        lambda name: st.tuples(st.just(name), CANDIDATES[name])))
+    @settings(deadline=None, max_examples=50)
+    def test_one_changed_field_exits_0_2_or_3(self, tmp_path_factory, change):
+        name, value = change
+        tmp_path = tmp_path_factory.mktemp("cfg")
+        for experiment in EXPERIMENTS:
+            assert run_cli(tmp_path, experiment, {**TINY, name: value}) in (0, 2, 3)

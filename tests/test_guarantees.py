@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modunfold.dsp import build_oob_system, matrix_inf_norm
-from modunfold.errors import InfeasibleError
+from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, min_oversampling_for_folds,
                                   predict_mse_conventional, predict_mse_modulo,
@@ -183,18 +183,28 @@ class TestInterferenceNorm:
         with pytest.raises(InfeasibleError):
             estimate_interference_norm(64, 4, 0.0, 60, 10, seed=0)
 
+    def test_zero_oversampling_rejected(self):
+        # Used to end in a ZeroDivisionError from 1 / oversampling.
+        with pytest.raises(ConfigurationError, match="oversampling"):
+            estimate_interference_norm(16, 0.0, 0.0, 2, 10, seed=0)
+
 
 class TestTheoryReport:
     def test_assembles_consistent_fields(self):
         report = theory_report(1.0, 8.0, 4, 64, np.pi / 32)
         assert report.guard_bins == 4 and report.guard_bins % 2 == 0
-        assert report.oversampling_ok
         assert report.bits_ok is None
         assert report.mse_modulo > 0
         assert report.mse_modulo_db == pytest.approx(
             10 * math.log10(report.mse_modulo))
         assert report.full_scale == pytest.approx(
             16 * report.threshold / 14)
+
+    def test_one_bit_is_config_error(self):
+        # The full scale comes from AdcConfig, which rejects one bit; the
+        # formula used to divide by 2^1 - 2 = 0.
+        with pytest.raises(ConfigurationError, match="bits"):
+            theory_report(1.0, 8.0, 1, 64, np.pi / 32)
 
     def test_bits_verdict_with_interference_estimate(self):
         report = theory_report(1.0, 8.0, 6, 64, np.pi / 32, interference_norm=4.0)

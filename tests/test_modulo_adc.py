@@ -100,8 +100,14 @@ class TestQuantizeUniform:
 
 class TestAdcConfig:
     def test_one_bit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AdcConfig(bits=1, threshold=1.0)
+
+    def test_bits_past_float_resolution_rejected(self):
+        # 2000 bits used to overflow the full-scale formula.
+        for bits in (54, 2000):
+            with pytest.raises(ConfigurationError, match="bits"):
+                AdcConfig(bits=bits, threshold=1.0)
 
     def test_full_scale_exceeds_threshold(self):
         config = AdcConfig(bits=4, threshold=0.5)
@@ -151,7 +157,7 @@ class TestAcquire:
 
     def test_first_sample_beyond_threshold_rejected(self):
         sig = synthetic_signal(np.array([1.2, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="first sample"):
+        with pytest.raises(ConfigurationError, match="first sample"):
             acquire(sig, AdcConfig(bits=4, threshold=1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

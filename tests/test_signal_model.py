@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import tukey_window
+from modunfold.errors import ConfigurationError
 from modunfold.signal_model import (PulseTrain, PulseTrainSpec,
                                     estimate_inf_norm, generate_pulse_train,
                                     nominal_sample_count, raised_cosine,
@@ -42,6 +43,8 @@ class TestRaisedCosine:
     def test_zero_rolloff_is_sinc(self):
         t = np.linspace(-3, 3, 41)
         assert_allclose(raised_cosine(t, beta=0.0), np.sinc(t), atol=1e-15)
+        # A subnormal roll-off puts T/(2*beta) at inf; no NaN warning.
+        assert_allclose(raised_cosine(t, beta=5e-324), np.sinc(t), atol=1e-15)
 
     def test_scales_with_symbol_period(self):
         assert raised_cosine(0.5, beta=1.0, symbol_period=2.0) == pytest.approx(
@@ -89,13 +92,13 @@ class TestPulseTrain:
         assert_allclose(train.evaluate(t), direct, atol=1e-12)
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=10, beta=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=10, span=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=10, amp_low=1.0, amp_high=0.5)
 
 
@@ -116,9 +119,9 @@ class TestSampleSignal:
         assert sig.samples[8] == pytest.approx(1.0)
 
     def test_bad_args_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             sample_signal(single_pulse(), 0.5, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             sample_signal(single_pulse(), 4.0, 0)
 
     def test_nominal_count_covers_support(self):
@@ -149,7 +152,7 @@ class TestEstimateInfNorm:
         assert estimate_inf_norm(train, 64) >= estimate_inf_norm(train, 8)
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             estimate_inf_norm(single_pulse(), grid_oversample=4)
 
 

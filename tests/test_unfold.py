@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ class TestSegmentStarts:
             assert (np.diff(starts) == tukey_window(n, alpha).hop).all()
 
     def test_segment_longer_than_buffer_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             segment_starts(32, 64, 0.5)
 
 
@@ -119,7 +121,7 @@ def assert_matches_reference(adc, config, result):
     assert_array_equal(result.residue,
                        2.0 * config.threshold * lattice_counts(adc, config, system, window))
     diffed, flags = segment_views(adc, config)
-    batched = residue_pre_estimate(diffed, flags, system)
+    batched = residue_pre_estimate(diffed, *np.nonzero(flags), system)
     reference = np.concatenate([
         pre_estimate(d, np.flatnonzero(f), system)[f] for d, f in zip(diffed, flags)])
     assert np.abs(batched - reference).max(initial=0.0) <= 1e-9 * config.threshold
@@ -142,7 +144,7 @@ class TestResiduePreEstimate:
         return flags
 
     def test_empty_fold_set_skips_solve(self):
-        out = residue_pre_estimate(np.ones((3, 64)), np.zeros((3, 64), dtype=bool),
+        out = residue_pre_estimate(np.ones((3, 64)), *np.nonzero(np.zeros((3, 64))),
                                    self.system)
         assert out.shape == (0,)
 
@@ -151,7 +153,8 @@ class TestResiduePreEstimate:
         fold_set = np.array([7, 20, 37, 55])
         jumps = 2 * threshold * np.array([1.0, -1.0, 2.0, -1.0])
         diffed = self._windowed_jumps(fold_set, jumps, slope=1e-4 * threshold)
-        out = residue_pre_estimate(diffed[None], self._flags(fold_set), self.system)
+        out = residue_pre_estimate(diffed[None], *np.nonzero(self._flags(fold_set)),
+                                   self.system)
         expected = self.window.coefficients[fold_set] * jumps
         assert np.abs(out - expected).max() <= 1e-6 * threshold
 
@@ -169,7 +172,8 @@ class TestResiduePreEstimate:
     def test_too_many_folds_rejected(self):
         dense = np.arange(50)  # exceeds the 45 out-of-band bins
         with pytest.raises(InfeasibleError, match="oversampling"):
-            residue_pre_estimate(np.zeros((1, 64)), self._flags(dense), self.system)
+            residue_pre_estimate(np.zeros((1, 64)), *np.nonzero(self._flags(dense)),
+                                 self.system)
 
     def test_rows_solved_in_groups_match_reference(self):
         # Rows with different fold counts land in different batches; each
@@ -182,7 +186,7 @@ class TestResiduePreEstimate:
         reference = np.concatenate([
             pre_estimate(d, np.flatnonzero(f), self.system)[f]
             for d, f in zip(diffed, flags)])
-        assert_allclose(residue_pre_estimate(diffed, flags, self.system),
+        assert_allclose(residue_pre_estimate(diffed, *np.nonzero(flags), self.system),
                         reference, rtol=0, atol=1e-9)
 
     def test_singular_gram_names_segment(self):
@@ -191,7 +195,7 @@ class TestResiduePreEstimate:
         flags[0, [5, 40]] = True
         flags[2, 20:40] = True  # 20 adjacent folds: lambda_min/lambda_max ~ 2e-16
         with pytest.raises(ConfigurationError, match="segment 2: .*singular"):
-            residue_pre_estimate(np.zeros((3, 64)), flags, system)
+            residue_pre_estimate(np.zeros((3, 64)), *np.nonzero(flags), system)
 
 
 class TestScalingCorrection:
@@ -408,7 +412,8 @@ class TestRecoveryConfig:
                            threshold=1.0, band_fraction=0.25)
 
     def test_saturated_guard_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # No bin is left out of band, so build_oob_system refuses the config.
+        with pytest.raises(InfeasibleError):
             RecoveryConfig(length=64, alpha=0.5, guard_width=np.pi,
                            threshold=1.0, band_fraction=0.25)
 
@@ -416,3 +421,19 @@ class TestRecoveryConfig:
         config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                 threshold=1.0, band_fraction=0.25)
         assert config.overlap == 16 and config.hop == 48
+        assert (config.window.edge, config.window.hop) == (16, 48)
+        # Window and out-of-band system are built once, at construction.
+        assert_array_equal(config.system.kernel,
+                           build_oob_system(64, 0.25, GUARD).kernel)
+        assert config == RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                                        threshold=1.0, band_fraction=0.25)
+
+    def test_unfold_reads_the_config_system(self, monkeypatch):
+        _, threshold, sig, adc, expected = paper_point(300, 4.0, 4, seed=12)
+        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                                threshold=threshold, band_fraction=0.25)
+
+        def rebuilt(*args):
+            raise AssertionError("unfold rebuilt the out-of-band system")
+        monkeypatch.setattr(sys.modules["modunfold.unfold"], "build_oob_system", rebuilt)
+        assert_array_equal(unfold(adc, sig, config).residue, expected.residue)
