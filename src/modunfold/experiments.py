@@ -3,9 +3,11 @@
 Four experiments over a parameter grid: theory-vs-simulation MSE sweeps of
 the sliding-DFT recovery (with the conventional pipeline alongside), the
 sliding-DFT vs higher-order-difference comparison, the interference-norm
-Monte-Carlo grid, and a pure-formula theory table.  Every experiment is a
-deterministic function of (config, seed); rows serialize to CSV that hashes
-identically across reruns.
+Monte-Carlo grid, and a pure-formula theory table.  Each runs one grid
+loop: one row per grid point, and a point whose measurement is infeasible
+(InfeasibleError) becomes a row marked skipped that holds only the point's
+own fields.  Every experiment is a deterministic function of (config,
+seed); rows serialize to CSV that hashes identically across reruns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +47,7 @@ PEAK_MARGIN = 1.001
 
 _DESK_OF_GRID = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0)
 _COMPARE_OF_GRID = (4.0, 6.0, 10.0, 12.0, 16.0)
+_M_GRID_OF_GRID = (4.0, 8.0, 12.0)
 
 
 @dataclass
@@ -162,27 +165,27 @@ def load_config(path: str, experiment: str, preset: str = "desk",
     return ExperimentConfig(**merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRow:
-    """One grid point of an MSE experiment (dB fields empty when skipped)."""
+    """One grid point of an MSE experiment (measured fields empty when skipped)."""
 
     experiment: str
     oversampling: float
     bits: int
     guard_width: float
     guard_bins: int
-    threshold: float | None
-    mse_simulated_db: float | None
-    mse_theory_db: float | None
-    mse_conventional_db: float | None
-    mse_hod_db: float | None
-    samples_used: int
+    threshold: float | None = None
+    mse_simulated_db: float | None = None
+    mse_theory_db: float | None = None
+    mse_conventional_db: float | None = None
+    mse_hod_db: float | None = None
+    samples_used: int = 0
     seed: int
     status: str = "ok"
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MGridRow:
     """One cell of the interference-norm grid."""
 
@@ -190,15 +193,15 @@ class MGridRow:
     length: int
     oversampling: float
     set_size: int
-    interference_norm: float | None
-    extra_bits: float | None
+    interference_norm: float | None = None
+    extra_bits: float | None = None
     trials: int
     seed: int
     status: str = "ok"
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TheoryRow:
     """Pure-formula predictions for one operating point."""
 
@@ -207,12 +210,12 @@ class TheoryRow:
     bits: int
     guard_width: float
     guard_bins: int
-    threshold: float | None
-    full_scale: float | None
-    min_oversampling: float | None
-    oversampling_ok: bool | None
-    mse_theory_db: float | None
-    mse_conventional_db: float | None
+    threshold: float | None = None
+    full_scale: float | None = None
+    min_oversampling: float | None = None
+    oversampling_ok: bool = False
+    mse_theory_db: float | None = None
+    mse_conventional_db: float | None = None
     seed: int
     status: str = "ok"
     reason: str = ""
@@ -253,28 +256,37 @@ def _require_seed(cfg: ExperimentConfig) -> int:
     return cfg.seed
 
 
-def _trial_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
-
-
-def _measure_mse(recovered: np.ndarray, reference: np.ndarray,
-                 trim: int = 0) -> tuple[float, int]:
-    """Mean squared error and the sample count it was taken over.
-
-    `trim` drops that many samples at each end: the zero-delay lowpass fills
-    its first and last half-window from synthetic padding, so those outputs
-    measure the boundary extension rather than the recovery.
-    """
-    total = recovered.size
-    if 2 * trim >= total:
-        trim = 0
-    core = slice(trim, total - trim)
-    err = recovered[core] - reference[core]
-    return float(np.mean(err ** 2)), total - 2 * trim
-
-
 def _db(x: float) -> float:
     return 10.0 * math.log10(x)
+
+
+def _grid(row_type, points: list[dict], measure) -> list:
+    """One row per point: the point's fields plus those `measure(**point)` returns.
+
+    A point whose measurement raises InfeasibleError becomes a skipped row
+    built from the point's fields alone.
+    """
+    rows = []
+    for point in points:
+        try:
+            rows.append(row_type(**point, **measure(**point)))
+        except InfeasibleError as err:
+            rows.append(row_type(**point, status="skipped", reason=str(err)))
+    return rows
+
+
+def _adc_points(cfg: ExperimentConfig, oversampling_list, guard_widths) -> list[dict]:
+    """The (oversampling, bits, guard width) grid in row order.
+
+    Theory-only needs no seed; its rows record 0 when none is given.
+    """
+    return [dict(experiment=cfg.experiment, oversampling=oversampling, bits=bits,
+                 guard_width=guard_width,
+                 guard_bins=guarantees.guard_bin_count(guard_width, cfg.window_length),
+                 seed=cfg.seed if cfg.seed is not None else 0)
+            for oversampling in oversampling_list
+            for bits in cfg.bits_list
+            for guard_width in guard_widths]
 
 
 @dataclass
@@ -290,6 +302,7 @@ class _TrialContext:
         self.peak = PEAK_MARGIN * estimate_inf_norm(self.train)
         self._sampled = {}
         self._adc_seeds = {}
+        self._conventional = {}
 
     def sampled(self, oversampling: float):
         if oversampling not in self._sampled:
@@ -299,18 +312,52 @@ class _TrialContext:
         return self._sampled[oversampling]
 
     def adc_seed(self, key) -> np.random.SeedSequence:
+        # Seeds are spawned in first-request order, so the point order, and
+        # "mod" before "conv" within a point, must not change: either would
+        # hand later points other dither and change the CSV bytes.
         if key not in self._adc_seeds:
             self._adc_seeds[key] = self.adc_entropy.spawn(1)[0]
         return self._adc_seeds[key]
 
+    def mse(self, estimate: np.ndarray, oversampling: float) -> tuple[float, int]:
+        """MSE of `estimate` against the sampled signal, and its sample count.
+
+        The zero-delay lowpass fills its first and last half-window from
+        synthetic padding, so those outputs measure the boundary extension
+        rather than the recovery and are left out.
+        """
+        reference = self.sampled(oversampling).samples
+        trim = self.cfg.lpf_length // 2
+        core = slice(trim, reference.size - trim)
+        err = estimate[core] - reference[core]
+        return float(np.mean(err ** 2)), err.size
+
+    def conventional_mse(self, oversampling: float, bits: int) -> float:
+        """MSE of the conventional pipeline, computed once per (oversampling, bits)."""
+        key = (oversampling, bits)
+        if key not in self._conventional:
+            estimate = baselines.conventional_adc(
+                self.sampled(oversampling), bits, self.peak,
+                self.adc_seed(("conv",) + key), lpf_length=self.cfg.lpf_length,
+                lpf_transition=self.cfg.lpf_transition)
+            self._conventional[key], _ = self.mse(estimate, oversampling)
+        return self._conventional[key]
+
+
+def _contexts(cfg: ExperimentConfig) -> list[_TrialContext]:
+    """One realization per trial t: signal seed `seed + 1000 t`, its own dither."""
+    seed = _require_seed(cfg)
+    entropy = np.random.SeedSequence(seed).spawn(cfg.effective_trials)
+    return [_TrialContext(cfg, signal_seed=seed + 1000 * t, adc_entropy=child)
+            for t, child in enumerate(entropy)]
+
 
 def _modulo_point(ctx: _TrialContext, oversampling: float, bits: int,
-                  guard_width: float, want_hod: bool):
-    """Run acquisition + sliding recovery (and optionally HoD) at one point."""
+                  guard_width: float, guard_bins: int):
+    """Acquire and unfold one realization: (adc, recovery, mse, samples used)."""
     cfg = ctx.cfg
-    bins = guarantees.guard_bin_count(guard_width, cfg.window_length)
     threshold = guarantees.required_threshold(
-        ctx.peak, oversampling, bins, cfg.window_length)
+        ctx.peak, oversampling, guard_bins, cfg.window_length)
     sampled = ctx.sampled(oversampling)
     adc_cfg = AdcConfig(bits=bits, threshold=threshold,
                         seed=ctx.adc_seed(("mod", oversampling, bits, guard_width)))
@@ -320,63 +367,31 @@ def _modulo_point(ctx: _TrialContext, oversampling: float, bits: int,
                               band_fraction=1.0 / oversampling,
                               lpf_length=cfg.lpf_length,
                               lpf_transition=cfg.lpf_transition)
-    result = unfold(adc, sampled, recovery)
-    trim = cfg.lpf_length // 2
-    mse_mod, used = _measure_mse(result.recovered, sampled.samples, trim)
-    mse_hod = None
-    if want_hod:
-        hod = baselines.hod_recover(
-            adc.quantized, baselines.HodConfig(threshold=threshold, order=cfg.hod_order))
-        hod_filtered = filter_zero_delay(hod, recovery_lowpass(recovery))
-        mse_hod, _ = _measure_mse(hod_filtered, sampled.samples, trim)
-    return threshold, bins, mse_mod, mse_hod, used
+    mse, used = ctx.mse(unfold(adc, sampled, recovery).recovered, oversampling)
+    return adc, recovery, mse, used
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Theory-vs-simulation sweep with the conventional pipeline alongside."""
-    seed = _require_seed(cfg)
-    trials = cfg.effective_trials
-    contexts = [
-        _TrialContext(cfg, signal_seed=seed + 1000 * t, adc_entropy=entropy)
-        for t, entropy in enumerate(_trial_seeds(seed, trials))
-    ]
-    rows = []
-    for oversampling in cfg.oversampling_list:
-        for bits in cfg.bits_list:
-            conventional = {}
-            for guard_width in cfg.guard_width_list:
-                try:
-                    acc_mod, acc_conv, acc_theory, used = 0.0, 0.0, 0.0, 0
-                    threshold = bins = None
-                    for ctx in contexts:
-                        threshold, bins, mse_mod, _, used = _modulo_point(
-                            ctx, oversampling, bits, guard_width, want_hod=False)
-                        if ctx.signal_seed not in conventional:
-                            sampled = ctx.sampled(oversampling)
-                            estimate = baselines.conventional_adc(
-                                sampled, bits, ctx.peak,
-                                ctx.adc_seed(("conv", oversampling, bits)),
-                                lpf_length=cfg.lpf_length,
-                                lpf_transition=cfg.lpf_transition)
-                            conventional[ctx.signal_seed], _ = _measure_mse(
-                                estimate, sampled.samples, cfg.lpf_length // 2)
-                        acc_mod += mse_mod
-                        acc_conv += conventional[ctx.signal_seed]
-                        acc_theory += guarantees.predict_mse_modulo(
-                            ctx.peak, oversampling, bits, bins,
-                            guard_width, cfg.window_length)
-                    rows.append(ResultRow(
-                        experiment=cfg.experiment, oversampling=oversampling,
-                        bits=bits, guard_width=guard_width, guard_bins=bins,
-                        threshold=threshold,
-                        mse_simulated_db=_db(acc_mod / trials),
-                        mse_theory_db=_db(acc_theory / trials),
-                        mse_conventional_db=_db(acc_conv / trials),
-                        mse_hod_db=None, samples_used=used, seed=seed))
-                except InfeasibleError as err:
-                    rows.append(_skipped_row(cfg, oversampling, bits,
-                                             guard_width, seed, str(err)))
-    return rows
+    contexts = _contexts(cfg)
+
+    def measure(oversampling, bits, guard_width, guard_bins, **_):
+        acc_mod = acc_conv = acc_theory = 0.0
+        for ctx in contexts:
+            _, recovery, mse_mod, used = _modulo_point(
+                ctx, oversampling, bits, guard_width, guard_bins)
+            acc_mod += mse_mod
+            acc_conv += ctx.conventional_mse(oversampling, bits)
+            acc_theory += guarantees.predict_mse_modulo(
+                ctx.peak, oversampling, bits, guard_bins, guard_width, cfg.window_length)
+        return dict(threshold=recovery.threshold,
+                    mse_simulated_db=_db(acc_mod / len(contexts)),
+                    mse_theory_db=_db(acc_theory / len(contexts)),
+                    mse_conventional_db=_db(acc_conv / len(contexts)),
+                    samples_used=used)
+
+    points = _adc_points(cfg, cfg.oversampling_list, cfg.guard_width_list)
+    return _grid(ResultRow, points, measure)
 
 
 def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -388,117 +403,66 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
     oversampling grid is left at the sweep default it is replaced by the
     narrower comparison grid (the regimes of interest sit below OF = 16).
     """
-    seed = _require_seed(cfg)
-    trials = cfg.effective_trials
-    guard_width = cfg.guard_width_list[0]
-    grid = cfg.oversampling_list
-    if cfg.oversampling_list == _DESK_OF_GRID:
-        grid = _COMPARE_OF_GRID
-    contexts = [
-        _TrialContext(cfg, signal_seed=seed + 1000 * t, adc_entropy=entropy)
-        for t, entropy in enumerate(_trial_seeds(seed, trials))
-    ]
-    rows = []
-    for oversampling in grid:
-        for bits in cfg.bits_list:
-            try:
-                acc_mod, acc_hod, used = 0.0, 0.0, 0
-                threshold = bins = None
-                for ctx in contexts:
-                    threshold, bins, mse_mod, mse_hod, used = _modulo_point(
-                        ctx, oversampling, bits, guard_width, want_hod=True)
-                    acc_mod += mse_mod
-                    acc_hod += mse_hod
-                rows.append(ResultRow(
-                    experiment=cfg.experiment, oversampling=oversampling,
-                    bits=bits, guard_width=guard_width, guard_bins=bins,
-                    threshold=threshold,
-                    mse_simulated_db=_db(acc_mod / trials),
-                    mse_theory_db=None, mse_conventional_db=None,
-                    mse_hod_db=_db(acc_hod / trials),
-                    samples_used=used, seed=seed))
-            except InfeasibleError as err:
-                rows.append(_skipped_row(cfg, oversampling, bits,
-                                         guard_width, seed, str(err)))
-    return rows
+    contexts = _contexts(cfg)
 
+    def measure(oversampling, bits, guard_width, guard_bins, **_):
+        acc_mod = acc_hod = 0.0
+        for ctx in contexts:
+            adc, recovery, mse_mod, used = _modulo_point(
+                ctx, oversampling, bits, guard_width, guard_bins)
+            unfolded = baselines.hod_recover(adc.quantized, baselines.HodConfig(
+                threshold=recovery.threshold, order=cfg.hod_order))
+            mse_hod, _ = ctx.mse(
+                filter_zero_delay(unfolded, recovery_lowpass(recovery)), oversampling)
+            acc_mod += mse_mod
+            acc_hod += mse_hod
+        return dict(threshold=recovery.threshold,
+                    mse_simulated_db=_db(acc_mod / len(contexts)),
+                    mse_hod_db=_db(acc_hod / len(contexts)), samples_used=used)
 
-def _skipped_row(cfg, oversampling, bits, guard_width, seed, reason) -> ResultRow:
-    return ResultRow(
-        experiment=cfg.experiment, oversampling=oversampling, bits=bits,
-        guard_width=guard_width,
-        guard_bins=guarantees.guard_bin_count(guard_width, cfg.window_length),
-        threshold=None, mse_simulated_db=None, mse_theory_db=None,
-        mse_conventional_db=None, mse_hod_db=None, samples_used=0,
-        seed=seed, status="skipped", reason=reason)
+    grid = _COMPARE_OF_GRID if cfg.oversampling_list == _DESK_OF_GRID else cfg.oversampling_list
+    points = _adc_points(cfg, grid, cfg.guard_width_list[:1])
+    return _grid(ResultRow, points, measure)
 
 
 def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:
     """Interference-norm Monte Carlo over (length, oversampling, set size)."""
     seed = _require_seed(cfg)
-    grid_of = cfg.oversampling_list
-    if grid_of == _DESK_OF_GRID:
-        grid_of = (4.0, 8.0, 12.0)
-    entropy = _trial_seeds(seed, len(cfg.m_lengths) * len(grid_of)
-                           * len(cfg.m_set_fractions))
-    rows = []
-    point = 0
-    for length in cfg.m_lengths:
-        for oversampling in grid_of:
-            for fraction in cfg.m_set_fractions:
-                set_size = length // fraction
-                child = entropy[point]
-                point += 1
-                try:
-                    norm = guarantees.estimate_interference_norm(
-                        length, oversampling, 0.0, set_size, cfg.m_trials, child)
-                    rows.append(MGridRow(
-                        experiment=cfg.experiment, length=length,
-                        oversampling=oversampling, set_size=set_size,
-                        interference_norm=norm,
-                        extra_bits=math.log2(1.0 + 0.75 * norm),
-                        trials=cfg.m_trials, seed=seed))
-                except InfeasibleError as err:
-                    rows.append(MGridRow(
-                        experiment=cfg.experiment, length=length,
-                        oversampling=oversampling, set_size=set_size,
-                        interference_norm=None, extra_bits=None,
-                        trials=cfg.m_trials, seed=seed,
-                        status="skipped", reason=str(err)))
-    return rows
+    entropy = np.random.SeedSequence(seed)
+
+    def measure(length, oversampling, set_size, **_):
+        # One child seed per cell, spawned in row order.
+        norm = guarantees.estimate_interference_norm(
+            length, oversampling, 0.0, set_size, cfg.m_trials, entropy.spawn(1)[0])
+        return dict(interference_norm=norm, extra_bits=math.log2(1.0 + 0.75 * norm))
+
+    grid = _M_GRID_OF_GRID if cfg.oversampling_list == _DESK_OF_GRID else cfg.oversampling_list
+    points = [dict(experiment=cfg.experiment, length=length, oversampling=oversampling,
+                   set_size=length // fraction, trials=cfg.m_trials, seed=seed)
+              for length in cfg.m_lengths
+              for oversampling in grid
+              for fraction in cfg.m_set_fractions]
+    return _grid(MGridRow, points, measure)
 
 
 def run_theory_only(cfg: ExperimentConfig) -> list[TheoryRow]:
-    """Closed-form table over the configured grid; no simulation, no RNG."""
-    seed = cfg.seed if cfg.seed is not None else 0
-    peak = 1.0
-    rows = []
-    for oversampling in cfg.oversampling_list:
-        for bits in cfg.bits_list:
-            for guard_width in cfg.guard_width_list:
-                bins = guarantees.guard_bin_count(guard_width, cfg.window_length)
-                try:
-                    report = guarantees.theory_report(
-                        peak, oversampling, bits, cfg.window_length, guard_width)
-                    rows.append(TheoryRow(
-                        experiment=cfg.experiment, oversampling=oversampling,
-                        bits=bits, guard_width=guard_width, guard_bins=bins,
-                        threshold=report.threshold, full_scale=report.full_scale,
-                        min_oversampling=guarantees.min_oversampling(
-                            cfg.window_length, bins),
-                        oversampling_ok=True,
-                        mse_theory_db=report.mse_modulo_db,
-                        mse_conventional_db=report.mse_conventional_db,
-                        seed=seed))
-                except InfeasibleError as err:
-                    rows.append(TheoryRow(
-                        experiment=cfg.experiment, oversampling=oversampling,
-                        bits=bits, guard_width=guard_width, guard_bins=bins,
-                        threshold=None, full_scale=None, min_oversampling=None,
-                        oversampling_ok=False, mse_theory_db=None,
-                        mse_conventional_db=None, seed=seed,
-                        status="skipped", reason=str(err)))
-    return rows
+    """Closed-form table over the configured grid at unit peak; no simulation, no RNG."""
+    length = cfg.window_length
+
+    def measure(oversampling, bits, guard_width, guard_bins, **_):
+        threshold = guarantees.required_threshold(1.0, oversampling, guard_bins, length)
+        return dict(
+            threshold=threshold,
+            full_scale=AdcConfig(bits=bits, threshold=threshold).full_scale,
+            min_oversampling=guarantees.min_oversampling(length, guard_bins),
+            oversampling_ok=True,
+            mse_theory_db=_db(guarantees.predict_mse_modulo(
+                1.0, oversampling, bits, guard_bins, guard_width, length)),
+            mse_conventional_db=_db(guarantees.predict_mse_conventional(
+                1.0, oversampling, bits)))
+
+    points = _adc_points(cfg, cfg.oversampling_list, cfg.guard_width_list)
+    return _grid(TheoryRow, points, measure)
 
 
 _RUNNERS = {

@@ -11,13 +11,11 @@ error of the folded and conventional pipelines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import build_oob_system, kernel_block
 from .errors import ConfigurationError, InfeasibleError
-from .modulo_adc import AdcConfig
 
 # Fold sets solved per batched Gram solve in estimate_interference_norm.
 _TRIAL_BATCH = 512
@@ -123,6 +121,8 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
     / (OF * (2^b - 2)^2 * (OF * (1 - guard_bins/N) - 2)^2),
     valid once the oversampling sufficiency condition holds.
     """
+    if bits < 2:
+        raise ConfigurationError("need bits >= 2")
     floor_of = min_oversampling(length, guard_bins)
     if oversampling < floor_of:
         raise InfeasibleError(
@@ -147,40 +147,3 @@ def quantization_noise_power(bits: int, full_scale: float) -> float:
     if bits < 1:
         raise ConfigurationError("bits must be positive")
     return full_scale ** 2 / 2 ** (2 * bits)
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """The calculators' verdicts and predictions for one operating point."""
-
-    guard_bins: int
-    threshold: float
-    full_scale: float
-    bits_ok: bool | None
-    mse_modulo: float
-    mse_modulo_db: float
-    mse_conventional_db: float
-
-
-def theory_report(peak: float, oversampling: float, bits: int, length: int,
-                  guard_width: float,
-                  interference_norm: float | None = None) -> TheoryReport:
-    """Assemble the closed-form verdicts and predictions for one point.
-
-    The bit-depth verdict needs an interference-norm estimate and is
-    advisory (the Monte-Carlo surrogate may not be tight); it is left None
-    when no estimate is supplied.
-    """
-    bins = guard_bin_count(guard_width, length)
-    threshold = required_threshold(peak, oversampling, bins, length)
-    full_scale = AdcConfig(bits=bits, threshold=threshold).full_scale
-    mse_mod = predict_mse_modulo(peak, oversampling, bits, bins, guard_width, length)
-    mse_conv = predict_mse_conventional(peak, oversampling, bits)
-    bits_ok = None
-    if interference_norm is not None:
-        bits_ok = bits > required_bits(interference_norm)
-    return TheoryReport(
-        guard_bins=bins, threshold=threshold, full_scale=full_scale,
-        bits_ok=bits_ok, mse_modulo=mse_mod,
-        mse_modulo_db=10.0 * math.log10(mse_mod),
-        mse_conventional_db=10.0 * math.log10(mse_conv))

@@ -98,8 +98,10 @@ class TestPulseTrain:
             PulseTrainSpec(num_pulses=10, beta=1.5)
         with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=10, span=7)
-        with pytest.raises(ConfigurationError):
-            PulseTrainSpec(num_pulses=10, amp_low=1.0, amp_high=0.5)
+        # An empty interval, then amplitudes whose squared errors overflowed.
+        for low, high in ((1.0, 0.5), (-0.5, 1.41e169), (-1e300, 1.0), (-2e100, -1.5e100)):
+            with pytest.raises(ConfigurationError):
+                PulseTrainSpec(num_pulses=10, amp_low=low, amp_high=high)
 
 
 class TestSampleSignal:
