@@ -75,12 +75,13 @@ class FirLowpass:
 
 
 def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndarray:
-    """Sorted DFT bin indices strictly inside the out-of-band interval."""
+    """Sorted DFT bin indices strictly inside the out-of-band interval.
+
+    Each bin is tested by its distance from DC, min(k, n - k), so k and n - k
+    are kept or dropped together even where rounding lands on an edge.
+    """
     k = np.arange(n)
-    omega = 2.0 * np.pi * k / n
-    lo = band_fraction * np.pi + guard_width
-    hi = 2.0 * np.pi - band_fraction * np.pi - guard_width
-    return k[(omega > lo) & (omega < hi)]
+    return k[2.0 * np.pi * np.minimum(k, n - k) / n > band_fraction * np.pi + guard_width]
 
 
 def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSystem:
@@ -115,14 +116,6 @@ def kernel_block(system: OobSystem, rows, cols) -> np.ndarray:
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     return system.kernel[(rows[..., :, None] - cols[..., None, :]) % system.n]
-
-
-def matrix_inf_norm(a) -> float:
-    """Induced infinity norm: max over rows of the absolute row sum."""
-    a = np.atleast_2d(np.asarray(a))
-    if a.size == 0:
-        raise ConfigurationError("expected a nonempty matrix")
-    return float(np.abs(a).sum(axis=1).max())
 
 
 def tukey_window(n: int, alpha: float) -> TukeyWindow:

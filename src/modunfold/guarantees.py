@@ -3,9 +3,11 @@
 Calculators for the guard-bin count, the minimal oversampling factor that
 keeps the fold-position least-squares systems full rank, the modulo
 threshold that realizes it, the bit-depth margin driven by the worst-case
-off-support interference norm (estimated by Monte Carlo on the same
-out-of-band kernel recovery solves with), and the predicted mean-squared
-error of the folded and conventional pipelines.
+off-support interference norm, and the predicted mean-squared error of the
+folded and conventional pipelines.  The norm is estimated by Monte Carlo on
+the out-of-band projector P = V^H V that recovery solves with: for each
+random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
+with the S columns zeroed are pinv(V_S) V_Sc.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import numpy as np
 from .dsp import build_oob_system, kernel_block
 from .errors import ConfigurationError, InfeasibleError
 
-# Fold sets solved per batched Gram solve in estimate_interference_norm.
-_TRIAL_BATCH = 512
+# Matrix elements (fold sets x set size x length) per batch of fold sets in
+# estimate_interference_norm; small enough to stay cache-resident.
+_BATCH_ELEMENTS = 2 ** 19
 
 
 def guard_bin_count(guard_width: float, length: int) -> int:
@@ -80,36 +83,38 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     """Monte-Carlo max of ||pinv(V_S) V_Sc||_inf over random fold sets S.
 
     Bounds how strongly quantization noise at unflagged samples can leak
-    into the solved residue values.  Deterministic under the seed, and
-    nondecreasing in `trials` because draws are consumed sequentially.
-    The least-squares map is applied through the Gram system of the
-    circulant kernel V^H V, which agrees with the explicit pseudoinverse
-    whenever the fold columns are full rank.
+    into the solved residue values.  Each fold set is the first `set_size`
+    entries of a random permutation, drawn batch by batch from one stream,
+    so the result is deterministic under the seed, independent of the batch
+    size, and nondecreasing in `trials`.  With P the out-of-band projector,
+    the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed; it agrees
+    with the explicit pseudoinverse whenever the fold columns are full rank.
     """
     if set_size < 0:
         raise ConfigurationError("set_size must be nonnegative")
-    if set_size == 0:
-        return 0.0
     if trials < 1:
         raise ConfigurationError("trials must be positive")
     if oversampling <= 0.0:
         raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
     system = build_oob_system(length, 1.0 / oversampling, guard_width)
+    if set_size == 0:
+        return 0.0
     if set_size > system.num_bins:
         raise InfeasibleError(
             f"fold sets of {set_size} exceed the {system.num_bins} out-of-band "
             "equations; the least-squares systems cannot be full rank")
+    positions = np.arange(length)
+    projector = kernel_block(system, positions, positions)
+    batch = max(1, _BATCH_ELEMENTS // (set_size * length))
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, length)).argsort(axis=1)
     worst = 0.0
-    for lo in range(0, trials, _TRIAL_BATCH):
-        chunk = draws[lo:lo + _TRIAL_BATCH]
-        inside = chunk[:, :set_size]
-        outside = chunk[:, set_size:]
-        gram = kernel_block(system, inside, inside)
-        cross = kernel_block(system, inside, outside)
-        solved = np.linalg.solve(gram, cross)
-        worst = max(worst, float(np.abs(solved).sum(axis=2).max()))
+    for done in range(0, trials, batch):
+        folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
+        rows = projector[folds[:, :set_size]]
+        columns = folds[:, None, :set_size]
+        mapped = np.linalg.inv(np.take_along_axis(rows, columns, axis=2)) @ rows
+        np.put_along_axis(mapped, columns, 0.0, axis=2)
+        worst = max(worst, float(np.abs(mapped).sum(axis=2).max()))
     return worst
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from modunfold.dsp import build_oob_system, matrix_inf_norm
+from modunfold import guarantees
+from modunfold.dsp import build_oob_system, kernel_block
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, min_oversampling_for_folds,
@@ -147,19 +150,40 @@ class TestInterferenceNorm:
     def test_empty_set_is_zero(self):
         assert estimate_interference_norm(64, 4, 0.0, 0, 100, seed=0) == 0.0
 
-    def test_matches_explicit_pseudoinverse(self):
-        length, set_size, trials, seed = 64, 6, 50, 123
-        fast = estimate_interference_norm(length, 4, 0.0, set_size, trials, seed)
-        bins = build_oob_system(length, 0.25, 0.0).oob_bins
+    @given(st.integers(8, 64), st.floats(2.0, 12.0), st.sampled_from([0.0, np.pi / 32]),
+           st.integers(1, 40), st.integers(0, 2 ** 64 - 1), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_explicit_pseudoinverse(self, length, oversampling, guard, trials,
+                                            seed, data):
+        system = build_oob_system(length, 1.0 / oversampling, guard)
+        set_size = data.draw(st.integers(1, system.num_bins))
+        bins = system.oob_bins
         v = np.exp(-2j * np.pi * np.outer(bins, np.arange(length)) / length) / np.sqrt(length)
-        rng = np.random.default_rng(seed)
-        draws = rng.random((trials, length)).argsort(axis=1)
+        draws = np.random.default_rng(seed).random((trials, length)).argsort(axis=1)
+        # Both maps lose about cond(Gram) * eps; past 1e6 they drift apart
+        # by more than the tolerance (1e7 already gives 2e-9).
+        assume(max(np.linalg.cond(kernel_block(system, row[:set_size], row[:set_size]))
+                   for row in draws) < 1e6)
         slow = 0.0
         for row in draws:
             inside, outside = row[:set_size], row[set_size:]
             mapped = np.linalg.pinv(v[:, inside]) @ v[:, outside]
-            slow = max(slow, matrix_inf_norm(mapped))
+            slow = max(slow, np.abs(mapped).sum(axis=1).max())
+        fast = estimate_interference_norm(length, oversampling, guard, set_size, trials, seed)
         assert fast == pytest.approx(slow, rel=1e-9)
+
+    @pytest.mark.parametrize("length, oversampling, set_size, trials",
+                             [(64, 4, None, 400), (128, 8, 16, 777)])
+    def test_bit_identical_across_batch_sizes(self, monkeypatch, length, oversampling,
+                                              set_size, trials):
+        # None: as many folds as out-of-band bins.  The default budget splits
+        # both cases into batches with a shorter last one (174 and 256 trials).
+        set_size = set_size or build_oob_system(length, 1.0 / oversampling, 0.0).num_bins
+        default = estimate_interference_norm(length, oversampling, 0.0, set_size, trials, 3)
+        for per_batch in (1, trials):
+            monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * set_size * length)
+            assert estimate_interference_norm(
+                length, oversampling, 0.0, set_size, trials, 3) == default
 
     def test_nondecreasing_in_trials(self):
         short = estimate_interference_norm(64, 4, 0.0, 4, 500, seed=7)
@@ -187,6 +211,12 @@ class TestInterferenceNorm:
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):
             estimate_interference_norm(64, 4, 0.0, 60, 10, seed=0)
+
+    @pytest.mark.parametrize("args", [(64, -1.0, 0.0, 0, 0, None), (64, 4, -5.0, 0, 1, 0)])
+    def test_bad_args_rejected_before_empty_set(self, args):
+        # Both used to return 0.0 from the empty-set shortcut.
+        with pytest.raises(ConfigurationError):
+            estimate_interference_norm(*args)
 
     def test_zero_oversampling_rejected(self):
         # Used to end in a ZeroDivisionError from 1 / oversampling.
