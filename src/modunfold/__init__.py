@@ -11,10 +11,8 @@ from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
                   design_lowpass, filter_zero_delay, kernel_block, tukey_window)
 from .errors import ConfigurationError, InfeasibleError, OverloadError
 from .guarantees import (estimate_interference_norm, guard_bin_count,
-                         min_oversampling, min_oversampling_for_folds,
-                         predict_mse_conventional, predict_mse_modulo,
-                         quantization_noise_power, required_bits,
-                         required_threshold)
+                         min_oversampling, predict_mse_conventional,
+                         predict_mse_modulo, required_bits, required_threshold)
 from .modulo_adc import (AdcConfig, AdcOutput, acquire, fold, quantize_uniform,
                          triangle_dither)
 from .signal_model import (PulseTrain, PulseTrainSpec, SampledSignal,

@@ -5,9 +5,10 @@ circulant kernel of P = V^H V, where V holds the normalized DFT rows of the
 out-of-band bins.  P[m, n] = kernel[(m - n) mod N] projects onto those bins,
 so every least-squares map over fold positions S is a Gram block of it,
 P[S, S], and its right-hand side a projection, (P d)[S].  Recovery and the
-interference-norm estimate both read the same kernel.  Also here:
-tapered-cosine (Tukey) windows and linear-phase FIR lowpass design with
-zero-delay filtering.  Everything is a pure function of its inputs.
+interference-norm estimate both read the same kernel and invert its blocks
+with invert_gram, which also finds the fold sets that are not identifiable.
+Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
+with zero-delay filtering.  Everything is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -116,6 +117,25 @@ def kernel_block(system: OobSystem, rows, cols) -> np.ndarray:
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     return system.kernel[(rows[..., :, None] - cols[..., None, :]) % system.n]
+
+
+def invert_gram(gram, n: int):
+    """(inv(gram), singular) for a batch (b, k, k) of Gram blocks P[S, S].
+
+    singular lists (index, lambda_min, lambda_max), by index, for the blocks
+    with lambda_min <= n*eps * lambda_max, whose fold values are not
+    identifiable.  As P is an orthogonal projector, lambda_max <= 1 and
+    lambda_min >= 1/tr(inv); eigvalsh runs only on blocks without
+    1/tr > n*eps * tr, a margin that covers the rounding of tr (about
+    cond*eps <= tr*eps relative).
+    """
+    inverse = np.linalg.inv(gram)
+    trace = np.trace(inverse, axis1=1, axis2=2)
+    tol = n * np.finfo(float).eps
+    unsure = np.flatnonzero(~((trace > 0.0) & (trace * trace * tol < 1.0)))
+    eig = np.linalg.eigvalsh(gram[unsure])
+    bad = eig[:, 0] <= tol * eig[:, -1]
+    return inverse, [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
 
 
 def tukey_window(n: int, alpha: float) -> TukeyWindow:

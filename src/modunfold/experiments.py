@@ -58,6 +58,9 @@ class ExperimentConfig:
     "paper" preset restores the full-scale figures.  `trials` is the number
     of Monte-Carlo realizations averaged per grid point; None picks a
     per-experiment default (1 for the sweep, 12 for the comparison).
+    An `oversampling_list` equal to the desk default, given or not, stands
+    for each experiment's own grid: compare-hod runs OF 4, 6, 10, 12, 16 and
+    m-grid OF 4, 8, 12; any other list is run as given.
     """
 
     experiment: str = "mse-sweep"
@@ -399,9 +402,8 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Both recoveries see the identical quantized modulo stream and threshold;
     only the sliding method uses the fold flags.  Reported MSEs average over
-    the configured number of signal+dither realizations.  When the
-    oversampling grid is left at the sweep default it is replaced by the
-    narrower comparison grid (the regimes of interest sit below OF = 16).
+    the configured number of signal+dither realizations, at every guard
+    width; the regimes of interest sit below OF = 16 (see ExperimentConfig).
     """
     contexts = _contexts(cfg)
 
@@ -421,7 +423,7 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
                     mse_hod_db=_db(acc_hod / len(contexts)), samples_used=used)
 
     grid = _COMPARE_OF_GRID if cfg.oversampling_list == _DESK_OF_GRID else cfg.oversampling_list
-    points = _adc_points(cfg, grid, cfg.guard_width_list[:1])
+    points = _adc_points(cfg, grid, cfg.guard_width_list)
     return _grid(ResultRow, points, measure)
 
 

@@ -7,7 +7,8 @@ off-support interference norm, and the predicted mean-squared error of the
 folded and conventional pipelines.  The norm is estimated by Monte Carlo on
 the out-of-band projector P = V^H V that recovery solves with: for each
 random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
-with the S columns zeroed are pinv(V_S) V_Sc.
+with the S columns zeroed are pinv(V_S) V_Sc; `dsp.invert_gram` inverts and
+checks P[S, S] as it does for recovery.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dsp import build_oob_system, kernel_block
+from .dsp import build_oob_system, invert_gram, kernel_block
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
@@ -29,20 +30,6 @@ def guard_bin_count(guard_width: float, length: int) -> int:
     if guard_width < 0.0:
         raise ConfigurationError("guard_width must be nonnegative")
     return 2 * math.ceil(guard_width * length / np.pi)
-
-
-def min_oversampling_for_folds(length: int, max_folds: int, guard_bins: int) -> float:
-    """Minimal oversampling keeping every fold system full rank: N/(N - max_folds - guard_bins).
-
-    max_folds is the largest per-segment fold count the recovery must solve
-    for; the bound is signal-dependent through it.
-    """
-    denom = length - max_folds - guard_bins
-    if denom <= 0:
-        raise InfeasibleError(
-            f"{max_folds} folds plus {guard_bins} guard bins exhaust a "
-            f"{length}-sample window")
-    return length / denom
 
 
 def min_oversampling(length: int, guard_bins: int) -> float:
@@ -89,6 +76,12 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     size, and nondecreasing in `trials`.  With P the out-of-band projector,
     the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed; it agrees
     with the explicit pseudoinverse whenever the fold columns are full rank.
+
+    A draw whose Gram recovery would reject as singular (dsp.invert_gram)
+    raises InfeasibleError naming its trial, as an oversized set does, so an
+    experiment grid marks the cell skipped.  A draw that passes with Gram
+    condition number cond carries about cond*eps relative error: negligible
+    below cond 1e6, up to about 1/length near the limit 1/(length*eps).
     """
     if set_size < 0:
         raise ConfigurationError("set_size must be nonnegative")
@@ -112,7 +105,13 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
         rows = projector[folds[:, :set_size]]
         columns = folds[:, None, :set_size]
-        mapped = np.linalg.inv(np.take_along_axis(rows, columns, axis=2)) @ rows
+        inverse, singular = invert_gram(np.take_along_axis(rows, columns, axis=2), length)
+        if singular:
+            trial, low, high = singular[0]
+            raise InfeasibleError(
+                f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
+                f"{low:.3e} to {high:.3e}); fold values are not identifiable")
+        mapped = inverse @ rows
         np.put_along_axis(mapped, columns, 0.0, axis=2)
         worst = max(worst, float(np.abs(mapped).sum(axis=2).max()))
     return worst
@@ -145,10 +144,3 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
     if oversampling < 1.0:
         raise ConfigurationError("oversampling factor must be >= 1")
     return peak ** 2 / (oversampling * (2 ** bits - 2) ** 2)
-
-
-def quantization_noise_power(bits: int, full_scale: float) -> float:
-    """Noise power of the triangular-dithered quantizer: full_scale^2 / 2^(2b)."""
-    if bits < 1:
-        raise ConfigurationError("bits must be positive")
-    return full_scale ** 2 / 2 ** (2 * bits)

@@ -40,11 +40,6 @@ class AdcConfig:
         """Quantizer range: 2^b * threshold / (2^b - 2), i.e. threshold + step."""
         return 2 ** self.bits * self.threshold / (2 ** self.bits - 2)
 
-    @property
-    def step(self) -> float:
-        """Quantization bin width, 2 * full_scale / 2^b."""
-        return 2.0 * self.full_scale / 2 ** self.bits
-
 
 @dataclass(frozen=True)
 class AdcOutput:

@@ -59,9 +59,7 @@ class SampledSignal:
     """Real sample buffer plus the acquisition metadata needed for recovery."""
 
     samples: np.ndarray
-    sample_period: float
-    band_fraction: float  # bandwidth * sample_period / (2 pi); 1/oversampling
-    bandwidth: float      # two-sided signal bandwidth, rad/s
+    band_fraction: float  # occupied fraction of the sampling band; 1/oversampling
 
 
 def raised_cosine(t, beta: float, symbol_period: float = 1.0):
@@ -140,13 +138,9 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
         raise ConfigurationError(f"oversampling factor must be >= 1, got {oversampling}")
     if num_samples <= 0:
         raise ConfigurationError("num_samples must be positive")
-    omega_m = train.bandwidth
-    sample_period = 2.0 * np.pi / (oversampling * omega_m)
-    t = np.arange(num_samples) * sample_period
-    return SampledSignal(samples=train.evaluate(t),
-                         sample_period=sample_period,
-                         band_fraction=1.0 / oversampling,
-                         bandwidth=omega_m)
+    sample_period = 2.0 * np.pi / (oversampling * train.bandwidth)
+    return SampledSignal(samples=train.evaluate(np.arange(num_samples) * sample_period),
+                         band_fraction=1.0 / oversampling)
 
 
 def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:

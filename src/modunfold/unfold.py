@@ -7,13 +7,14 @@ residue jumps at the flagged fold positions S.  Only the jumps survive the
 out-of-band projector P = V^H V of the window (see `dsp.OobSystem`), so they
 solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
 least-squares system.  Segments with the same fold count share one batched
-solve.  A value solved at position p of the segment that starts at `start`
-belongs to sample start + p; the two window tapers covering an overlapped
-sample sum to one, so adding every segment's values at their samples
-restores the unwindowed jumps.  Those are rounded to integer counts of the
-2*threshold lattice and integrated into the residue, and the unfolded
-signal is the quantized stream minus the residue, lowpassed back to the
-signal band.
+inverse from `dsp.invert_gram`, which also finds the segments whose jumps
+are not identifiable.  A value solved at position p of the segment that
+starts at `start` belongs to sample start + p; the two window tapers
+covering an overlapped sample sum to one, so adding every segment's values
+at their samples restores the unwindowed jumps.  Those are rounded to
+integer counts of the 2*threshold lattice and integrated into the residue,
+and the unfolded signal is the quantized stream minus the residue,
+lowpassed back to the signal band.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
-                  design_lowpass, filter_zero_delay, kernel_block, tukey_window)
+                  design_lowpass, filter_zero_delay, invert_gram, kernel_block,
+                  tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -96,13 +98,13 @@ def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
     diffed[i] is the windowed first difference of segment i, shape
     (segments, n); (rows, cols) = np.nonzero(flags) locate its flagged
     samples in row-major order.  The values at the flagged positions S of a
-    segment solve P[S, S] x = (P d)[S]; segments with equal fold counts are
-    solved together.  Returns one value per flagged sample, in that order.
+    segment solve P[S, S] x = (P d)[S]; segments with equal fold counts share
+    one batched inverse.  Returns one value per flagged sample, in that order.
 
     A segment with more folds than out-of-band equations raises
-    InfeasibleError; one whose Gram has smallest eigenvalue at most
-    n*eps times its largest raises ConfigurationError.  Both name the first
-    such segment by its row.
+    InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
+    times its largest (dsp.invert_gram) raises ConfigurationError.  Both
+    name the first such segment by its row.
     """
     diffed = np.asarray(diffed, dtype=float)
     folds = np.bincount(rows, minlength=diffed.shape[0])
@@ -124,18 +126,14 @@ def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
         positions = cols[entries]
         projected = np.fft.irfft(np.fft.rfft(diffed[segs]) * oob_mask, n)
         rhs = np.take_along_axis(projected, positions, axis=1)
-        gram = kernel_block(system, positions, positions)
-        eig = np.linalg.eigvalsh(gram)
-        bad = eig[:, 0] <= n * np.finfo(float).eps * eig[:, -1]
-        if bad.any():
-            singular.append((segs[bad][0], eig[bad][0]))
-            continue
-        values[entries] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        inverse, bad = invert_gram(kernel_block(system, positions, positions), n)
+        singular += [(segs[i], low, high) for i, low, high in bad]
+        values[entries] = (inverse @ rhs[..., None])[..., 0]
     if singular:
-        row, eig = min(singular, key=lambda item: item[0])
+        row, low, high = min(singular)
         raise ConfigurationError(
             f"segment {row}: fold-position Gram is singular (eigenvalues "
-            f"{eig[0]:.3e} to {eig[-1]:.3e}); residues are not identifiable")
+            f"{low:.3e} to {high:.3e}); residues are not identifiable")
     return values
 
 

@@ -107,7 +107,8 @@ class TestHodRecover:
                                 HodConfig(threshold=threshold, order=3))
         # Exact unfolding leaves only quantization noise.
         residual = recovered - sig.samples
-        assert np.abs(residual).max() <= 1.5 * adc.config.step + 1e-12
+        step = 2.0 * adc.config.full_scale / 2 ** 5
+        assert np.abs(residual).max() <= 1.5 * step + 1e-12
 
     def test_anchored_at_first_sample(self):
         sig, peak = reference_signal(num_pulses=200, seed=6)

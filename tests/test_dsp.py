@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
-                           kernel_block, tukey_window)
+                           invert_gram, kernel_block, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -142,6 +142,37 @@ class TestOobSystem:
             build_oob_system(64, 0.25, np.pi)
         with pytest.raises(ConfigurationError):
             build_oob_system(64, 0.25, -0.1)
+
+
+class TestInvertGram:
+    @given(st.integers(8, 64), st.floats(1.05, 12.0),
+           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_singular_sets_follow_the_eigenvalue_rule(self, n, oversampling, guard, data):
+        try:
+            system = build_oob_system(n, 1.0 / oversampling, guard)
+        except InfeasibleError:
+            assume(False)
+        k = data.draw(st.integers(1, system.num_bins))
+        sets = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            start = data.draw(st.integers(0, n - 1))
+            if data.draw(st.booleans()):  # adjacent folds are the worst conditioned
+                sets.append((start + np.arange(k)) % n)
+            else:
+                sets.append(np.random.default_rng(start).permutation(n)[:k])
+        gram = kernel_block(system, np.array(sets), np.array(sets))
+        inverse, singular = invert_gram(gram, n)
+        assert_array_equal(inverse, np.linalg.inv(gram))
+        eig = np.linalg.eigvalsh(gram)
+        tol = n * np.finfo(float).eps
+        rule = np.flatnonzero(eig[:, 0] <= tol * eig[:, -1])
+        assert [i for i, _, _ in singular] == list(rule)
+        for i, low, high in singular:
+            assert (low, high) == (eig[i, 0], eig[i, -1])
+        trace = np.trace(inverse, axis1=1, axis2=2)
+        certified = (trace > 0) & (trace * trace * tol < 1.0)
+        assert (eig[certified, 0] > tol * eig[certified, -1]).all()
 
 
 class TestSelectColumns:

@@ -197,9 +197,9 @@ GOLDEN = dict(num_pulses=150, oversampling_list=(2.0, 4.0, 6.0), bits_list=(3, 4
 
 
 class TestGoldenCsv:
-    # The files in tests/golden hold the CSV bytes written before the four
-    # runners shared one grid loop.  They change if a dither seed is spawned
-    # in another order or a skipped row gains or loses a value.
+    # The files in tests/golden pin the CSV bytes of the four experiments.
+    # They change if a dither seed is spawned in another order, a skipped
+    # row gains or loses a value, or a grid point is added or dropped.
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_bytes_unchanged(self, tmp_path, experiment):
         rows, _ = run_experiment(ExperimentConfig(experiment=experiment, **GOLDEN))

@@ -9,9 +9,8 @@ from modunfold import guarantees
 from modunfold.dsp import build_oob_system, kernel_block
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
-                                  min_oversampling, min_oversampling_for_folds,
-                                  predict_mse_conventional, predict_mse_modulo,
-                                  quantization_noise_power, required_bits,
+                                  min_oversampling, predict_mse_conventional,
+                                  predict_mse_modulo, required_bits,
                                   required_threshold)
 
 
@@ -30,16 +29,6 @@ class TestGuardBinCount:
 
 
 class TestMinOversampling:
-    def test_fold_dependent_trivial(self):
-        assert min_oversampling_for_folds(64, 0, 0) == pytest.approx(1.0)
-
-    def test_fold_dependent_example(self):
-        assert min_oversampling_for_folds(64, 8, 4) == pytest.approx(64 / 52)
-
-    def test_fold_dependent_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            min_oversampling_for_folds(64, 60, 4)
-
     def test_signal_free_no_guard(self):
         assert min_oversampling(64, 0) == pytest.approx(3.0)
 
@@ -53,16 +42,6 @@ class TestMinOversampling:
     def test_saturated_guard_infeasible(self):
         with pytest.raises(InfeasibleError):
             min_oversampling(64, 64)
-
-    def test_fold_bound_keeps_general_below_signal_free(self):
-        # With per-segment folds below 2*(N - guard)/3 (the fold-count bound
-        # behind the signal-free condition), the signal-dependent requirement
-        # can only be weaker.
-        for length, bins in [(64, 0), (64, 4), (128, 8), (256, 16)]:
-            cap = math.floor(2 * (length - bins) / 3)
-            for folds in range(0, cap + 1, max(1, cap // 7)):
-                assert (min_oversampling_for_folds(length, folds, bins)
-                        <= min_oversampling(length, bins) + 1e-12)
 
 
 class TestRequiredThreshold:
@@ -127,25 +106,6 @@ class TestPredictedMse:
                 == pytest.approx(4 * predict_mse_conventional(1.0, 4, 4)))
 
 
-class TestQuantizationNoisePower:
-    def test_example(self):
-        assert quantization_noise_power(4, 1.0) == pytest.approx(1 / 256)
-
-    def test_quadratic_in_range(self):
-        assert (quantization_noise_power(6, 2.0)
-                == pytest.approx(4 * quantization_noise_power(6, 1.0)))
-
-    def test_matches_empirical_dithered_quantizer(self):
-        from modunfold.modulo_adc import quantize_uniform, triangle_dither
-        bits, full_scale, count = 6, 1.25, 400_000
-        rng = np.random.default_rng(31)
-        inputs = rng.uniform(-1.0, 1.0, count)
-        dither = triangle_dither(count, bits, full_scale, seed=32)
-        noise = quantize_uniform(inputs + dither, bits, full_scale) - inputs
-        assert np.mean(noise ** 2) == pytest.approx(
-            quantization_noise_power(bits, full_scale), rel=0.02)
-
-
 class TestInterferenceNorm:
     def test_empty_set_is_zero(self):
         assert estimate_interference_norm(64, 4, 0.0, 0, 100, seed=0) == 0.0
@@ -207,6 +167,18 @@ class TestInterferenceNorm:
         small = estimate_interference_norm(64, 4, 0.0, 2, 2000, seed=11)
         large = estimate_interference_norm(64, 4, 0.0, 8, 2000, seed=11)
         assert large >= small
+
+    def test_singular_draw_names_its_trial(self):
+        # Draw 15 of seed 0 puts 31 folds against 31 out-of-band bins at
+        # lambda_min/lambda_max below 64*eps; it used to enter the norm as 2.08e7.
+        system = build_oob_system(64, 0.5, 0.0)
+        draws = np.random.default_rng(0).random((16, 64)).argsort(axis=1)[:, :31]
+        eig = np.linalg.eigvalsh(kernel_block(system, draws, draws))
+        singular = eig[:, 0] <= 64 * np.finfo(float).eps * eig[:, -1]
+        assert list(np.flatnonzero(singular)) == [15]
+        with pytest.raises(InfeasibleError, match="trial 15: .*singular"):
+            estimate_interference_norm(64, 2.0, 0.0, 31, 16, 0)
+        assert math.isfinite(estimate_interference_norm(64, 2.0, 0.0, 31, 15, 0))
 
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):

@@ -12,9 +12,7 @@ from modunfold.signal_model import SampledSignal
 
 def synthetic_signal(samples, band_fraction=0.25):
     samples = np.asarray(samples, dtype=float)
-    return SampledSignal(samples=samples, sample_period=1.0,
-                         band_fraction=band_fraction,
-                         bandwidth=2 * np.pi * band_fraction)
+    return SampledSignal(samples=samples, band_fraction=band_fraction)
 
 
 class TestFold:
@@ -112,7 +110,8 @@ class TestAdcConfig:
     def test_full_scale_exceeds_threshold(self):
         config = AdcConfig(bits=4, threshold=0.5)
         assert config.full_scale > config.threshold
-        assert config.full_scale == pytest.approx(config.threshold + config.step)
+        step = 2.0 * config.full_scale / 2 ** config.bits
+        assert config.full_scale == pytest.approx(config.threshold + step)
 
 
 class TestAcquire:
@@ -153,7 +152,8 @@ class TestAcquire:
         config = AdcConfig(bits=16, threshold=1.0, seed=4)
         out = acquire(sig, config)
         total_error = out.quantized - (sig.samples + out.residue_truth)
-        assert np.abs(total_error).max() <= 1.5 * config.step
+        step = 2.0 * config.full_scale / 2 ** config.bits
+        assert np.abs(total_error).max() <= 1.5 * step
 
     def test_first_sample_beyond_threshold_rejected(self):
         sig = synthetic_signal(np.array([1.2, 0.0, 0.0]))
@@ -207,6 +207,15 @@ class TestNoiseStatistics:
         noise = quantize_uniform(folded + dither, bits, config.full_scale) - folded
         expected = config.full_scale ** 2 / 2 ** (2 * bits)
         assert np.mean(noise ** 2) == pytest.approx(expected, rel=0.02)
+
+    def test_matches_empirical_dithered_quantizer(self):
+        bits, full_scale, count = 6, 1.25, 400_000
+        step = 2.0 * full_scale / 2 ** bits
+        rng = np.random.default_rng(31)
+        inputs = rng.uniform(-1.0, 1.0, count)
+        dither = triangle_dither(count, bits, full_scale, seed=32)
+        noise = quantize_uniform(inputs + dither, bits, full_scale) - inputs
+        assert np.mean(noise ** 2) == pytest.approx(step ** 2 / 4, rel=0.02)
 
     def test_whiteness(self):
         noise, _ = self._noise(4)

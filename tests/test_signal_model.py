@@ -109,7 +109,8 @@ class TestSampleSignal:
         train = single_pulse(1.0)
         sig = sample_signal(train, 4.0, 64)
         assert train.bandwidth == pytest.approx(4 * np.pi)
-        assert sig.sample_period == pytest.approx(1.0 / 8.0)
+        # OF 4 over a 4*pi rad/s band samples every 1/8 s.
+        assert np.array_equal(sig.samples, train.evaluate(np.arange(64) / 8))
 
     def test_nyquist_sampling_fills_band(self):
         sig = sample_signal(single_pulse(1.0), 1.0, 16)
