@@ -1,12 +1,14 @@
 """Shared numeric primitives.
 
-The out-of-band system of an N-point window is held as one real vector: the
-circulant kernel of P = V^H V, where V holds the normalized DFT rows of the
-out-of-band bins.  P[m, n] = kernel[(m - n) mod N] projects onto those bins,
-so every least-squares map over fold positions S is a Gram block of it,
-P[S, S], and its right-hand side a projection, (P d)[S].  Recovery and the
-interference-norm estimate both read the same kernel and invert its blocks
-with invert_gram, which also finds the fold sets that are not identifiable.
+The out-of-band system of an N-point window is held as its projector
+P = V^H V, where V holds the normalized DFT rows of the out-of-band bins.
+P is real and circulant, so it is stored as a read-only (N, N) strided view
+over 2N floats: O(N) memory at any window length.  Every least-squares map
+over fold positions S is then built from the projector rows P[S, :]: the
+Gram block P[S, S] and the right-hand side (P d)[S] = P[S, :] d.  Recovery
+and the interference-norm estimate both gather those rows from the same
+view and invert the Gram with fold_inverse, which also finds the fold sets
+that are not identifiable.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  Everything is a pure function of its inputs.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError, InfeasibleError
@@ -47,20 +50,25 @@ class TukeyWindow:
 
 @dataclass(frozen=True)
 class OobSystem:
-    """Out-of-band projector of an n-point window, as its circulant kernel.
+    """Out-of-band projector of an n-point window.
 
     oob_bins are the bins k whose frequency 2*pi*k/n lies strictly inside
     (band_fraction*pi + guard_width, 2*pi - band_fraction*pi - guard_width)
     for the band and guard passed to build_oob_system.  With V the
     normalized DFT rows of those bins,
-    V[k', m] = exp(-2j*pi*m*oob_bins[k']/n)/sqrt(n), the projector V^H V has
-    entry (m, m') = kernel[(m - m') mod n]; the kernel is real because the
-    bin set is conjugate-symmetric.
+    V[k', m] = exp(-2j*pi*m*oob_bins[k']/n)/sqrt(n), `projector` is V^H V.
+    It is real because the bin set is conjugate-symmetric, and circulant, so
+    it is held as a read-only (n, n) view whose rows are windows of one
+    buffer of 2n floats: O(n) memory.  Callers gather the rows they need,
+    projector[S], themselves; see unfold.residue_pre_estimate for why.
     """
 
-    n: int
     oob_bins: np.ndarray
-    kernel: np.ndarray
+    projector: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.projector.shape[0]
 
     @property
     def num_bins(self) -> int:
@@ -72,7 +80,6 @@ class FirLowpass:
     """Symmetric (linear-phase) FIR lowpass with unit DC gain."""
 
     taps: np.ndarray
-    length: int
 
 
 def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndarray:
@@ -86,7 +93,7 @@ def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndar
 
 
 def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSystem:
-    """Build the out-of-band projector kernel for an n-point window.
+    """Build the out-of-band projector for an n-point window.
 
     band_fraction is the occupied fraction of the sampling bandwidth
     (1/oversampling); guard_width widens the excluded band on both sides to
@@ -104,34 +111,30 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
         )
     indicator = np.zeros(n)
     indicator[bins] = 1.0
-    return OobSystem(n=n, oob_bins=bins, kernel=np.fft.ifft(indicator).real)
+    # P[m, m'] = kernel[(m - m') mod n].  Row 0 is r = kernel[(-j) mod n]
+    # and row s is r rolled right by s: the window of [r, r] at offset n - s.
+    kernel = np.fft.ifft(indicator).real
+    row = kernel[-np.arange(n)]
+    projector = sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
+    return OobSystem(oob_bins=bins, projector=projector)
 
 
-def kernel_block(system: OobSystem, rows, cols) -> np.ndarray:
-    """P[rows, cols] of the out-of-band projector, batched over leading axes.
+def fold_inverse(rows, positions):
+    """(inv(P[S, S]), singular) for a batch of projector rows P[S, :].
 
-    rows (..., r) and cols (..., c) are window positions; the result has
-    shape (..., r, c).  With rows == cols it is the Gram matrix of the fold
-    columns V[:, rows].
-    """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    return system.kernel[(rows[..., :, None] - cols[..., None, :]) % system.n]
-
-
-def invert_gram(gram, n: int):
-    """(inv(gram), singular) for a batch (b, k, k) of Gram blocks P[S, S].
-
-    singular lists (index, lambda_min, lambda_max), by index, for the blocks
-    with lambda_min <= n*eps * lambda_max, whose fold values are not
+    rows, shape (b, k, n), holds projector[positions] for fold positions
+    `positions` of shape (b, k); the Gram blocks P[S, S] are gathered from
+    it.  singular lists (index, lambda_min, lambda_max), by index, for the
+    blocks with lambda_min <= n*eps * lambda_max, whose fold values are not
     identifiable.  As P is an orthogonal projector, lambda_max <= 1 and
     lambda_min >= 1/tr(inv); eigvalsh runs only on blocks without
     1/tr > n*eps * tr, a margin that covers the rounding of tr (about
     cond*eps <= tr*eps relative).
     """
+    gram = np.take_along_axis(rows, positions[:, None, :], axis=2)
     inverse = np.linalg.inv(gram)
     trace = np.trace(inverse, axis1=1, axis2=2)
-    tol = n * np.finfo(float).eps
+    tol = rows.shape[-1] * np.finfo(float).eps
     unsure = np.flatnonzero(~((trace > 0.0) & (trace * trace * tol < 1.0)))
     eig = np.linalg.eigvalsh(gram[unsure])
     bad = eig[:, 0] <= tol * eig[:, -1]
@@ -211,7 +214,7 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
             f"design misses spec (ripple {ripple:.2e}, stopband {stop:.2e}); "
             f"try at least {required + (required - 1) // 2 + 1} taps"
         )
-    return FirLowpass(taps=taps, length=length)
+    return FirLowpass(taps=taps)
 
 
 def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
@@ -223,10 +226,10 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError("expected a 1-D signal")
-    if x.size < lowpass.length:
+    if x.size < lowpass.taps.size:
         raise ConfigurationError(
-            f"signal ({x.size} samples) shorter than filter ({lowpass.length} taps)"
+            f"signal ({x.size} samples) shorter than filter ({lowpass.taps.size} taps)"
         )
-    half = lowpass.length // 2
+    half = lowpass.taps.size // 2
     padded = np.pad(x, half, mode="reflect")
     return fftconvolve(padded, lowpass.taps, mode="valid")

@@ -27,7 +27,7 @@ from .modulo_adc import AdcConfig, acquire
 from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
-from .unfold import RecoveryConfig, recovery_lowpass, unfold
+from .unfold import RecoveryConfig, unfold
 from .dsp import filter_zero_delay, tukey_window
 
 EXPERIMENTS = ("mse-sweep", "compare-hod", "m-grid", "theory-only")
@@ -36,8 +36,7 @@ EXPERIMENTS = ("mse-sweep", "compare-hod", "m-grid", "theory-only")
 # is checked by the code that uses the value.
 _INTS = ("num_pulses", "span", "window_length", "lpf_length", "hod_order",
          "m_trials", "trials", "seed")
-_REALS = ("beta", "symbol_period", "amp_low", "amp_high", "window_alpha",
-          "lpf_transition")
+_REALS = ("beta", "amp_low", "amp_high", "window_alpha", "lpf_transition")
 _INT_LISTS = ("bits_list", "m_lengths", "m_set_fractions")
 _REAL_LISTS = ("oversampling_list", "guard_width_list")
 
@@ -68,7 +67,6 @@ class ExperimentConfig:
     num_pulses: int = 2000
     beta: float = 1.0
     span: int = 20
-    symbol_period: float = 1.0
     amp_low: float = -0.5
     amp_high: float = 1.0
     # acquisition grid
@@ -121,9 +119,8 @@ class ExperimentConfig:
 
     def signal_spec(self, seed: int) -> PulseTrainSpec:
         return PulseTrainSpec(num_pulses=self.num_pulses, beta=self.beta,
-                              span=self.span, symbol_period=self.symbol_period,
-                              amp_low=self.amp_low, amp_high=self.amp_high,
-                              seed=seed)
+                              span=self.span, amp_low=self.amp_low,
+                              amp_high=self.amp_high, seed=seed)
 
 
 def _check_number(name: str, value, integer: bool) -> None:
@@ -415,7 +412,7 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
             unfolded = baselines.hod_recover(adc.quantized, baselines.HodConfig(
                 threshold=recovery.threshold, order=cfg.hod_order))
             mse_hod, _ = ctx.mse(
-                filter_zero_delay(unfolded, recovery_lowpass(recovery)), oversampling)
+                filter_zero_delay(unfolded, recovery.lowpass), oversampling)
             acc_mod += mse_mod
             acc_hod += mse_hod
         return dict(threshold=recovery.threshold,

@@ -7,8 +7,9 @@ off-support interference norm, and the predicted mean-squared error of the
 folded and conventional pipelines.  The norm is estimated by Monte Carlo on
 the out-of-band projector P = V^H V that recovery solves with: for each
 random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
-with the S columns zeroed are pinv(V_S) V_Sc; `dsp.invert_gram` inverts and
-checks P[S, S] as it does for recovery.
+with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
+gathered from the projector's O(n) view, so no n x n matrix is built, and
+`dsp.fold_inverse` inverts and checks P[S, S] as it does for recovery.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dsp import build_oob_system, invert_gram, kernel_block
+from .dsp import build_oob_system, fold_inverse
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
@@ -77,7 +78,7 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed; it agrees
     with the explicit pseudoinverse whenever the fold columns are full rank.
 
-    A draw whose Gram recovery would reject as singular (dsp.invert_gram)
+    A draw whose Gram recovery would reject as singular (dsp.fold_inverse)
     raises InfeasibleError naming its trial, as an oversized set does, so an
     experiment grid marks the cell skipped.  A draw that passes with Gram
     condition number cond carries about cond*eps relative error: negligible
@@ -96,23 +97,22 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         raise InfeasibleError(
             f"fold sets of {set_size} exceed the {system.num_bins} out-of-band "
             "equations; the least-squares systems cannot be full rank")
-    positions = np.arange(length)
-    projector = kernel_block(system, positions, positions)
     batch = max(1, _BATCH_ELEMENTS // (set_size * length))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for done in range(0, trials, batch):
         folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
-        rows = projector[folds[:, :set_size]]
-        columns = folds[:, None, :set_size]
-        inverse, singular = invert_gram(np.take_along_axis(rows, columns, axis=2), length)
+        sets = folds[:, :set_size]
+        # Gathered here, not by a helper: see unfold.residue_pre_estimate.
+        rows = system.projector[sets]
+        inverse, singular = fold_inverse(rows, sets)
         if singular:
             trial, low, high = singular[0]
             raise InfeasibleError(
                 f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
         mapped = inverse @ rows
-        np.put_along_axis(mapped, columns, 0.0, axis=2)
+        np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
         worst = max(worst, float(np.abs(mapped).sum(axis=2).max()))
     return worst
 

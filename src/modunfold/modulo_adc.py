@@ -123,6 +123,8 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
     exact folded signal), which isolates fold-recovery behaviour in tests.
     """
     f = np.asarray(signal.samples, dtype=float)
+    if f.ndim != 1 or f.size == 0:
+        raise ConfigurationError(f"need 1-D, nonempty signal samples, got shape {f.shape}")
     if not np.isfinite(f).all():
         raise ConfigurationError(
             f"signal sample {int(np.argmin(np.isfinite(f)))} is not finite")

@@ -4,7 +4,9 @@ A random-amplitude raised-cosine pulse train is the workhorse input: pulses
 sit on a regular symbol grid, amplitudes are drawn i.i.d. from a seeded RNG,
 and each pulse is truncated to a finite span.  The train can be sampled at
 any oversampling factor relative to its two-sided bandwidth and its peak
-amplitude estimated on a dense grid.
+amplitude estimated on a dense grid.  Time is measured in symbols: pulse m
+peaks at t = m.  Every time in the model (support, sample period, peak
+grid) would scale with a symbol period, so one would change only rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 _CHUNK = 1 << 18
+
+# Points per Nyquist sample period of the dense grid estimate_inf_norm scans.
+_GRID_OVERSAMPLE = 64
 
 # Largest accepted |amplitude|.  Squared errors must stay finite, and a
 # failed recovery errs by far more than the peak: HoD at 2 bits on a
@@ -32,7 +37,6 @@ class PulseTrainSpec:
     num_pulses: int
     beta: float = 1.0
     span: int = 20
-    symbol_period: float = 1.0
     amp_low: float = -0.5
     amp_high: float = 1.0
     seed: int = 0
@@ -44,8 +48,6 @@ class PulseTrainSpec:
             raise ConfigurationError(f"roll-off beta must be in [0, 1], got {self.beta}")
         if self.span <= 0 or self.span % 2 != 0:
             raise ConfigurationError(f"span must be a positive even symbol count, got {self.span}")
-        if self.symbol_period <= 0.0:
-            raise ConfigurationError("symbol_period must be positive")
         if not self.amp_low < self.amp_high:
             raise ConfigurationError("amplitude interval must be nonempty")
         if max(abs(self.amp_low), abs(self.amp_high)) > _MAX_AMPLITUDE:
@@ -62,13 +64,13 @@ class SampledSignal:
     band_fraction: float  # occupied fraction of the sampling band; 1/oversampling
 
 
-def raised_cosine(t, beta: float, symbol_period: float = 1.0):
-    """Unit-peak raised-cosine pulse value(s) at time(s) t.
+def raised_cosine(t, beta: float):
+    """Unit-peak raised-cosine pulse value(s) at time(s) t, in symbols.
 
-    The removable singularities at t = 0 and |t| = T/(2*beta) are evaluated
+    The removable singularities at t = 0 and |t| = 1/(2*beta) are evaluated
     through their limits (1 and (pi/4)*sinc(1/(2*beta)) respectively).
     """
-    tau = np.asarray(t, dtype=float) / symbol_period
+    tau = np.asarray(t, dtype=float)
     scalar = tau.ndim == 0
     tau = np.atleast_1d(tau)
     if beta == 0.0:
@@ -91,15 +93,14 @@ class PulseTrain:
 
     @property
     def bandwidth(self) -> float:
-        """Two-sided bandwidth: the pulse spectrum ends at pi*(1+beta)/T."""
-        return 2.0 * np.pi * (1.0 + self.spec.beta) / self.spec.symbol_period
+        """Two-sided bandwidth: the pulse spectrum ends at pi*(1+beta)."""
+        return 2.0 * np.pi * (1.0 + self.spec.beta)
 
     @property
     def support(self) -> tuple[float, float]:
         """Time interval outside which the truncated train is identically zero."""
-        half = self.spec.span / 2.0 * self.spec.symbol_period
-        return (self.spec.symbol_period - half,
-                self.spec.num_pulses * self.spec.symbol_period + half)
+        half = self.spec.span / 2.0
+        return (1.0 - half, self.spec.num_pulses + half)
 
     def evaluate(self, t) -> np.ndarray:
         """Sum of truncated pulses at time(s) t; zero outside the support."""
@@ -112,16 +113,15 @@ class PulseTrain:
     def _evaluate_chunk(self, t: np.ndarray) -> np.ndarray:
         spec = self.spec
         half = spec.span / 2.0
-        tau = t / spec.symbol_period
         acc = np.zeros_like(t)
-        first = np.ceil(tau - half).astype(int)
+        first = np.ceil(t - half).astype(int)
         for off in range(spec.span + 1):
             m = first + off
-            live = (m >= 1) & (m <= spec.num_pulses) & (np.abs(tau - m) <= half)
+            live = (m >= 1) & (m <= spec.num_pulses) & (np.abs(t - m) <= half)
             if not live.any():
                 continue
             acc[live] += self.amplitudes[m[live] - 1] * raised_cosine(
-                t[live] - m[live] * spec.symbol_period, spec.beta, spec.symbol_period)
+                t[live] - m[live], spec.beta)
         return acc
 
 
@@ -144,23 +144,19 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
 
 
 def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:
-    """Samples needed to cover t in [0, (num_pulses + span) * T]."""
-    duration = (spec.num_pulses + spec.span) * spec.symbol_period
-    nyquist_period = 2.0 * np.pi / (2.0 * np.pi * (1.0 + spec.beta) / spec.symbol_period)
+    """Samples needed to cover t in [0, num_pulses + span]."""
+    duration = spec.num_pulses + spec.span
+    nyquist_period = 2.0 * np.pi / (2.0 * np.pi * (1.0 + spec.beta))
     return int(math.ceil(duration / (nyquist_period / oversampling)))
 
 
-def estimate_inf_norm(train: PulseTrain, grid_oversample: int = 64) -> float:
+def estimate_inf_norm(train: PulseTrain) -> float:
     """Peak amplitude max|f(t)| over a dense grid covering the support.
 
-    The grid spacing is the Nyquist sample period divided by
-    `grid_oversample`; grids at multiples of a factor nest inside each other,
-    so the estimate is nondecreasing when the factor is scaled up.
+    The grid spacing is the Nyquist sample period divided by 64.
     """
-    if grid_oversample < 8:
-        raise ConfigurationError("grid_oversample must be at least 8")
     lo, hi = train.support
-    step = (2.0 * np.pi / train.bandwidth) / grid_oversample
+    step = (2.0 * np.pi / train.bandwidth) / _GRID_OVERSAMPLE
     total = int(math.ceil((hi - lo) / step)) + 1
     peak = 0.0
     for k0 in range(0, total, _CHUNK):

@@ -6,15 +6,17 @@ windowed difference of the signal, which is in band, plus the windowed
 residue jumps at the flagged fold positions S.  Only the jumps survive the
 out-of-band projector P = V^H V of the window (see `dsp.OobSystem`), so they
 solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
-least-squares system.  Segments with the same fold count share one batched
-inverse from `dsp.invert_gram`, which also finds the segments whose jumps
-are not identifiable.  A value solved at position p of the segment that
-starts at `start` belongs to sample start + p; the two window tapers
-covering an overlapped sample sum to one, so adding every segment's values
-at their samples restores the unwindowed jumps.  Those are rounded to
-integer counts of the 2*threshold lattice and integrated into the residue,
-and the unfolded signal is the quantized stream minus the residue,
-lowpassed back to the signal band.
+least-squares system.  Both sides come from the projector rows P[S, :],
+gathered from the O(n) projector view: the Gram block is their S columns and
+(P d)[S] = P[S, :] d, so no transform of d is taken.  Segments with the same
+fold count share one batched inverse from `dsp.fold_inverse`, which also
+finds the segments whose jumps are not identifiable.  A value solved at
+position p of the segment that starts at `start` belongs to sample
+start + p; the two window tapers covering an overlapped sample sum to one,
+so adding every segment's values at their samples restores the unwindowed
+jumps.  Those are rounded to integer counts of the 2*threshold lattice and
+integrated into the residue, and the unfolded signal is the quantized
+stream minus the residue, lowpassed back to the signal band.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
-                  design_lowpass, filter_zero_delay, invert_gram, kernel_block,
-                  tukey_window)
+                  design_lowpass, filter_zero_delay, fold_inverse, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -37,8 +38,15 @@ from .signal_model import SampledSignal
 class RecoveryConfig:
     """Window, guard-band, threshold and lowpass parameters for unfolding.
 
-    The window and out-of-band system are built once, here, by the functions
-    that check their parameters (no out-of-band bin is an InfeasibleError).
+    The window, out-of-band system and reconstruction lowpass are built once,
+    here, by the functions that check their parameters (no out-of-band bin is
+    an InfeasibleError; an unrealizable lowpass a ConfigurationError).
+
+    The lowpass should pass as much quantization noise as a brickwall at
+    band_fraction*pi + guard_width, so its ideal edge is centered there
+    whenever the guard band leaves room for the transition; with a narrow
+    guard the flat region is pinned to the passband edge instead so the
+    signal band stays untouched.
     """
 
     length: int
@@ -50,11 +58,17 @@ class RecoveryConfig:
     lpf_transition: float = np.pi / 64
     window: TukeyWindow = field(init=False, repr=False, compare=False)
     system: OobSystem = field(init=False, repr=False, compare=False)
+    lowpass: FirLowpass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "window", tukey_window(self.length, self.alpha))
         object.__setattr__(self, "system", build_oob_system(
             self.length, self.band_fraction, self.guard_width))
+        edge = self.band_fraction * np.pi + self.guard_width
+        transition = self.lpf_transition
+        cutoff = edge - transition / 2.0 if self.guard_width >= transition / 2.0 else edge
+        object.__setattr__(self, "lowpass", design_lowpass(
+            cutoff, transition, self.lpf_length))
 
     @property
     def overlap(self) -> int:
@@ -99,11 +113,12 @@ def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
     (segments, n); (rows, cols) = np.nonzero(flags) locate its flagged
     samples in row-major order.  The values at the flagged positions S of a
     segment solve P[S, S] x = (P d)[S]; segments with equal fold counts share
-    one batched inverse.  Returns one value per flagged sample, in that order.
+    one batched inverse, and (P d)[S] = P[S, :] d.  Returns one value per
+    flagged sample, in that order.
 
     A segment with more folds than out-of-band equations raises
     InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
-    times its largest (dsp.invert_gram) raises ConfigurationError.  Both
+    times its largest (dsp.fold_inverse) raises ConfigurationError.  Both
     name the first such segment by its row.
     """
     diffed = np.asarray(diffed, dtype=float)
@@ -115,20 +130,19 @@ def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
             f"segment {row}: {folds[row]} folds exceed the {system.num_bins} "
             "out-of-band equations; the oversampling factor is too low for "
             "this fold density")
-    n = system.n
-    oob_mask = np.zeros(n // 2 + 1)
-    oob_mask[system.oob_bins[system.oob_bins <= n // 2]] = 1.0
     first = np.cumsum(folds) - folds
     singular = []
     for k in np.unique(folds[folds > 0]):
         segs = np.flatnonzero(folds == k)
         entries = first[segs, None] + np.arange(k)
         positions = cols[entries]
-        projected = np.fft.irfft(np.fft.rfft(diffed[segs]) * oob_mask, n)
-        rhs = np.take_along_axis(projected, positions, axis=1)
-        inverse, bad = invert_gram(kernel_block(system, positions, positions), n)
+        # Gathered here, not in a helper that returns them: such a helper
+        # kept the previous group's arrays alive through the next gather,
+        # which raised minor page faults tenfold and cost about 20 % at n 256.
+        p_rows = system.projector[positions]
+        inverse, bad = fold_inverse(p_rows, positions)
         singular += [(segs[i], low, high) for i, low, high in bad]
-        values[entries] = (inverse @ rhs[..., None])[..., 0]
+        values[entries] = (inverse @ (p_rows @ diffed[segs, :, None]))[..., 0]
     if singular:
         row, low, high = min(singular)
         raise ConfigurationError(
@@ -150,24 +164,6 @@ def round_to_lattice(x, threshold: float):
     return int(out) if out.ndim == 0 else out
 
 
-def recovery_lowpass(config: RecoveryConfig) -> FirLowpass:
-    """Reconstruction lowpass for the unfolded stream.
-
-    The quantization-noise power that survives filtering should match a
-    brickwall at band_fraction*pi + guard_width, so the ideal edge is
-    centered there whenever the guard band leaves room for the transition;
-    with a narrow guard the flat region is pinned to the passband edge
-    instead so the signal band stays untouched.
-    """
-    edge = config.band_fraction * np.pi + config.guard_width
-    transition = config.lpf_transition
-    if config.guard_width >= transition / 2.0:
-        cutoff = edge - transition / 2.0
-    else:
-        cutoff = edge
-    return design_lowpass(cutoff, transition, config.lpf_length)
-
-
 def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -> UnfoldResult:
     """Recover the unfolded signal from quantized modulo samples + fold flags.
 
@@ -180,6 +176,11 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     counts, so where every rounding is right it equals residue_truth
     exactly.
     """
+    quantized, flagged = np.shape(adc.quantized), np.shape(adc.folding_bits)
+    if len(quantized) != 1 or quantized[0] == 0 or flagged != quantized:
+        raise ConfigurationError(
+            f"need 1-D, nonempty quantized samples and fold flags of equal "
+            f"length, got shapes {quantized} and {flagged}")
     if not math.isclose(config.threshold, adc.config.threshold, rel_tol=1e-12):
         raise ConfigurationError(
             f"recovery threshold {config.threshold:.6g} != "
@@ -209,7 +210,7 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     jumps = np.bincount(starts[rows] + cols, weights=values, minlength=extent)
     counts = np.cumsum(round_to_lattice(jumps[overlap:overlap + num_real], config.threshold))
     residue = 2.0 * config.threshold * counts
-    recovered = filter_zero_delay(adc.quantized - residue, recovery_lowpass(config))
+    recovered = filter_zero_delay(adc.quantized - residue, config.lowpass)
     return UnfoldResult(recovered=recovered, residue=residue,
                         segments_total=starts.size,
                         segments_skipped=int(np.count_nonzero(~flag_view.any(axis=1))))

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
-                           invert_gram, kernel_block, tukey_window)
+                           fold_inverse, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -103,26 +103,21 @@ class TestOobSystem:
     def test_kernel_is_gram_of_oob_rows(self, n, rho, guard):
         sys = build_oob_system(n, rho, guard)
         v = oob_matrix(sys)
-        positions = np.arange(n)
-        assert_allclose(kernel_block(sys, positions, positions),
-                        (v.conj().T @ v).real, atol=1e-14)
+        assert sys.n == n
+        assert_allclose(sys.projector, (v.conj().T @ v).real, atol=1e-14)
         assert np.abs((v.conj().T @ v).imag).max() < 1e-14
 
     def test_kernel_is_a_projector(self):
         sys = build_oob_system(64, 0.25, np.pi / 32)
-        p = kernel_block(sys, np.arange(64), np.arange(64))
+        p = sys.projector
         assert_allclose(p @ p, p, atol=1e-13)
-        assert sys.kernel[0] == pytest.approx(sys.num_bins / 64)
-
-    def test_kernel_block_batches_over_leading_axes(self):
-        sys = build_oob_system(64, 0.25, np.pi / 32)
-        full = kernel_block(sys, np.arange(64), np.arange(64))
-        rows = np.array([[3, 17, 40], [0, 1, 63]])
-        cols = np.array([[5, 9], [62, 2]])
-        block = kernel_block(sys, rows, cols)
-        assert block.shape == (2, 3, 2)
-        for b in range(2):
-            assert_array_equal(block[b], full[np.ix_(rows[b], cols[b])])
+        assert_allclose(np.diag(p), sys.num_bins / 64, rtol=1e-14)
+        # A read-only view whose rows share one buffer of 2n floats.
+        assert not p.flags.writeable
+        base = p
+        while base.base is not None:
+            base = base.base
+        assert base.size == 2 * 64 and base.dtype == np.float64
 
     # The last two put an edge bin on the band edge up to rounding, which
     # once kept bin 2 of 8 but not bin 6.
@@ -144,7 +139,7 @@ class TestOobSystem:
             build_oob_system(64, 0.25, -0.1)
 
 
-class TestInvertGram:
+class TestFoldInverse:
     @given(st.integers(8, 64), st.floats(1.05, 12.0),
            st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
     @settings(deadline=None, max_examples=200)
@@ -161,8 +156,9 @@ class TestInvertGram:
                 sets.append((start + np.arange(k)) % n)
             else:
                 sets.append(np.random.default_rng(start).permutation(n)[:k])
-        gram = kernel_block(system, np.array(sets), np.array(sets))
-        inverse, singular = invert_gram(gram, n)
+        sets = np.array(sets)
+        inverse, singular = fold_inverse(system.projector[sets], sets)
+        gram = system.projector[sets[:, :, None], sets[:, None, :]]
         assert_array_equal(inverse, np.linalg.inv(gram))
         eig = np.linalg.eigvalsh(gram)
         tol = n * np.finfo(float).eps
@@ -263,7 +259,7 @@ class TestMinSingularValue:
         folds = [5, 19, 33, 60]
         sigma = min_singular_value(select_columns(oob_matrix(sys), folds))
         assert sigma > 1e-8
-        gram = kernel_block(sys, folds, folds)
+        gram = sys.projector[np.ix_(folds, folds)]
         assert np.linalg.eigvalsh(gram)[0] == pytest.approx(sigma ** 2, rel=1e-9)
 
 

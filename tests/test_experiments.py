@@ -280,8 +280,8 @@ CANDIDATES = {
                     "m_trials", "seed")},
     **{name: st.one_of(st.integers(-2, 4), WRONG_TYPES) for name in ("span", "trials")},
     **{name: st.one_of(REALS, WRONG_TYPES)
-       for name in ("beta", "symbol_period", "amp_low", "amp_high",
-                    "window_alpha", "lpf_transition")},
+       for name in ("beta", "amp_low", "amp_high", "window_alpha",
+                    "lpf_transition")},
     **{name: st.lists(st.one_of(ints, WRONG_TYPES), max_size=2)
        for name, ints in (("bits_list", SMALL_INTS), ("m_lengths", INTS),
                           ("m_set_fractions", SMALL_INTS))},
@@ -333,7 +333,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("payload", [
         {"bits_list": [True]}, {"bits_list": 4}, {"seed": "1"}, {"num_pulses": None},
-        {"out": 5}, {"symbol_period": float("nan")},
+        {"out": 5}, {"beta": float("nan")},
         {"oversampling_list": [float("inf")]}, {"trials": 1.0},
     ])
     def test_wrong_json_types_rejected_at_load(self, payload):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modunfold import guarantees
-from modunfold.dsp import build_oob_system, kernel_block
+from modunfold.dsp import build_oob_system
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
@@ -122,7 +123,7 @@ class TestInterferenceNorm:
         draws = np.random.default_rng(seed).random((trials, length)).argsort(axis=1)
         # Both maps lose about cond(Gram) * eps; past 1e6 they drift apart
         # by more than the tolerance (1e7 already gives 2e-9).
-        assume(max(np.linalg.cond(kernel_block(system, row[:set_size], row[:set_size]))
+        assume(max(np.linalg.cond(system.projector[np.ix_(row[:set_size], row[:set_size])])
                    for row in draws) < 1e6)
         slow = 0.0
         for row in draws:
@@ -173,12 +174,24 @@ class TestInterferenceNorm:
         # lambda_min/lambda_max below 64*eps; it used to enter the norm as 2.08e7.
         system = build_oob_system(64, 0.5, 0.0)
         draws = np.random.default_rng(0).random((16, 64)).argsort(axis=1)[:, :31]
-        eig = np.linalg.eigvalsh(kernel_block(system, draws, draws))
+        eig = np.linalg.eigvalsh(system.projector[draws[:, :, None], draws[:, None, :]])
         singular = eig[:, 0] <= 64 * np.finfo(float).eps * eig[:, -1]
         assert list(np.flatnonzero(singular)) == [15]
         with pytest.raises(InfeasibleError, match="trial 15: .*singular"):
             estimate_interference_norm(64, 2.0, 0.0, 31, 16, 0)
         assert math.isfinite(estimate_interference_norm(64, 2.0, 0.0, 31, 15, 0))
+
+    def test_peak_memory_stays_linear_in_length(self):
+        # Rows are gathered from the O(n) projector view; an n x n projector
+        # alone would be 33.5 MB at n 2048.
+        tracemalloc.start()
+        try:
+            norm = estimate_interference_norm(2048, 4.0, 0.0, 4, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(4.298511905544368, rel=1e-12)
+        assert peak <= 4e6
 
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):

@@ -167,6 +167,12 @@ class TestAcquire:
         with pytest.raises(ConfigurationError, match="sample 5 is not finite"):
             acquire(synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0))
 
+    @pytest.mark.parametrize("samples", [np.zeros(0), np.zeros((4, 16))])
+    def test_malformed_buffer_rejected(self, samples):
+        # Used to end in an IndexError at f[0], or numpy's ambiguous truth value.
+        with pytest.raises(ConfigurationError, match=r"1-D, nonempty.*shape"):
+            acquire(synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0))
+
     def test_ideal_mode_bypasses_quantizer(self):
         ramp = np.linspace(0.0, 1.5, 64)
         out = acquire(synthetic_signal(ramp), AdcConfig(bits=4, threshold=1.0),

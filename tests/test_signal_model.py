@@ -24,7 +24,7 @@ class TestRaisedCosine:
         assert raised_cosine(float(k), beta=1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_singularity_matches_numeric_limit(self):
-        # Two-sided numeric limit around t = T/(2*beta) as the oracle; the
+        # Two-sided numeric limit around t = 1/(2*beta) as the oracle; the
         # symmetric average cancels the linear term of the pulse slope.
         value = raised_cosine(0.5, beta=1.0)
         probe = 0.5 * (raised_cosine(0.5 - 1e-6, beta=1.0)
@@ -43,12 +43,8 @@ class TestRaisedCosine:
     def test_zero_rolloff_is_sinc(self):
         t = np.linspace(-3, 3, 41)
         assert_allclose(raised_cosine(t, beta=0.0), np.sinc(t), atol=1e-15)
-        # A subnormal roll-off puts T/(2*beta) at inf; no NaN warning.
+        # A subnormal roll-off puts 1/(2*beta) at inf; no NaN warning.
         assert_allclose(raised_cosine(t, beta=5e-324), np.sinc(t), atol=1e-15)
-
-    def test_scales_with_symbol_period(self):
-        assert raised_cosine(0.5, beta=1.0, symbol_period=2.0) == pytest.approx(
-            raised_cosine(0.25, beta=1.0, symbol_period=1.0))
 
 
 class TestPulseTrain:
@@ -60,7 +56,7 @@ class TestPulseTrain:
     def test_paper_scale_defaults(self):
         spec = PulseTrainSpec(num_pulses=2000)
         assert (spec.amp_low, spec.amp_high) == (-0.5, 1.0)
-        assert spec.symbol_period == 1.0 and spec.beta == 1.0 and spec.span == 20
+        assert spec.beta == 1.0 and spec.span == 20
 
     def test_same_seed_same_amplitudes(self):
         spec = PulseTrainSpec(num_pulses=100, seed=42)
@@ -149,14 +145,6 @@ class TestEstimateInfNorm:
         amps[0], amps[-1] = 0.7, -0.5
         train = PulseTrain(spec=PulseTrainSpec(num_pulses=30), amplitudes=amps)
         assert estimate_inf_norm(train) == pytest.approx(0.7, abs=1e-4)
-
-    def test_monotone_in_grid_resolution(self):
-        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, seed=13))
-        assert estimate_inf_norm(train, 64) >= estimate_inf_norm(train, 8)
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estimate_inf_norm(single_pulse(), grid_oversample=4)
 
 
 class TestBandlimitedness:

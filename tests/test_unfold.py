@@ -359,7 +359,7 @@ class TestUnfold:
             generate_pulse_train(PulseTrainSpec(num_pulses=20, seed=0)), 4.0, 256)
         recovery = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                   threshold=1.0, band_fraction=0.25,
-                                  lpf_length=129)
+                                  lpf_length=129, lpf_transition=np.pi / 8)
         with pytest.raises(InfeasibleError, match="segment 0"):
             unfold(adc, sig_meta, recovery)
 
@@ -375,7 +375,8 @@ class TestUnfold:
         sig_meta = sample_signal(
             generate_pulse_train(PulseTrainSpec(num_pulses=20, seed=0)), 2.0, 256)
         recovery = RecoveryConfig(length=64, alpha=0.5, guard_width=0.0,
-                                  threshold=1.0, band_fraction=0.5, lpf_length=129)
+                                  threshold=1.0, band_fraction=0.5, lpf_length=129,
+                                  lpf_transition=np.pi / 8)
         with pytest.raises(ConfigurationError, match="segment 0: .*singular"):
             unfold(adc, sig_meta, recovery)
 
@@ -388,6 +389,20 @@ class TestUnfold:
         config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                 threshold=adc.config.threshold, band_fraction=0.25)
         with pytest.raises(ConfigurationError, match="sample 7 is not finite"):
+            unfold(bad, sig, config)
+
+    @pytest.mark.parametrize("quantized, flags", [
+        (np.zeros(256), np.zeros(255, dtype=bool)),
+        (np.zeros((2, 128)), np.zeros((2, 128), dtype=bool)),
+        (np.zeros(0), np.zeros(0, dtype=bool))])
+    def test_malformed_buffers_rejected(self, quantized, flags):
+        # Flags shorter than the samples used to end in numpy's broadcast error.
+        _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
+        bad = AdcOutput(quantized=quantized, folding_bits=flags,
+                        residue_truth=np.zeros(quantized.shape), config=adc.config)
+        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                                threshold=threshold, band_fraction=0.25)
+        with pytest.raises(ConfigurationError, match=r"1-D, nonempty.*shapes"):
             unfold(bad, sig, config)
 
     def test_threshold_mismatch_rejected(self):
@@ -422,9 +437,10 @@ class TestRecoveryConfig:
                                 threshold=1.0, band_fraction=0.25)
         assert config.overlap == 16 and config.hop == 48
         assert (config.window.edge, config.window.hop) == (16, 48)
-        # Window and out-of-band system are built once, at construction.
-        assert_array_equal(config.system.kernel,
-                           build_oob_system(64, 0.25, GUARD).kernel)
+        # Window, out-of-band system and lowpass are built once, at construction.
+        assert_array_equal(config.system.projector,
+                           build_oob_system(64, 0.25, GUARD).projector)
+        assert config.lowpass.taps.size == config.lpf_length
         assert config == RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                         threshold=1.0, band_fraction=0.25)
 
@@ -434,6 +450,17 @@ class TestRecoveryConfig:
                                 threshold=threshold, band_fraction=0.25)
 
         def rebuilt(*args):
-            raise AssertionError("unfold rebuilt the out-of-band system")
-        monkeypatch.setattr(sys.modules["modunfold.unfold"], "build_oob_system", rebuilt)
-        assert_array_equal(unfold(adc, sig, config).residue, expected.residue)
+            raise AssertionError("unfold rebuilt the out-of-band system or lowpass")
+        module = sys.modules["modunfold.unfold"]
+        monkeypatch.setattr(module, "build_oob_system", rebuilt)
+        monkeypatch.setattr(module, "design_lowpass", rebuilt)
+        result = unfold(adc, sig, config)
+        assert_array_equal(result.residue, expected.residue)
+        assert_array_equal(result.recovered, expected.recovered)
+
+    def test_unrealizable_lowpass_rejected_at_construction(self):
+        # 129 taps cannot realize the default pi/64 transition; this used to
+        # surface only after the solve, inside unfold.
+        with pytest.raises(ConfigurationError, match="need at least"):
+            RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                           threshold=1.0, band_fraction=0.25, lpf_length=129)
