@@ -22,7 +22,9 @@ from .dsp import build_oob_system, fold_inverse
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
-# estimate_interference_norm; small enough to stay cache-resident.
+# estimate_interference_norm.  It bounds the batch's gathered rows and their
+# mapped copy to 4 MiB of float64 each, whatever the trial count; at least
+# one fold set runs per batch, so a larger set times length goes past it.
 _BATCH_ELEMENTS = 2 ** 19
 
 

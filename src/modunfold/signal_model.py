@@ -7,6 +7,12 @@ any oversampling factor relative to its two-sided bandwidth and its peak
 amplitude estimated on a dense grid.  Time is measured in symbols: pulse m
 peaks at t = m.  Every time in the model (support, sample period, peak
 grid) would scale with a symbol period, so one would change only rounding.
+
+Both the sampler and the peak estimate read the train on a grid of L points
+per symbol, t = first + n/L.  When L is an integer, sample n = qL + r sums
+taps h(j + r/L) of the pulse over the span+1 offsets j, which are shared by
+every row q: the train is a polyphase tap sum, not a per-sample evaluation.
+Other rates go through PulseTrain.evaluate, the evaluator at arbitrary t.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from .errors import ConfigurationError
 
 _CHUNK = 1 << 18
 
-# Points per Nyquist sample period of the dense grid estimate_inf_norm scans.
+# Least points per Nyquist sample period of the dense grid estimate_inf_norm
+# scans; it rounds the points per symbol up to an integer.
 _GRID_OVERSAMPLE = 64
 
 # Largest accepted |amplitude|.  Squared errors must stay finite, and a
@@ -132,15 +139,53 @@ def generate_pulse_train(spec: PulseTrainSpec) -> PulseTrain:
     return PulseTrain(spec=spec, amplitudes=amps)
 
 
+def _grid_rows(train: PulseTrain, rate: int, first_row: int, rows: int) -> np.ndarray:
+    """The train at t = first_row + q + r/rate, as a (rows, rate) array [q, r].
+
+    Pulse m meets row q at tap offset j = first_row + q - m, so one tap row
+    h(j + r/rate) times the amplitudes shifted by j covers every row.  Offsets
+    run in increasing pulse index, the order PulseTrain.evaluate sums in, so a
+    time that is a binary fraction gives the evaluator's value bit for bit.
+    """
+    spec = train.spec
+    half = spec.span // 2
+    # shifted[i] is the amplitude of pulse first_row - half + i, zero off the train.
+    shifted = np.zeros(rows + spec.span)
+    lo = max(first_row - half, 1)
+    hi = min(first_row + rows + half, spec.num_pulses + 1)
+    if lo < hi:
+        shifted[lo - first_row + half:hi - first_row + half] = train.amplitudes[lo - 1:hi - 1]
+    phases = np.arange(rate) / rate
+    out = np.zeros((rows, rate))
+    term = np.empty_like(out)
+    for j in range(half, -half - 1, -1):
+        tau = j + phases
+        taps = raised_cosine(tau, spec.beta)
+        taps[np.abs(tau) > half] = 0.0
+        np.multiply(shifted[half - j:half - j + rows, None], taps, out=term)
+        out += term
+    return out
+
+
 def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> SampledSignal:
-    """Sample the train at `oversampling` times its Nyquist rate, from t = 0."""
+    """Sample the train at `oversampling` times its Nyquist rate, from t = 0.
+
+    At an integer number of samples per symbol, oversampling * (1 + beta),
+    no greater than num_samples, the samples are the polyphase tap sum at
+    exactly t = n/L; any other rate evaluates the train at n * sample period.
+    """
     if oversampling < 1.0:
         raise ConfigurationError(f"oversampling factor must be >= 1, got {oversampling}")
     if num_samples <= 0:
         raise ConfigurationError("num_samples must be positive")
-    sample_period = 2.0 * np.pi / (oversampling * train.bandwidth)
-    return SampledSignal(samples=train.evaluate(np.arange(num_samples) * sample_period),
-                         band_fraction=1.0 / oversampling)
+    rate = oversampling * (1.0 + train.spec.beta)
+    if rate.is_integer() and rate <= num_samples:
+        rate = int(rate)
+        samples = _grid_rows(train, rate, 0, -(-num_samples // rate)).ravel()[:num_samples]
+    else:
+        sample_period = 2.0 * np.pi / (oversampling * train.bandwidth)
+        samples = train.evaluate(np.arange(num_samples) * sample_period)
+    return SampledSignal(samples=samples, band_fraction=1.0 / oversampling)
 
 
 def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:
@@ -153,13 +198,13 @@ def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:
 def estimate_inf_norm(train: PulseTrain) -> float:
     """Peak amplitude max|f(t)| over a dense grid covering the support.
 
-    The grid spacing is the Nyquist sample period divided by 64.
+    The grid holds L = ceil(64 * (1 + beta)) points per symbol, at least 64
+    per Nyquist sample period, and is summed by the polyphase path in blocks
+    of about _CHUNK points.
     """
     lo, hi = train.support
-    step = (2.0 * np.pi / train.bandwidth) / _GRID_OVERSAMPLE
-    total = int(math.ceil((hi - lo) / step)) + 1
-    peak = 0.0
-    for k0 in range(0, total, _CHUNK):
-        grid = lo + step * np.arange(k0, min(k0 + _CHUNK, total))
-        peak = max(peak, float(np.abs(train.evaluate(grid)).max()))
-    return peak
+    rate = math.ceil(_GRID_OVERSAMPLE * (1.0 + train.spec.beta))
+    first, rows = int(lo), int(hi - lo) + 1
+    step = max(1, _CHUNK // rate)
+    return max(float(np.abs(_grid_rows(train, rate, q, min(step, first + rows - q))).max())
+               for q in range(first, first + rows, step))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -135,7 +137,71 @@ class TestSampleSignal:
         assert_array_equal(a, b)
 
 
+class TestGridPath:
+    # Integer samples per symbol, L = OF * (1 + beta), take the polyphase tap
+    # sum on t = n/L; the reference is the evaluator at n * sample period.
+    @staticmethod
+    def _evaluated(train, oversampling, count):
+        period = 2.0 * np.pi / (oversampling * train.bandwidth)
+        return train.evaluate(np.arange(count) * period)
+
+    @pytest.mark.parametrize("oversampling", [4.0, 8.0])
+    def test_binary_fraction_times_match_evaluator_exactly(self, oversampling):
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, seed=4))
+        count = nominal_sample_count(train.spec, oversampling)
+        samples = sample_signal(train, oversampling, count).samples
+        assert np.array_equal(samples, train.evaluate(np.arange(count) / (2 * oversampling)))
+
+    @pytest.mark.parametrize("oversampling, beta", [(6.0, 1.0), (50.0, 1.0), (4.0, 0.5)])
+    def test_other_integer_rates_agree_to_rounding(self, oversampling, beta):
+        # L = 12, 100 and 6: n/L is not a binary fraction, so the grid and
+        # n * sample period round differently.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, beta=beta, seed=4))
+        count = nominal_sample_count(train.spec, oversampling)
+        samples = sample_signal(train, oversampling, count).samples
+        assert np.abs(samples - self._evaluated(train, oversampling, count)).max() <= 1e-12
+
+    @pytest.mark.parametrize("beta, oversampling, count", [(0.3, 4.0, None), (1.0, 1e6, 16)])
+    def test_other_rates_go_through_evaluator(self, monkeypatch, beta, oversampling, count):
+        # L = 5.2 is no integer; L = 2e6 is, but has more phases than samples.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, beta=beta, seed=4))
+        count = count or nominal_sample_count(train.spec, oversampling)
+        expected = self._evaluated(train, oversampling, count)
+        calls = []
+        evaluate = PulseTrain.evaluate
+        monkeypatch.setattr(PulseTrain, "evaluate",
+                            lambda self, t: calls.append(len(t)) or evaluate(self, t))
+        samples = sample_signal(train, oversampling, count).samples
+        assert calls == [count]
+        assert samples.tobytes() == expected.tobytes()
+
+    def test_peak_equals_evaluator_on_the_same_grid(self):
+        # At beta 1 the peak grid is lo + k/128: binary-fraction times.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, seed=4))
+        lo, hi = train.support
+        grid = lo + np.arange(int(hi - lo) * 128 + 1) / 128
+        assert estimate_inf_norm(train) == np.abs(train.evaluate(grid)).max()
+
+    def test_peak_memory_stays_bounded_by_the_block(self):
+        # 20,000 pulses put 2.56M points on the peak grid, 41 MB for one
+        # full-grid sum and its term buffer; blocks of rows keep it to 4.3 MB.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=20000, seed=1))
+        tracemalloc.start()
+        try:
+            peak_value = estimate_inf_norm(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_value == 1.0240204201256768
+        assert peak <= 5e6
+
+
 class TestEstimateInfNorm:
+    def test_desk_train_peak_unchanged(self):
+        # Sets every desk threshold, so the desk CSVs depend on it bit for bit.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=2000, seed=1))
+        assert estimate_inf_norm(train) == 1.020965294732176
+
     def test_single_pulse(self):
         assert estimate_inf_norm(single_pulse(1.0)) == pytest.approx(1.0, abs=1e-4)
 
