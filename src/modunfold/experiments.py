@@ -45,8 +45,11 @@ _REAL_LISTS = ("oversampling_list", "guard_width_list")
 PEAK_MARGIN = 1.001
 
 _DESK_OF_GRID = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0)
-_COMPARE_OF_GRID = (4.0, 6.0, 10.0, 12.0, 16.0)
-_M_GRID_OF_GRID = (4.0, 8.0, 12.0)
+# Grids that stand in for the desk default (see ExperimentConfig).
+_OWN_OF_GRIDS = {"compare-hod": (4.0, 6.0, 10.0, 12.0, 16.0),
+                 "m-grid": (4.0, 8.0, 12.0)}
+# Experiments that sample a signal at every oversampling factor of their grid.
+_SAMPLED = ("mse-sweep", "compare-hod")
 
 
 @dataclass
@@ -108,8 +111,23 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be positive")
         if any(f < 1 or n // f < 1 for n in self.m_lengths for f in self.m_set_fractions):
             raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
-        self.signal_spec(0)
+        for n in self.m_lengths:
+            for f in self.m_set_fractions:
+                guarantees.check_fold_set(n, n // f)
+        spec = self.signal_spec(0)
+        if self.experiment in _SAMPLED:
+            # A factor <= 0 is an infeasible point (required_threshold), not a size.
+            for oversampling in self.oversampling_grid:
+                if oversampling > 0.0:
+                    nominal_sample_count(spec, oversampling)
         tukey_window(self.window_length, self.window_alpha)
+
+    @property
+    def oversampling_grid(self) -> tuple:
+        """The oversampling factors this experiment runs."""
+        if self.oversampling_list == _DESK_OF_GRID:
+            return _OWN_OF_GRIDS.get(self.experiment, _DESK_OF_GRID)
+        return self.oversampling_list
 
     @property
     def effective_trials(self) -> int:
@@ -275,7 +293,7 @@ def _grid(row_type, points: list[dict], measure) -> list:
     return rows
 
 
-def _adc_points(cfg: ExperimentConfig, oversampling_list, guard_widths) -> list[dict]:
+def _adc_points(cfg: ExperimentConfig) -> list[dict]:
     """The (oversampling, bits, guard width) grid in row order.
 
     Theory-only needs no seed; its rows record 0 when none is given.
@@ -284,9 +302,9 @@ def _adc_points(cfg: ExperimentConfig, oversampling_list, guard_widths) -> list[
                  guard_width=guard_width,
                  guard_bins=guarantees.guard_bin_count(guard_width, cfg.window_length),
                  seed=cfg.seed if cfg.seed is not None else 0)
-            for oversampling in oversampling_list
+            for oversampling in cfg.oversampling_grid
             for bits in cfg.bits_list
-            for guard_width in guard_widths]
+            for guard_width in cfg.guard_width_list]
 
 
 @dataclass
@@ -390,7 +408,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                     mse_conventional_db=_db(acc_conv / len(contexts)),
                     samples_used=used)
 
-    points = _adc_points(cfg, cfg.oversampling_list, cfg.guard_width_list)
+    points = _adc_points(cfg)
     return _grid(ResultRow, points, measure)
 
 
@@ -419,8 +437,7 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
                     mse_simulated_db=_db(acc_mod / len(contexts)),
                     mse_hod_db=_db(acc_hod / len(contexts)), samples_used=used)
 
-    grid = _COMPARE_OF_GRID if cfg.oversampling_list == _DESK_OF_GRID else cfg.oversampling_list
-    points = _adc_points(cfg, grid, cfg.guard_width_list)
+    points = _adc_points(cfg)
     return _grid(ResultRow, points, measure)
 
 
@@ -435,11 +452,10 @@ def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:
             length, oversampling, 0.0, set_size, cfg.m_trials, entropy.spawn(1)[0])
         return dict(interference_norm=norm, extra_bits=math.log2(1.0 + 0.75 * norm))
 
-    grid = _M_GRID_OF_GRID if cfg.oversampling_list == _DESK_OF_GRID else cfg.oversampling_list
     points = [dict(experiment=cfg.experiment, length=length, oversampling=oversampling,
                    set_size=length // fraction, trials=cfg.m_trials, seed=seed)
               for length in cfg.m_lengths
-              for oversampling in grid
+              for oversampling in cfg.oversampling_grid
               for fraction in cfg.m_set_fractions]
     return _grid(MGridRow, points, measure)
 
@@ -460,7 +476,7 @@ def run_theory_only(cfg: ExperimentConfig) -> list[TheoryRow]:
             mse_conventional_db=_db(guarantees.predict_mse_conventional(
                 1.0, oversampling, bits)))
 
-    points = _adc_points(cfg, cfg.oversampling_list, cfg.guard_width_list)
+    points = _adc_points(cfg)
     return _grid(TheoryRow, points, measure)
 
 

@@ -10,11 +10,19 @@ random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
 with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
 gathered from the projector's O(n) view, so no n x n matrix is built, and
 `dsp.fold_inverse` inverts and checks P[S, S] as it does for recovery.
+
+The Monte Carlo draws its fold sets on the calling thread in stream order
+and maps them, batch by batch, on one thread per CPU the process may use;
+neither its result nor its errors depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,10 +30,25 @@ from .dsp import build_oob_system, fold_inverse
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
-# estimate_interference_norm.  It bounds the batch's gathered rows and their
-# mapped copy to 4 MiB of float64 each, whatever the trial count; at least
-# one fold set runs per batch, so a larger set times length goes past it.
-_BATCH_ELEMENTS = 2 ** 19
+# estimate_interference_norm: 2 MiB of float64 for the gathered rows and as
+# much for the worker's output buffer; at least one fold set runs per batch,
+# so a larger set times length goes past it.  Measured over the 27 desk
+# m-grid cells on two cores: 2**19 ran as fast but raised the peak resident
+# set by 8-16 MB, as every worker holds its rows and buffer, and 2**17 was
+# 10-15 % slower.  Each worker writes into its one buffer: fresh arrays
+# per batch cost 0.3-0.5M minor page faults and 1.6-1.9 times the CPU time
+# per (256, OF 12, k 32) cell, against about 1.2k faults.
+_BATCH_ELEMENTS = 2 ** 18
+
+# Largest fold set accepted, as elements of its rows P[S, :] (set size x
+# length): 32 MiB of float64, which one batch always holds.  The paper
+# preset's largest set, 32 x 256, is 512 times below it.
+_MAX_SET_ELEMENTS = 2 ** 22
+
+# Threads running batches in estimate_interference_norm: the CPUs this
+# process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def guard_bin_count(guard_width: float, length: int) -> int:
@@ -68,26 +91,42 @@ def required_bits(interference_norm: float) -> float:
     return 3.0 + math.log2(1.0 + 0.75 * interference_norm)
 
 
+def check_fold_set(length: int, set_size: int) -> None:
+    """Reject fold sets whose rows P[S, :] exceed _MAX_SET_ELEMENTS elements."""
+    if set_size * length > _MAX_SET_ELEMENTS:
+        raise ConfigurationError(
+            f"fold sets of {set_size} over {length} samples hold {set_size * length} "
+            f"row elements each, above the cap of {_MAX_SET_ELEMENTS}")
+
+
 def estimate_interference_norm(length: int, oversampling: float, guard_width: float,
                                set_size: int, trials: int, seed) -> float:
     """Monte-Carlo max of ||pinv(V_S) V_Sc||_inf over random fold sets S.
 
     Bounds how strongly quantization noise at unflagged samples can leak
     into the solved residue values.  Each fold set is the first `set_size`
-    entries of a random permutation, drawn batch by batch from one stream,
-    so the result is deterministic under the seed, independent of the batch
-    size, and nondecreasing in `trials`.  With P the out-of-band projector,
-    the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed; it agrees
-    with the explicit pseudoinverse whenever the fold columns are full rank.
+    entries of a random permutation, drawn batch by batch from one stream
+    on the calling thread, so the result is deterministic under the seed,
+    independent of the batch size, and nondecreasing in `trials`.  Batches
+    are mapped on _WORKERS threads, at most _WORKERS + 1 of them in flight,
+    so memory is O(batch) whatever `trials`; their results are read in draw
+    order and max is exact, so neither the result nor the trial an error
+    names depends on the thread count or on timing.  With P the out-of-band
+    projector, the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed;
+    it agrees with the explicit pseudoinverse whenever the fold columns are
+    full rank.
 
     A draw whose Gram recovery would reject as singular (dsp.fold_inverse)
-    raises InfeasibleError naming its trial, as an oversized set does, so an
-    experiment grid marks the cell skipped.  A draw that passes with Gram
-    condition number cond carries about cond*eps relative error: negligible
-    below cond 1e6, up to about 1/length near the limit 1/(length*eps).
+    raises InfeasibleError naming the earliest such trial, as an oversized
+    set does, so an experiment grid marks the cell skipped.  A draw that
+    passes with Gram condition number cond carries about cond*eps relative
+    error: negligible below cond 1e6, up to about 1/length near the limit
+    1/(length*eps).  Sets whose rows exceed _MAX_SET_ELEMENTS raise
+    ConfigurationError before anything is built.
     """
     if set_size < 0:
         raise ConfigurationError("set_size must be nonnegative")
+    check_fold_set(length, set_size)
     if trials < 1:
         raise ConfigurationError("trials must be positive")
     if oversampling <= 0.0:
@@ -99,12 +138,10 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         raise InfeasibleError(
             f"fold sets of {set_size} exceed the {system.num_bins} out-of-band "
             "equations; the least-squares systems cannot be full rank")
-    batch = max(1, _BATCH_ELEMENTS // (set_size * length))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for done in range(0, trials, batch):
-        folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
-        sets = folds[:, :set_size]
+    batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size * length)))
+    local = threading.local()
+
+    def batch_norm(done, sets):
         # Gathered here, not by a helper: see unfold.residue_pre_estimate.
         rows = system.projector[sets]
         inverse, singular = fold_inverse(rows, sets)
@@ -113,9 +150,23 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             raise InfeasibleError(
                 f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
-        mapped = inverse @ rows
+        if not hasattr(local, "out"):
+            local.out = np.empty((batch, set_size, length))
+        mapped = np.matmul(inverse, rows, out=local.out[:len(sets)])
         np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
-        worst = max(worst, float(np.abs(mapped).sum(axis=2).max()))
+        return float(np.abs(mapped, out=mapped).sum(axis=2).max())
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    pending = deque()
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for done in range(0, trials, batch):
+            folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
+            pending.append(pool.submit(batch_norm, done, folds[:, :set_size]))
+            if len(pending) > _WORKERS:
+                worst = max(worst, pending.popleft().result())
+        for future in pending:
+            worst = max(worst, future.result())
     return worst
 
 

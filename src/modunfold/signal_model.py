@@ -36,6 +36,12 @@ _GRID_OVERSAMPLE = 64
 # bound), which still leaves some 90 orders below the float maximum 1.8e308.
 _MAX_AMPLITUDE = 1e100
 
+# Largest sample count nominal_sample_count grants: 256 MiB per float64
+# buffer.  The paper preset's largest, 50,000 pulses at OF 50, is 5,002,000
+# samples, 6.7 times below it, and its mse-sweep already peaks near 1 GB, so
+# a count at the cap asks for several GB.
+_MAX_SAMPLES = 2 ** 25
+
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
@@ -189,10 +195,15 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
 
 
 def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:
-    """Samples needed to cover t in [0, num_pulses + span]."""
+    """Samples needed to cover t in [0, num_pulses + span], at most _MAX_SAMPLES."""
     duration = spec.num_pulses + spec.span
     nyquist_period = 2.0 * np.pi / (2.0 * np.pi * (1.0 + spec.beta))
-    return int(math.ceil(duration / (nyquist_period / oversampling)))
+    count = duration / (nyquist_period / oversampling)
+    if not count <= _MAX_SAMPLES:
+        raise ConfigurationError(
+            f"oversampling {oversampling:g} over {spec.num_pulses} pulses asks for "
+            f"{count:.4g} samples, above the cap of {_MAX_SAMPLES}")
+    return int(math.ceil(count))
 
 
 def estimate_inf_norm(train: PulseTrain) -> float:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,9 @@ class TestCli:
         for experiment in EXPERIMENTS:
             assert run_cli(tmp_path, experiment,
                            {**TINY, "oversampling_list": [0.5]}) == 3
+        for experiment in SIMULATED + ("theory-only",):
+            assert run_cli(tmp_path, experiment,
+                           {**TINY, "oversampling_list": [0.0]}) == 3
 
 
 # A config whose every experiment runs in tens of milliseconds.
@@ -345,6 +349,27 @@ class TestBadInput:
         for experiment in experiments:
             assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field, value, experiments", [
+        ("oversampling_list", [1e6], SIMULATED),
+        ("oversampling_list", [1e12], SIMULATED),
+        ("oversampling_list", [1e300], SIMULATED),
+        ("m_lengths", [4194304], EXPERIMENTS),
+    ])
+    def test_unallocatable_size_exits_2_before_allocation(self, tmp_path, capsys, field,
+                                                          value, experiments):
+        # These used to need 5.4 GB, 14.6 TiB, an overflowing sample count
+        # and 16 TiB for one fold set's rows, and ended in a kill, a
+        # MemoryError or numpy's ValueError.
+        for experiment in experiments:
+            tracemalloc.start()
+            try:
+                assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            assert "cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         {"bits_list": [True]}, {"bits_list": 4}, {"seed": "1"}, {"num_pulses": None},

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,6 +148,22 @@ class TestInterferenceNorm:
             assert estimate_interference_norm(
                 length, oversampling, 0.0, set_size, trials, 3) == default
 
+    @pytest.mark.parametrize("per_batch", [1, 48])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_bit_identical_across_worker_counts(self, monkeypatch, workers, per_batch):
+        # 400 trials: one set per batch, or eight batches of 48 and one of 16.
+        # A short switch interval interleaves the workers as often as it can;
+        # workers sharing one output buffer failed here most of the time.
+        default = estimate_interference_norm(128, 8, 0.0, 16, 400, 3)
+        monkeypatch.setattr(guarantees, "_WORKERS", workers)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * 16 * 128)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimate_interference_norm(128, 8, 0.0, 16, 400, 3) == default
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_nondecreasing_in_trials(self):
         short = estimate_interference_norm(64, 4, 0.0, 4, 500, seed=7)
         long = estimate_interference_norm(64, 4, 0.0, 4, 2000, seed=7)
@@ -181,6 +199,55 @@ class TestInterferenceNorm:
             estimate_interference_norm(64, 2.0, 0.0, 31, 16, 0)
         assert math.isfinite(estimate_interference_norm(64, 2.0, 0.0, 31, 15, 0))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_singular_draw_named_in_draw_order(self, monkeypatch, workers):
+        # Draw 15 is the only singular one of the first 40 of seed 0; one
+        # set per batch puts it in flight next to its neighbours.
+        monkeypatch.setattr(guarantees, "_WORKERS", workers)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 * 64)
+        with pytest.raises(InfeasibleError, match="^trial 15: .*singular"):
+            estimate_interference_norm(64, 2.0, 0.0, 31, 40, 0)
+        assert estimate_interference_norm(64, 2.0, 0.0, 31, 15, 0) == pytest.approx(
+            91457.0, rel=1e-6)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_earlier_singular_draw_wins_when_a_later_one_fails_first(self, monkeypatch,
+                                                                     workers):
+        # Seed 87 draws singular sets at trials 5 and 7 of 40.  Trial 5's
+        # batch is held until trial 7's has been checked, so 7 fails first.
+        draws = np.random.default_rng(87).random((40, 64)).argsort(axis=1)[:, :31]
+        later_checked = threading.Event()
+        checked = guarantees.fold_inverse
+
+        def fold_inverse(rows, sets):
+            if np.array_equal(sets[0], draws[5]):
+                later_checked.wait(timeout=10)
+            result = checked(rows, sets)
+            if np.array_equal(sets[0], draws[7]):
+                assert result[1]
+                later_checked.set()
+            return result
+        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        monkeypatch.setattr(guarantees, "_WORKERS", workers)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 * 64)
+        with pytest.raises(InfeasibleError, match="^trial 5: .*singular"):
+            estimate_interference_norm(64, 2.0, 0.0, 31, 40, 87)
+        assert later_checked.is_set()
+
+    def test_peak_memory_bounded_in_trials(self, monkeypatch):
+        # 32 sets per batch: 2 batches or 128.  Two workers hold a 2 MiB
+        # gather and a 2 MiB output buffer each; drawing all 128 batches
+        # ahead of the workers would add 8 MB of fold sets.
+        monkeypatch.setattr(guarantees, "_WORKERS", 2)
+        for trials in (64, 4096):
+            tracemalloc.start()
+            try:
+                estimate_interference_norm(256, 4.0, 0.0, 32, trials, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12e6
+
     def test_peak_memory_stays_linear_in_length(self):
         # Rows are gathered from the O(n) projector view; an n x n projector
         # alone would be 33.5 MB at n 2048.
@@ -196,6 +263,19 @@ class TestInterferenceNorm:
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):
             estimate_interference_norm(64, 4, 0.0, 60, 10, seed=0)
+
+    @pytest.mark.parametrize("length, set_size", [(2 ** 22, 2), (4194304, 524288)])
+    def test_unallocatable_set_rejected_before_allocation(self, length, set_size):
+        # 524288 folds over 4194304 samples: 16 TiB of rows for one set.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="cap"):
+                estimate_interference_norm(length, 4.0, 0.0, set_size, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        guarantees.check_fold_set(2 ** 21, 2)
 
     @pytest.mark.parametrize("args", [(64, -1.0, 0.0, 0, 0, None), (64, 4, -5.0, 0, 1, 0)])
     def test_bad_args_rejected_before_empty_set(self, args):

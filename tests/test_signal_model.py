@@ -130,6 +130,14 @@ class TestSampleSignal:
         count = nominal_sample_count(spec, 4.0)
         assert count == (100 + 20) * 2 * 4
 
+    def test_nominal_count_capped(self):
+        # The paper preset's largest count passes; 150 pulses at OF 1e6 ask
+        # for 3.4e8 samples, and OF 1e300 overflows the count to inf.
+        assert nominal_sample_count(PulseTrainSpec(num_pulses=50_000), 50.0) == 5_002_000
+        for oversampling in (1e6, 1e12, 1e300):
+            with pytest.raises(ConfigurationError, match="cap"):
+                nominal_sample_count(PulseTrainSpec(num_pulses=150), oversampling)
+
     def test_deterministic_bit_for_bit(self):
         spec = PulseTrainSpec(num_pulses=100, seed=5)
         a = sample_signal(generate_pulse_train(spec), 8.0, 512).samples
