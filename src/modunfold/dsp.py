@@ -10,7 +10,10 @@ and the interference-norm estimate both gather those rows from the same
 view and invert the Gram with fold_inverse, which also finds the fold sets
 that are not identifiable.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
-with zero-delay filtering.  Everything is a pure function of its inputs.
+with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
+whose size follows from the tap count alone, so its cost is linear in the
+record and its temporaries stay block-sized however long the record grows;
+the module needs numpy only.  Everything is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
 from .errors import ConfigurationError, InfeasibleError
 
@@ -217,19 +219,38 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
     return FirLowpass(taps=taps)
 
 
+# Smallest overlap-save FFT block.  32 KiB of float64: the block and its
+# spectrum stay below glibc's 128 KiB mmap threshold and inside L2.
+_MIN_BLOCK = 4096
+
+
 def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     """Lowpass `x` with group-delay compensation (output aligned to input).
 
-    Edges are reflect-padded by half the filter length before convolving so
-    boundary transients do not leak into the output.
+    Edges are reflect-padded by half the filter length, so boundary
+    transients do not leak into the output, and the padded signal is
+    convolved by overlap-save: each FFT block of `block` points yields
+    block - taps + 1 outputs.  The block is the smallest power of two of at
+    least _MIN_BLOCK and twice the tap count, so at least half of every block
+    is output.  Every temporary but the padded copy and the output is
+    block-sized, whatever the signal length, so a long record holds no
+    full-length spectra and each block's FFT works in cache.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError("expected a 1-D signal")
-    if x.size < lowpass.taps.size:
+    taps = lowpass.taps
+    if x.size < taps.size:
         raise ConfigurationError(
-            f"signal ({x.size} samples) shorter than filter ({lowpass.taps.size} taps)"
+            f"signal ({x.size} samples) shorter than filter ({taps.size} taps)"
         )
-    half = lowpass.taps.size // 2
-    padded = np.pad(x, half, mode="reflect")
-    return fftconvolve(padded, lowpass.taps, mode="valid")
+    padded = np.pad(x, taps.size // 2, mode="reflect")
+    block = max(_MIN_BLOCK, 1 << (2 * taps.size - 1).bit_length())
+    spectrum = np.fft.rfft(taps, block)
+    head = taps.size - 1  # leading outputs of a block that wrap around
+    step = block - head
+    out = np.empty(x.size)
+    for start in range(0, x.size, step):
+        piece = np.fft.irfft(np.fft.rfft(padded[start:start + block], block) * spectrum, block)
+        out[start:start + step] = piece[head:head + x.size - start]
+    return out

@@ -368,3 +368,29 @@ class TestFilterZeroDelay:
     def test_short_signal_rejected(self):
         with pytest.raises(ConfigurationError):
             filter_zero_delay(np.zeros(100), self.lowpass)
+
+    # Overlap-save blocks: the smallest power of two of at least 4096 and
+    # twice the tap count, each yielding block - taps + 1 outputs.  The
+    # lengths cover a signal as long as the filter, one block's output give
+    # or take a sample, one block, and several blocks plus a remainder.
+    # 2501 and 4501 taps are past half of the smallest block, so the rule
+    # must grow it; 4501 taps would not even fit in it.
+    @pytest.mark.parametrize("taps, block", [
+        (257, 4096), (1025, 4096), (2501, 8192), (4501, 16384)])
+    def test_matches_direct_convolution(self, taps, block):
+        lowpass = design_lowpass(np.pi / 8, np.pi / 16, taps)
+        step = block - taps + 1
+        rng = np.random.default_rng(taps)
+        for n in (taps, taps + 1, step - 1, step, step + 1, block, 3 * step + 123):
+            x = rng.normal(size=n)
+            want = np.convolve(np.pad(x, taps // 2, mode="reflect"), lowpass.taps, "valid")
+            got = filter_zero_delay(x, lowpass)
+            assert got.shape == x.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
+    def test_returns_a_new_array(self):
+        x = np.random.default_rng(3).normal(size=5000)
+        before = x.copy()
+        y = filter_zero_delay(x, self.lowpass)
+        assert not np.shares_memory(x, y)
+        assert_array_equal(x, before)

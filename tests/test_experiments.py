@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modunfold
 from modunfold.cli import main
 from modunfold.errors import ConfigurationError
 from modunfold.experiments import (EXPERIMENTS, ExperimentConfig, MGridRow,
@@ -84,7 +87,7 @@ class TestEmitCsv:
     def test_empty_rows_give_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         emit_csv([], path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("experiment,")
 
     def test_round_trips_through_csv_reader(self, tmp_path):
@@ -105,7 +108,7 @@ class TestEmitCsv:
     def test_newline_terminated(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         emit_csv([], path)
-        assert open(path, "rb").read().endswith(b"\n")
+        assert Path(path).read_bytes().endswith(b"\n")
 
 
 class TestRunners:
@@ -123,7 +126,7 @@ class TestRunners:
         assert rows == again
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit_csv(rows, a), emit_csv(again, b)
-        digest = lambda p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+        digest = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
         assert digest(a) == digest(b)
 
     def test_sweep_records_skipped_points(self):
@@ -221,7 +224,7 @@ class TestGoldenCsv:
         rows, _ = run_experiment(ExperimentConfig(experiment=experiment, **GOLDEN))
         out = emit_csv(rows, str(tmp_path / "rows.csv"))
         golden = Path(__file__).parent / "golden" / f"{experiment}.csv"
-        assert open(out, "rb").read() == golden.read_bytes()
+        assert Path(out).read_bytes() == golden.read_bytes()
 
 
 class TestCli:
@@ -235,7 +238,7 @@ class TestCli:
         out = str(tmp_path / "theory.csv")
         assert main(["theory-only", "--config", cfg, "--out", out]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert len(open(out).read().splitlines()) == 3
+        assert len(Path(out).read_text().splitlines()) == 3
 
     def test_sweep_through_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, dict(
@@ -245,9 +248,19 @@ class TestCli:
         out = str(tmp_path / "rows.csv")
         code = main(["mse-sweep", "--config", cfg, "--seed", "5", "--out", out])
         assert code == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert body.count("\n") == 2
         assert "mse_simulated_db" in body
+
+    def test_package_loads_no_scipy(self):
+        # A fresh interpreter: this one may have imported scipy already.
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import modunfold, modunfold.cli, modunfold.experiments; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = str(Path(modunfold.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code, src], check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {})
