@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import design_lowpass, filter_zero_delay
+from .dsp import blocks, design_lowpass, filter_zero_delay
 from .errors import ConfigurationError
 from .modulo_adc import fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
@@ -51,7 +51,9 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     The range leaves the dither a sliver of overload room at the very peak
     of the input, so dithered samples are saturated to the range before
     quantizing; the event is rare and costs at most half a bin of extra
-    error on the affected samples.
+    error on the affected samples.  Dither and quantizer run block by block
+    (dsp.blocks), so the quantized record and the filtered output are the
+    only full-length arrays.
     """
     if bits < 2:
         raise ConfigurationError("need bits >= 2")
@@ -59,9 +61,11 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
         raise ConfigurationError("peak amplitude must be positive")
     f = np.asarray(signal.samples, dtype=float)
     full_scale = conventional_full_scale(bits, peak)
+    quantized = np.empty(f.size)
     dither = triangle_dither(f.size, bits, full_scale, seed)
-    dithered = np.clip(f + dither, -full_scale, full_scale)
-    quantized = quantize_uniform(dithered, bits, full_scale)
+    for block, noise in zip(blocks(f.size), dither):
+        dithered = np.clip(f[block] + noise, -full_scale, full_scale)
+        quantized[block] = quantize_uniform(dithered, bits, full_scale)
     lowpass = design_lowpass(signal.band_fraction * np.pi, lpf_transition, lpf_length)
     return filter_zero_delay(quantized, lowpass)
 

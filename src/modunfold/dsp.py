@@ -12,8 +12,12 @@ that are not identifiable.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
-record and its temporaries stay block-sized however long the record grows;
-the module needs numpy only.  Everything is a pure function of its inputs.
+record; it reads its reflect-padded edges in place rather than from a padded
+copy, so its temporaries stay block-sized however long the record grows.
+`blocks` is the one block rule of the package's record-length loops
+(acquisition, the conventional baseline, the lattice integration of
+unfolding).  The module needs numpy only.  Everything is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -219,9 +223,15 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
     return FirLowpass(taps=taps)
 
 
-# Smallest overlap-save FFT block.  32 KiB of float64: the block and its
-# spectrum stay below glibc's 128 KiB mmap threshold and inside L2.
-_MIN_BLOCK = 4096
+# Samples per block of every record-length loop, and the smallest
+# overlap-save FFT block.  32 KiB of float64: a block and its spectrum stay
+# below glibc's 128 KiB mmap threshold and inside L2.
+_BLOCK = 4096
+
+
+def blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most _BLOCK samples that cover range(count)."""
+    return [slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
 
 
 def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
@@ -231,10 +241,12 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     transients do not leak into the output, and the padded signal is
     convolved by overlap-save: each FFT block of `block` points yields
     block - taps + 1 outputs.  The block is the smallest power of two of at
-    least _MIN_BLOCK and twice the tap count, so at least half of every block
-    is output.  Every temporary but the padded copy and the output is
-    block-sized, whatever the signal length, so a long record holds no
-    full-length spectra and each block's FFT works in cache.
+    least _BLOCK and twice the tap count, so at least half of every block
+    is output.  The padded signal is never built: an inner block is a view
+    of `x`, and only the first and last blocks, which reach into the
+    padding, gather their reflected samples.  So every temporary but the
+    output is block-sized, whatever the signal length, and a long record
+    holds no full-length copies or spectra.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -244,13 +256,21 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
         raise ConfigurationError(
             f"signal ({x.size} samples) shorter than filter ({taps.size} taps)"
         )
-    padded = np.pad(x, taps.size // 2, mode="reflect")
-    block = max(_MIN_BLOCK, 1 << (2 * taps.size - 1).bit_length())
+    half = taps.size // 2
+    block = max(_BLOCK, 1 << (2 * taps.size - 1).bit_length())
     spectrum = np.fft.rfft(taps, block)
     head = taps.size - 1  # leading outputs of a block that wrap around
     step = block - head
+    last = x.size - 1
     out = np.empty(x.size)
     for start in range(0, x.size, step):
-        piece = np.fft.irfft(np.fft.rfft(padded[start:start + block], block) * spectrum, block)
+        # Padded samples start .. start + block are x[lo:hi], with indices
+        # outside [0, last] reflected about 0 and last.
+        lo, hi = start - half, min(start - half + block, x.size + half)
+        if lo >= 0 and hi <= x.size:
+            piece = x[lo:hi]
+        else:
+            piece = x[last - np.abs(last - np.abs(np.arange(lo, hi)))]
+        piece = np.fft.irfft(np.fft.rfft(piece, block) * spectrum, block)
         out[start:start + step] = piece[head:head + x.size - start]
     return out

@@ -309,7 +309,11 @@ def _adc_points(cfg: ExperimentConfig) -> list[dict]:
 
 @dataclass
 class _TrialContext:
-    """One signal realization, sampled lazily per oversampling factor."""
+    """One signal realization, sampled lazily at one oversampling factor at a time.
+
+    Oversampling is the outer loop of `_adc_points`, so every point of a
+    factor follows its first; only that factor's samples are kept.
+    """
 
     cfg: ExperimentConfig
     signal_seed: int
@@ -318,16 +322,17 @@ class _TrialContext:
     def __post_init__(self):
         self.train = generate_pulse_train(self.cfg.signal_spec(self.signal_seed))
         self.peak = PEAK_MARGIN * estimate_inf_norm(self.train)
-        self._sampled = {}
+        self._oversampling = self._sampled = None
         self._adc_seeds = {}
         self._conventional = {}
 
     def sampled(self, oversampling: float):
-        if oversampling not in self._sampled:
+        if oversampling != self._oversampling:
+            self._sampled = None  # freed before the next factor is sampled
             count = nominal_sample_count(self.train.spec, oversampling)
-            self._sampled[oversampling] = sample_signal(
-                self.train, oversampling, count)
-        return self._sampled[oversampling]
+            self._sampled = sample_signal(self.train, oversampling, count)
+            self._oversampling = oversampling
+        return self._sampled
 
     def adc_seed(self, key) -> np.random.SeedSequence:
         # Seeds are spawned in first-request order, so the point order, and
@@ -348,7 +353,7 @@ class _TrialContext:
         trim = self.cfg.lpf_length // 2
         core = slice(trim, reference.size - trim)
         err = estimate[core] - reference[core]
-        return float(np.mean(err ** 2)), err.size
+        return float(np.mean(np.square(err, out=err))), err.size
 
     def conventional_mse(self, oversampling: float, bits: int) -> float:
         """MSE of the conventional pipeline, computed once per (oversampling, bits)."""

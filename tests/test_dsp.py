@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
-                           fold_inverse, tukey_window)
+from modunfold.dsp import _BLOCK as BLOCK
+from modunfold.dsp import (blocks, build_oob_system, design_lowpass,
+                           filter_zero_delay, fold_inverse, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -387,6 +390,45 @@ class TestFilterZeroDelay:
             got = filter_zero_delay(x, lowpass)
             assert got.shape == x.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
+    @pytest.mark.parametrize("n", [257, 258, 3839, 3840, 3841, 4096, 3 * 3840 + 123])
+    def test_same_bytes_as_blocks_of_a_padded_copy(self, n):
+        # The blocks read the reflect padding in place; they must hold the
+        # samples that blocks cut from a padded copy would, in the same
+        # layout, so every output byte is unchanged.  257 taps: blocks of
+        # 4096 points and steps of 3840 outputs.
+        taps = self.lowpass.taps
+        block, head = 4096, taps.size - 1
+        x = np.random.default_rng(n).normal(size=n)
+        padded = np.pad(x, taps.size // 2, mode="reflect")
+        spectrum = np.fft.rfft(taps, block)
+        want = np.concatenate([
+            np.fft.irfft(np.fft.rfft(padded[start:start + block], block) * spectrum,
+                         block)[head:]
+            for start in range(0, n, block - head)])[:n]
+        assert_array_equal(filter_zero_delay(x, self.lowpass), want)
+
+    def test_peak_memory_holds_no_padded_copy(self):
+        # Measured on 202,000 samples with 1025 taps: the output plus 0.08
+        # record lengths (4 blocks of float64); with the padded copy the
+        # peak was 2.09 record lengths.
+        x = np.random.default_rng(4).normal(size=202_000)
+        lowpass = design_lowpass(np.pi / 4, np.pi / 64, 1025)
+        filter_zero_delay(x, lowpass)
+        tracemalloc.start()
+        try:
+            filter_zero_delay(x, lowpass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 8 * BLOCK * 8
+
+    def test_blocks_cover_the_record_in_order(self):
+        for count in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 123):
+            cover = blocks(count)
+            assert cover[0].start == 0 and cover[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(cover, cover[1:]))
+            assert max(s.stop - s.start for s in cover) == min(BLOCK, count)
 
     def test_returns_a_new_array(self):
         x = np.random.default_rng(3).normal(size=5000)

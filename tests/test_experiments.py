@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 import modunfold
+from modunfold import experiments
 from modunfold.cli import main
 from modunfold.errors import ConfigurationError
 from modunfold.experiments import (EXPERIMENTS, ExperimentConfig, MGridRow,
@@ -20,6 +22,7 @@ from modunfold.experiments import (EXPERIMENTS, ExperimentConfig, MGridRow,
                                    run_compare_hod, run_experiment, run_m_grid,
                                    run_mse_sweep, run_theory_only)
 from modunfold.guarantees import predict_mse_conventional, predict_mse_modulo
+from modunfold.signal_model import nominal_sample_count, sample_signal
 
 FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
                   guard_width_list=(np.pi / 32,), lpf_length=257,
@@ -170,6 +173,26 @@ class TestRunners:
     def test_seed_required(self):
         with pytest.raises(ConfigurationError, match="seed"):
             run_mse_sweep(fast_config(seed=None))
+
+    def test_trial_context_holds_one_factor_of_samples(self):
+        # Oversampling is the outer loop of the grid, so a realization keeps
+        # only the current factor's samples.  Asked for OF 16 (517 KB) and
+        # then OF 4 (129 KB), it was measured holding the OF-4 record plus
+        # 1.3 KB; keeping both held five times that.
+        ctx = experiments._contexts(fast_config(num_pulses=2000))[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ctx.sampled(16.0)
+            ctx.sampled(4.0)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        record = ctx.sampled(4.0).samples.nbytes
+        assert record <= held <= 1.1 * record
+        count = nominal_sample_count(ctx.train.spec, 16.0)
+        assert_array_equal(ctx.sampled(16.0).samples,
+                           sample_signal(ctx.train, 16.0, count).samples)
 
 
 class TestTheoryOnly:

@@ -1,13 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from modunfold import modulo_adc
+from modunfold.dsp import _BLOCK as BLOCK
+from modunfold.dsp import blocks
 from modunfold.errors import ConfigurationError, OverloadError
 from modunfold.modulo_adc import (AdcConfig, acquire, fold, quantize_uniform,
                                   triangle_dither)
 from modunfold.signal_model import SampledSignal
+
+
+def dither_draws(count, bits, full_scale, seed):
+    """Every draw of triangle_dither, whose blocks follow dsp.blocks(count)."""
+    return np.concatenate(list(triangle_dither(count, bits, full_scale, seed)))
 
 
 def synthetic_signal(samples, band_fraction=0.25):
@@ -46,7 +56,7 @@ class TestTriangleDither:
     def setup_method(self):
         self.bits, self.full_scale = 4, 8.0 / 7.0
         self.step = 2 * self.full_scale / 2 ** self.bits
-        self.draws = triangle_dither(10 ** 6, self.bits, self.full_scale, seed=99)
+        self.draws = dither_draws(10 ** 6, self.bits, self.full_scale, seed=99)
 
     def test_support(self):
         assert self.draws.min() > -self.step
@@ -61,7 +71,7 @@ class TestTriangleDither:
         assert self.draws.var() == pytest.approx(expected, rel=0.02)
 
     def test_deterministic(self):
-        again = triangle_dither(10 ** 6, self.bits, self.full_scale, seed=99)
+        again = dither_draws(10 ** 6, self.bits, self.full_scale, seed=99)
         assert_array_equal(self.draws, again)
 
 
@@ -194,7 +204,7 @@ class TestNoiseStatistics:
         config = AdcConfig(bits=bits, threshold=1.0, seed=seed)
         rng = np.random.default_rng(seed + 1)
         folded = rng.uniform(-1.0, 1.0, count)
-        dither = triangle_dither(count, bits, config.full_scale, config.seed)
+        dither = dither_draws(count, bits, config.full_scale, config.seed)
         quantized = quantize_uniform(folded + dither, bits, config.full_scale)
         return quantized - folded, config
 
@@ -209,7 +219,7 @@ class TestNoiseStatistics:
         bits, count = 4, 400_000
         config = AdcConfig(bits=bits, threshold=1.0, seed=23)
         folded = 0.9 * np.sin(0.01 * np.arange(count))
-        dither = triangle_dither(count, bits, config.full_scale, config.seed)
+        dither = dither_draws(count, bits, config.full_scale, config.seed)
         noise = quantize_uniform(folded + dither, bits, config.full_scale) - folded
         expected = config.full_scale ** 2 / 2 ** (2 * bits)
         assert np.mean(noise ** 2) == pytest.approx(expected, rel=0.02)
@@ -219,7 +229,7 @@ class TestNoiseStatistics:
         step = 2.0 * full_scale / 2 ** bits
         rng = np.random.default_rng(31)
         inputs = rng.uniform(-1.0, 1.0, count)
-        dither = triangle_dither(count, bits, full_scale, seed=32)
+        dither = dither_draws(count, bits, full_scale, seed=32)
         noise = quantize_uniform(inputs + dither, bits, full_scale) - inputs
         assert np.mean(noise ** 2) == pytest.approx(step ** 2 / 4, rel=0.02)
 
@@ -230,3 +240,93 @@ class TestNoiseStatistics:
         for lag in range(1, 11):
             corr = float(np.dot(centered[:-lag], centered[lag:]))
             assert abs(corr) < 0.01 * lag0
+
+
+def whole_record_acquire(samples, config):
+    """acquire in one pass over the record: (quantized, flags, residue).
+
+    The dither is two full-length uniform draws from one generator.
+    """
+    lam, bits, full_scale = config.threshold, config.bits, config.full_scale
+    folded = np.mod(samples + lam, 2.0 * lam) - lam
+    folded = np.where(folded >= lam, folded - 2.0 * lam, folded)
+    half = full_scale / 2 ** bits
+    rng = np.random.default_rng(config.seed)
+    dither = -(rng.uniform(-half, half, samples.size)
+               + rng.uniform(-half, half, samples.size))
+    step = 2.0 * full_scale / 2 ** bits
+    cell = np.clip(np.floor((folded + dither + full_scale) / step), 0, 2 ** bits - 1)
+    lattice = np.round((folded - samples) / (2.0 * lam)).astype(np.int64)
+    return (-full_scale + (cell + 0.5) * step, np.diff(lattice, prepend=0) != 0,
+            2.0 * lam * lattice)
+
+
+def random_walk(count, seed):
+    walk = np.cumsum(np.random.default_rng(seed).normal(0, 0.3, count))
+    return walk - walk[0]
+
+
+class TestBlockwiseAcquire:
+    """acquire works block by block, bit-identical to the whole-record chain."""
+
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 123])
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(8)])
+    def test_matches_whole_record(self, count, seed):
+        samples = random_walk(count, count)
+        config = AdcConfig(bits=4, threshold=1.0, seed=seed)
+        out = acquire(synthetic_signal(samples), config)
+        quantized, flags, residue = whole_record_acquire(samples, config)
+        assert flags.sum() > count // 10
+        assert_array_equal(out.quantized, quantized)
+        assert_array_equal(out.folding_bits, flags)
+        assert_array_equal(out.residue_truth, residue)
+        ideal = acquire(synthetic_signal(samples), config, ideal=True)
+        assert_array_equal(ideal.quantized, fold(samples, 1.0))
+        assert_array_equal(ideal.folding_bits, flags)
+
+    def test_fold_on_a_block_edge(self):
+        # The residue steps at the first sample of the second block and stays
+        # off zero across the next edge: the flag at BLOCK compares against
+        # the last lattice value of the block before, and none may appear at
+        # 2 * BLOCK.
+        samples = np.full(3 * BLOCK, 0.1)
+        samples[BLOCK:2 * BLOCK + 5] = 1.2
+        config = AdcConfig(bits=6, threshold=1.0, seed=2)
+        out = acquire(synthetic_signal(samples), config)
+        assert_array_equal(np.flatnonzero(out.folding_bits), [BLOCK, 2 * BLOCK + 5])
+        quantized, flags, residue = whole_record_acquire(samples, config)
+        assert_array_equal(out.quantized, quantized)
+        assert_array_equal(out.folding_bits, flags)
+        assert_array_equal(out.residue_truth, residue)
+
+    def test_overload_in_a_later_block_names_the_global_sample(self, monkeypatch):
+        # The quantizer range leaves no room for an overload from dither
+        # within its support, so one draw is made far too large.
+        where = 2 * BLOCK + 7
+
+        def loud(count, bits, full_scale, seed):
+            draws = np.zeros(count)
+            draws[where] = 10.0 * full_scale
+            return (draws[block] for block in blocks(count))
+        monkeypatch.setattr(modulo_adc, "triangle_dither", loud)
+        with pytest.raises(OverloadError, match=f"sample {where} ") as info:
+            acquire(synthetic_signal(np.zeros(3 * BLOCK)), AdcConfig(bits=4, threshold=1.0))
+        assert info.value.index == where
+
+    def test_peak_memory_is_the_outputs_plus_blocks(self):
+        # The outputs are 2.125 record lengths (quantized, residue, 1-byte
+        # flags).  Measured on 202,000 samples: the rest of the peak is 6.6
+        # blocks of float64 (0.13 record lengths); before blockwise
+        # acquisition the peak was 6.0 record lengths.
+        samples = random_walk(202_000, 1)
+        signal, config = synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0, seed=3)
+        acquire(signal, config)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = acquire(signal, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = out.quantized.nbytes + out.residue_truth.nbytes + out.folding_bits.nbytes
+        assert peak <= outputs + 12 * BLOCK * 8

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestWindowedFirstDifference:
 
 
 def segment_views(adc, config):
-    """Windowed differences and flags per segment, segmented as unfold does."""
+    """Unwindowed differences and flags per segment, segmented as unfold does."""
     n, overlap = config.length, config.overlap
     starts = segment_starts(overlap + adc.quantized.size, n, config.alpha)
     extent = starts[-1] + n
@@ -108,10 +109,8 @@ def segment_views(adc, config):
     samples[overlap:overlap + adc.quantized.size] = adc.quantized
     flags = np.zeros(extent, dtype=bool)
     flags[overlap:overlap + adc.quantized.size] = adc.folding_bits
-    window = tukey_window(n, config.alpha)
-    diffed = window.coefficients * sliding_window_view(
-        np.diff(samples, prepend=0.0), n)[::config.hop]
-    return diffed, sliding_window_view(flags, n)[::config.hop]
+    diffs = sliding_window_view(np.diff(samples, prepend=0.0), n)[::config.hop]
+    return diffs, sliding_window_view(flags, n)[::config.hop]
 
 
 def assert_matches_reference(adc, config, result):
@@ -120,10 +119,11 @@ def assert_matches_reference(adc, config, result):
     window = tukey_window(config.length, config.alpha)
     assert_array_equal(result.residue,
                        2.0 * config.threshold * lattice_counts(adc, config, system, window))
-    diffed, flags = segment_views(adc, config)
-    batched = residue_pre_estimate(diffed, *np.nonzero(flags), system)
+    diffs, flags = segment_views(adc, config)
+    batched = residue_pre_estimate(diffs, window.coefficients, *np.nonzero(flags), system)
     reference = np.concatenate([
-        pre_estimate(d, np.flatnonzero(f), system)[f] for d, f in zip(diffed, flags)])
+        pre_estimate(window.coefficients * d, np.flatnonzero(f), system)[f]
+        for d, f in zip(diffs, flags)])
     assert np.abs(batched - reference).max(initial=0.0) <= 1e-9 * config.threshold
 
 
@@ -132,11 +132,14 @@ class TestResiduePreEstimate:
         self.system = build_oob_system(64, 0.25, GUARD)
         self.window = tukey_window(64, 0.5)
 
-    def _windowed_jumps(self, fold_set, jumps, slope=0.0):
-        # Windowed first difference of (slow ramp + residue staircase).
+    def _jumps(self, fold_set, jumps, slope=0.0):
+        # First difference of (slow ramp + residue staircase).
         diff = np.full(64, slope)
         diff[fold_set] += jumps
-        return self.window.coefficients * diff
+        return diff
+
+    def _windowed_jumps(self, fold_set, jumps, slope=0.0):
+        return self.window.coefficients * self._jumps(fold_set, jumps, slope)
 
     def _flags(self, fold_set):
         flags = np.zeros((1, 64), dtype=bool)
@@ -144,17 +147,17 @@ class TestResiduePreEstimate:
         return flags
 
     def test_empty_fold_set_skips_solve(self):
-        out = residue_pre_estimate(np.ones((3, 64)), *np.nonzero(np.zeros((3, 64))),
-                                   self.system)
+        out = residue_pre_estimate(np.ones((3, 64)), self.window.coefficients,
+                                   *np.nonzero(np.zeros((3, 64))), self.system)
         assert out.shape == (0,)
 
     def test_noiseless_recovery_matches_windowed_jumps(self):
         threshold = 1.0
         fold_set = np.array([7, 20, 37, 55])
         jumps = 2 * threshold * np.array([1.0, -1.0, 2.0, -1.0])
-        diffed = self._windowed_jumps(fold_set, jumps, slope=1e-4 * threshold)
-        out = residue_pre_estimate(diffed[None], *np.nonzero(self._flags(fold_set)),
-                                   self.system)
+        diffs = self._jumps(fold_set, jumps, slope=1e-4 * threshold)
+        out = residue_pre_estimate(diffs[None], self.window.coefficients,
+                                   *np.nonzero(self._flags(fold_set)), self.system)
         expected = self.window.coefficients[fold_set] * jumps
         assert np.abs(out - expected).max() <= 1e-6 * threshold
 
@@ -172,8 +175,8 @@ class TestResiduePreEstimate:
     def test_too_many_folds_rejected(self):
         dense = np.arange(50)  # exceeds the 45 out-of-band bins
         with pytest.raises(InfeasibleError, match="oversampling"):
-            residue_pre_estimate(np.zeros((1, 64)), *np.nonzero(self._flags(dense)),
-                                 self.system)
+            residue_pre_estimate(np.zeros((1, 64)), self.window.coefficients,
+                                 *np.nonzero(self._flags(dense)), self.system)
 
     def test_rows_solved_in_groups_match_reference(self):
         # Rows with different fold counts land in different batches; each
@@ -184,9 +187,10 @@ class TestResiduePreEstimate:
         for row, k in enumerate((3, 0, 6, 3, 1)):
             flags[row, rng.choice(64, size=k, replace=False)] = True
         reference = np.concatenate([
-            pre_estimate(d, np.flatnonzero(f), self.system)[f]
+            pre_estimate(self.window.coefficients * d, np.flatnonzero(f), self.system)[f]
             for d, f in zip(diffed, flags)])
-        assert_allclose(residue_pre_estimate(diffed, *np.nonzero(flags), self.system),
+        assert_allclose(residue_pre_estimate(diffed, self.window.coefficients,
+                                             *np.nonzero(flags), self.system),
                         reference, rtol=0, atol=1e-9)
 
     def test_singular_gram_names_segment(self):
@@ -195,7 +199,8 @@ class TestResiduePreEstimate:
         flags[0, [5, 40]] = True
         flags[2, 20:40] = True  # 20 adjacent folds: lambda_min/lambda_max ~ 2e-16
         with pytest.raises(ConfigurationError, match="segment 2: .*singular"):
-            residue_pre_estimate(np.zeros((3, 64)), *np.nonzero(flags), system)
+            residue_pre_estimate(np.zeros((3, 64)), self.window.coefficients,
+                                 *np.nonzero(flags), system)
 
 
 class TestScalingCorrection:
@@ -262,6 +267,25 @@ class TestRoundToLattice:
 
 
 class TestUnfold:
+    def test_peak_memory_above_inputs(self):
+        # Desk train at OF 50 and 4 bits: 202,000 samples, 11 % flagged.
+        # Measured 3.28 record lengths above the inputs: the outputs, the
+        # quantized-minus-residue record the lowpass reads, and the
+        # difference buffer while the solve runs.  The dense windowed
+        # difference (4/3 record lengths) and full-length lattice temporaries
+        # it replaced peaked at 9.0.
+        _, threshold, sig, adc, _ = paper_point(2000, 50.0, 4, seed=1)
+        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                                threshold=threshold, band_fraction=1 / 50.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            unfold(adc, sig, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * sig.samples.nbytes
+
     def test_no_folds_high_resolution_noise_floor(self):
         # A tiny signal against a unit threshold never folds; at 16 bits the
         # measured error is the in-band dithered-quantizer floor, far below
