@@ -81,15 +81,19 @@ def hod_recover(quantized_modulo, config: HodConfig) -> np.ndarray:
     each integration.  All differences take the sample before the record to
     be zero, which anchors the result to f_hat[0] = quantized_modulo[0];
     that removes the usual unknown constant because the first sample is
-    within the threshold by assumption.
+    within the threshold by assumption.  The fold runs in blocks
+    (dsp.blocks) and the integrations in place, so the output is the only
+    full-length array left beside the input.
     """
     y = np.asarray(quantized_modulo, dtype=float)
-    diffed = y.copy()
-    for _ in range(config.order):
-        diffed = np.diff(diffed, prepend=0.0)
-    estimate = diffed - fold(diffed, config.threshold)
+    estimate = np.diff(y, n=config.order, prepend=np.zeros(config.order))
+    for block in blocks(estimate.size):
+        estimate[block] -= fold(estimate[block], config.threshold)
     # Lattice units stay floats: a diverging estimate outgrows int64 counts.
     spacing = 2.0 * config.threshold
     for _ in range(config.order):
-        estimate = spacing * np.round(np.cumsum(estimate) / spacing)
-    return y - estimate
+        np.cumsum(estimate, out=estimate)
+        estimate /= spacing
+        np.round(estimate, out=estimate)
+        estimate *= spacing
+    return np.subtract(y, estimate, out=estimate)

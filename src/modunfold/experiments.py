@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -30,10 +31,9 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
 from .unfold import RecoveryConfig, unfold
 from .dsp import filter_zero_delay, tukey_window
 
-EXPERIMENTS = ("mse-sweep", "compare-hod", "m-grid", "theory-only")
-
-# JSON types of the numeric fields (trials and seed may be null); each range
-# is checked by the code that uses the value.
+# JSON types of the numeric fields (a null trials or oversampling_list takes
+# the experiment's default, as does theory-only's seed); each range is
+# checked by the code that uses the value.
 _INTS = ("num_pulses", "span", "window_length", "lpf_length", "hod_order",
          "m_trials", "trials", "seed")
 _REALS = ("beta", "amp_low", "amp_high", "window_alpha", "lpf_transition")
@@ -44,25 +44,21 @@ _REAL_LISTS = ("oversampling_list", "guard_width_list")
 # grid maxima slightly undershoot the continuous maximum.
 PEAK_MARGIN = 1.001
 
-_DESK_OF_GRID = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0)
-# Grids that stand in for the desk default (see ExperimentConfig).
-_OWN_OF_GRIDS = {"compare-hod": (4.0, 6.0, 10.0, 12.0, 16.0),
-                 "m-grid": (4.0, 8.0, 12.0)}
-# Experiments that sample a signal at every oversampling factor of their grid.
-_SAMPLED = ("mse-sweep", "compare-hod")
-
 
 @dataclass
 class ExperimentConfig:
-    """Parameter surface of one experiment run.
+    """Parameter surface of one experiment run, resolved when it is built.
 
     Defaults are desk scale (2,000 pulses, 10,000 interference trials); the
-    "paper" preset restores the full-scale figures.  `trials` is the number
-    of Monte-Carlo realizations averaged per grid point; None picks a
-    per-experiment default (1 for the sweep, 12 for the comparison).
-    An `oversampling_list` equal to the desk default, given or not, stands
-    for each experiment's own grid: compare-hod runs OF 4, 6, 10, 12, 16 and
-    m-grid OF 4, 8, 12; any other list is run as given.
+    "paper" preset restores the full-scale figures.  `oversampling_list` and
+    `trials` (the Monte-Carlo realizations averaged per grid point) left
+    None take the experiment's defaults from _TABLE, at the end of this
+    module: mse-sweep runs the nine factors 4-50 once, compare-hod OF 4, 6,
+    10, 12, 16 over 12 realizations and m-grid OF 4, 8, 12; a given list is
+    run as given.  Every experiment but theory-only needs a seed >= 0;
+    theory-only draws nothing and records seed 0 when given none.  Every
+    field, and the directory of `out`, is checked here, so runners read the
+    fields as they are and a bad value fails before any work.
     """
 
     experiment: str = "mse-sweep"
@@ -74,7 +70,7 @@ class ExperimentConfig:
     amp_high: float = 1.0
     # acquisition grid
     bits_list: tuple = (4,)
-    oversampling_list: tuple = _DESK_OF_GRID
+    oversampling_list: tuple | None = None
     # recovery
     window_length: int = 64
     window_alpha: float = 0.5
@@ -95,8 +91,15 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        _, grid, trials, sampled, seeded = _TABLE[self.experiment]
+        if self.oversampling_list is None:
+            self.oversampling_list = grid
+        if self.trials is None:
+            self.trials = trials
+        if self.seed is None and not seeded:
+            self.seed = 0
         for name in _INTS + _REALS:
-            if getattr(self, name) is not None or name not in ("trials", "seed"):
+            if name != "seed" or self.seed is not None:
                 _check_number(name, getattr(self, name), integer=name in _INTS)
         for name in _INT_LISTS + _REAL_LISTS:
             value = getattr(self, name)
@@ -107,7 +110,9 @@ class ExperimentConfig:
                 _check_number(name, item, integer=name in _INT_LISTS)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
-        if self.trials is not None and self.trials < 1:
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigurationError(f"cannot write {self.out}: no such directory")
+        if self.trials < 1:
             raise ConfigurationError("trials must be positive")
         if any(f < 1 or n // f < 1 for n in self.m_lengths for f in self.m_set_fractions):
             raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
@@ -115,25 +120,15 @@ class ExperimentConfig:
             for f in self.m_set_fractions:
                 guarantees.check_fold_set(n, n // f)
         spec = self.signal_spec(0)
-        if self.experiment in _SAMPLED:
+        if sampled:
             # A factor <= 0 is an infeasible point (required_threshold), not a size.
-            for oversampling in self.oversampling_grid:
+            for oversampling in self.oversampling_list:
                 if oversampling > 0.0:
                     nominal_sample_count(spec, oversampling)
         tukey_window(self.window_length, self.window_alpha)
-
-    @property
-    def oversampling_grid(self) -> tuple:
-        """The oversampling factors this experiment runs."""
-        if self.oversampling_list == _DESK_OF_GRID:
-            return _OWN_OF_GRIDS.get(self.experiment, _DESK_OF_GRID)
-        return self.oversampling_list
-
-    @property
-    def effective_trials(self) -> int:
-        if self.trials is not None:
-            return self.trials
-        return 12 if self.experiment == "compare-hod" else 1
+        if self.seed is None or self.seed < 0:
+            raise ConfigurationError(
+                f"{self.experiment} needs --seed N >= 0 (or a seed in the config)")
 
     def signal_spec(self, seed: int) -> PulseTrainSpec:
         return PulseTrainSpec(num_pulses=self.num_pulses, beta=self.beta,
@@ -267,13 +262,6 @@ def emit_csv(rows, path: str) -> str:
     return path
 
 
-def _require_seed(cfg: ExperimentConfig) -> int:
-    if cfg.seed is None or cfg.seed < 0:
-        raise ConfigurationError(
-            f"{cfg.experiment} needs --seed N >= 0 (or a seed in the config)")
-    return cfg.seed
-
-
 def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
@@ -294,15 +282,12 @@ def _grid(row_type, points: list[dict], measure) -> list:
 
 
 def _adc_points(cfg: ExperimentConfig) -> list[dict]:
-    """The (oversampling, bits, guard width) grid in row order.
-
-    Theory-only needs no seed; its rows record 0 when none is given.
-    """
+    """The (oversampling, bits, guard width) grid in row order."""
     return [dict(experiment=cfg.experiment, oversampling=oversampling, bits=bits,
                  guard_width=guard_width,
                  guard_bins=guarantees.guard_bin_count(guard_width, cfg.window_length),
-                 seed=cfg.seed if cfg.seed is not None else 0)
-            for oversampling in cfg.oversampling_grid
+                 seed=cfg.seed)
+            for oversampling in cfg.oversampling_list
             for bits in cfg.bits_list
             for guard_width in cfg.guard_width_list]
 
@@ -369,9 +354,8 @@ class _TrialContext:
 
 def _contexts(cfg: ExperimentConfig) -> list[_TrialContext]:
     """One realization per trial t: signal seed `seed + 1000 t`, its own dither."""
-    seed = _require_seed(cfg)
-    entropy = np.random.SeedSequence(seed).spawn(cfg.effective_trials)
-    return [_TrialContext(cfg, signal_seed=seed + 1000 * t, adc_entropy=child)
+    entropy = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    return [_TrialContext(cfg, signal_seed=cfg.seed + 1000 * t, adc_entropy=child)
             for t, child in enumerate(entropy)]
 
 
@@ -448,8 +432,7 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:
     """Interference-norm Monte Carlo over (length, oversampling, set size)."""
-    seed = _require_seed(cfg)
-    entropy = np.random.SeedSequence(seed)
+    entropy = np.random.SeedSequence(cfg.seed)
 
     def measure(length, oversampling, set_size, **_):
         # One child seed per cell, spawned in row order.
@@ -458,9 +441,9 @@ def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:
         return dict(interference_norm=norm, extra_bits=math.log2(1.0 + 0.75 * norm))
 
     points = [dict(experiment=cfg.experiment, length=length, oversampling=oversampling,
-                   set_size=length // fraction, trials=cfg.m_trials, seed=seed)
+                   set_size=length // fraction, trials=cfg.m_trials, seed=cfg.seed)
               for length in cfg.m_lengths
-              for oversampling in cfg.oversampling_grid
+              for oversampling in cfg.oversampling_list
               for fraction in cfg.m_set_fractions]
     return _grid(MGridRow, points, measure)
 
@@ -485,16 +468,21 @@ def run_theory_only(cfg: ExperimentConfig) -> list[TheoryRow]:
     return _grid(TheoryRow, points, measure)
 
 
-_RUNNERS = {
-    "mse-sweep": run_mse_sweep,
-    "compare-hod": run_compare_hod,
-    "m-grid": run_m_grid,
-    "theory-only": run_theory_only,
+_DESK_OF_GRID = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0)
+# One row per experiment: its runner; the oversampling_list and trials that
+# ExperimentConfig fills in when given none; whether it samples a signal at
+# every factor of its grid; whether it draws random numbers, so needs a seed.
+_TABLE = {
+    "mse-sweep": (run_mse_sweep, _DESK_OF_GRID, 1, True, True),
+    "compare-hod": (run_compare_hod, (4.0, 6.0, 10.0, 12.0, 16.0), 12, True, True),
+    "m-grid": (run_m_grid, (4.0, 8.0, 12.0), 1, False, True),
+    "theory-only": (run_theory_only, _DESK_OF_GRID, 1, False, False),
 }
+EXPERIMENTS = tuple(_TABLE)
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Dispatch to the configured experiment; returns (rows, elapsed_ms)."""
     started = time.perf_counter()
-    rows = _RUNNERS[cfg.experiment](cfg)
+    rows = _TABLE[cfg.experiment][0](cfg)
     return rows, (time.perf_counter() - started) * 1e3

@@ -38,8 +38,8 @@ _MAX_AMPLITUDE = 1e100
 
 # Largest sample count nominal_sample_count grants: 256 MiB per float64
 # buffer.  The paper preset's largest, 50,000 pulses at OF 50, is 5,002,000
-# samples, 6.7 times below it, and its mse-sweep already peaks near 1 GB, so
-# a count at the cap asks for several GB.
+# samples, 6.7 times below it, and its mse-sweep peaks near 345 MB, so a
+# count at the cap asks for over 2 GB.
 _MAX_SAMPLES = 2 ** 25
 
 

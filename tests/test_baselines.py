@@ -24,6 +24,18 @@ def reference_signal(num_pulses=1000, oversampling=4.0, seed=1):
     return sig, 1.001 * estimate_inf_norm(train)
 
 
+def whole_record_hod(y, config):
+    """hod_recover as whole-record passes, each making a new array."""
+    diffed = y.copy()
+    for _ in range(config.order):
+        diffed = np.diff(diffed, prepend=0.0)
+    estimate = diffed - fold(diffed, config.threshold)
+    spacing = 2.0 * config.threshold
+    for _ in range(config.order):
+        estimate = spacing * np.round(np.cumsum(estimate) / spacing)
+    return y - estimate
+
+
 def core_mse(estimate, reference, trim=512):
     """MSE away from the filter warm-up at the record boundaries."""
     err = (estimate - reference)[trim:-trim]
@@ -163,6 +175,38 @@ class TestHodRecover:
         recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=1))
         assert recovered[0] == adc.quantized[0]
+
+    @pytest.mark.parametrize("bits", [2, 5])
+    def test_matches_whole_record_passes(self, bits):
+        # Lengths around the block size, orders 1-5; at 2 bits the quantization
+        # noise crosses the threshold and the estimate diverges.
+        from modunfold.guarantees import guard_bin_count, required_threshold
+        sig, peak = reference_signal(num_pulses=1100, oversampling=6.0, seed=7)
+        threshold = required_threshold(peak, 6.0, guard_bin_count(np.pi / 32, 64), 64)
+        adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=7))
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 123):
+            y = adc.quantized[:n]
+            for order in range(1, 6):
+                config = HodConfig(threshold=threshold, order=order)
+                recovered = hod_recover(y, config)
+                assert_array_equal(recovered, whole_record_hod(y, config))
+                if bits == 2 and order == 3:
+                    assert np.abs(recovered - sig.samples[:n]).max() > 100 * peak
+
+    def test_holds_two_record_lengths(self):
+        # Measured 2.00 record lengths above the input, the differences at
+        # their widest; whole-record passes peaked at 4.13.
+        sig, peak = reference_signal(num_pulses=1000, oversampling=16.0, seed=8)
+        adc = acquire(sig, AdcConfig(bits=4, threshold=0.4 * peak, seed=8))
+        config = HodConfig(threshold=0.4 * peak, order=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hod_recover(adc.quantized, config)
+            held = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 2.2 * adc.quantized.nbytes
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ConfigurationError):

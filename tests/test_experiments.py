@@ -28,6 +28,8 @@ FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
                   guard_width_list=(np.pi / 32,), lpf_length=257,
                   lpf_transition=np.pi / 16, seed=5)
 
+DESK_GRID = [4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0]
+
 
 def fast_config(**overrides):
     merged = {**FAST_SWEEP, **overrides}
@@ -48,9 +50,9 @@ class TestConfig:
             ExperimentConfig(oversampling_list=())
 
     def test_effective_trials_defaults(self):
-        assert fast_config().effective_trials == 1
-        assert fast_config(experiment="compare-hod").effective_trials == 12
-        assert fast_config(trials=3).effective_trials == 3
+        assert fast_config().trials == 1
+        assert fast_config(experiment="compare-hod").trials == 12
+        assert fast_config(trials=3).trials == 3
 
     def test_load_config_merges_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -63,14 +65,14 @@ class TestConfig:
     def test_load_config_paper_preset(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
-        cfg = load_config(str(path), "mse-sweep", preset="paper")
+        cfg = load_config(str(path), "mse-sweep", preset="paper", seed=1)
         assert cfg.num_pulses == 50_000
         assert cfg.m_trials == 100_000
 
     def test_file_beats_preset(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"num_pulses": 42}))
-        cfg = load_config(str(path), "mse-sweep", preset="paper")
+        cfg = load_config(str(path), "mse-sweep", preset="paper", seed=1)
         assert cfg.num_pulses == 42
 
     def test_unknown_keys_rejected(self, tmp_path):
@@ -174,6 +176,18 @@ class TestRunners:
         with pytest.raises(ConfigurationError, match="seed"):
             run_mse_sweep(fast_config(seed=None))
 
+    # A given list runs as given, the desk grid too; null runs the
+    # experiment's own grid.
+    @pytest.mark.parametrize("experiment, grid, rows", [
+        ("compare-hod", DESK_GRID, 9), ("m-grid", DESK_GRID, 9),
+        ("compare-hod", None, 5), ("m-grid", None, 3)])
+    def test_grid_runs_as_given_or_the_experiments_own(self, tmp_path, experiment,
+                                                        grid, rows):
+        out = tmp_path / "rows.csv"
+        payload = {**TINY, "oversampling_list": grid}
+        assert run_cli(tmp_path, experiment, payload, "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows
+
     def test_trial_context_holds_one_factor_of_samples(self):
         # Oversampling is the outer loop of the grid, so a realization keeps
         # only the current factor's samples.  Asked for OF 16 (517 KB) and
@@ -261,7 +275,8 @@ class TestCli:
         out = str(tmp_path / "theory.csv")
         assert main(["theory-only", "--config", cfg, "--out", out]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert len(Path(out).read_text().splitlines()) == 3
+        with open(out, newline="") as handle:
+            assert [row["seed"] for row in csv.DictReader(handle)] == ["0", "0"]
 
     def test_sweep_through_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, dict(
@@ -345,10 +360,10 @@ CANDIDATES = {
 }
 
 
-def run_cli(tmp_path, experiment, payload):
+def run_cli(tmp_path, experiment, payload, *args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    return main([experiment, "--config", str(path)])
+    return main([experiment, "--config", str(path), *args])
 
 
 class TestBadInput:
@@ -377,7 +392,7 @@ class TestBadInput:
         ("trials", 0, EXPERIMENTS),
         ("m_trials", 0, ("m-grid",)),
         ("window_length", 10, EXPERIMENTS),
-        ("seed", -1, SIMULATED + ("m-grid",)),
+        ("seed", -1, EXPERIMENTS),
         ("amp_high", 1.41e169, EXPERIMENTS),
         ("amp_low", -1e300, EXPERIMENTS),
     ])
@@ -423,6 +438,30 @@ class TestBadInput:
             raise AssertionError("synthesis ran")
         monkeypatch.setattr(experiments, "generate_pulse_train", synthesis)
         assert run_cli(tmp_path, "mse-sweep", {**TINY, "window_alpha": 0.3}) == 2
+
+    def test_missing_seed_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def work(*args):
+            raise AssertionError("work ran")
+        monkeypatch.setattr(experiments, "generate_pulse_train", work)
+        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
+        seedless = {k: v for k, v in TINY.items() if k != "seed"}
+        for experiment in SIMULATED + ("m-grid",):
+            with pytest.raises(ConfigurationError, match="needs --seed"):
+                ExperimentConfig(experiment=experiment, **seedless)
+            assert run_cli(tmp_path, experiment, seedless) == 2
+            assert "needs --seed" in capsys.readouterr().err
+
+    def test_missing_out_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # It used to fail only on writing, after the whole run.
+        def work(*args):
+            raise AssertionError("work ran")
+        monkeypatch.setattr(experiments, "generate_pulse_train", work)
+        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
+        out = str(tmp_path / "missing" / "rows.csv")
+        for experiment in EXPERIMENTS:
+            assert run_cli(tmp_path, experiment, TINY, "--out", out) == 2
+            assert "missing" in capsys.readouterr().err
 
     @given(st.sampled_from(sorted(CANDIDATES)).flatmap(
         lambda name: st.tuples(st.just(name), CANDIDATES[name])))
