@@ -5,10 +5,11 @@ P = V^H V, where V holds the normalized DFT rows of the out-of-band bins.
 P is real and circulant, so it is stored as a read-only (N, N) strided view
 over 2N floats: O(N) memory at any window length.  Every least-squares map
 over fold positions S is then built from the projector rows P[S, :]: the
-Gram block P[S, S] and the right-hand side (P d)[S] = P[S, :] d.  Recovery
-and the interference-norm estimate both gather those rows from the same
-view and invert the Gram with fold_inverse, which also finds the fold sets
-that are not identifiable.
+Gram block P[S, S], read from the first row as P is circulant, and the
+right-hand side (P d)[S] = P[S, :] d.  Recovery solves its Gram systems
+with fold_solve and the interference-norm estimate, which needs the whole
+map inv(P[S, S]) P[S, :], inverts the Gram with fold_inverse.  Both apply
+one rule to find the fold sets that are not identifiable.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
@@ -125,26 +126,81 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     return OobSystem(oob_bins=bins, projector=projector)
 
 
-def fold_inverse(rows, positions):
-    """(inv(P[S, S]), singular) for a batch of projector rows P[S, :].
+def _gram(system: OobSystem, positions) -> np.ndarray:
+    """Gram blocks P[S, S], shape (b, k, k), for fold positions of shape (b, k).
 
-    rows, shape (b, k, n), holds projector[positions] for fold positions
-    `positions` of shape (b, k); the Gram blocks P[S, S] are gathered from
-    it.  singular lists (index, lambda_min, lambda_max), by index, for the
-    blocks with lambda_min <= n*eps * lambda_max, whose fold values are not
+    P is circulant, so P[S_a, S_b] = projector[0][(S_b - S_a) % n]: the same
+    floats as the S columns of the rows P[S, :].  take's "wrap" mode does
+    the modulo.
+    """
+    return system.projector[0].take(positions[:, None, :] - positions[:, :, None], mode="wrap")
+
+
+def _singular(gram, indices, tol) -> list:
+    """(index, lambda_min, lambda_max) of the blocks gram[indices] that are singular.
+
+    A block is singular when lambda_min <= tol * lambda_max.
+    """
+    if indices.size == 0:
+        return []
+    eig = np.linalg.eigvalsh(gram[indices])
+    bad = eig[:, 0] <= tol * eig[:, -1]
+    return [(int(i), e[0], e[-1]) for i, e in zip(indices[bad], eig[bad])]
+
+
+def fold_inverse(system: OobSystem, positions):
+    """(inv(P[S, S]), singular) for a batch of fold positions of shape (b, k).
+
+    singular lists (index, lambda_min, lambda_max), by index, for the blocks
+    with lambda_min <= n*eps * lambda_max, whose fold values are not
     identifiable.  As P is an orthogonal projector, lambda_max <= 1 and
     lambda_min >= 1/tr(inv); eigvalsh runs only on blocks without
     1/tr > n*eps * tr, a margin that covers the rounding of tr (about
     cond*eps <= tr*eps relative).
     """
-    gram = np.take_along_axis(rows, positions[:, None, :], axis=2)
+    gram = _gram(system, positions)
     inverse = np.linalg.inv(gram)
     trace = np.trace(inverse, axis1=1, axis2=2)
-    tol = rows.shape[-1] * np.finfo(float).eps
+    tol = system.n * np.finfo(float).eps
     unsure = np.flatnonzero(~((trace > 0.0) & (trace * trace * tol < 1.0)))
-    eig = np.linalg.eigvalsh(gram[unsure])
-    bad = eig[:, 0] <= tol * eig[:, -1]
-    return inverse, [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
+    return inverse, _singular(gram, unsure, tol)
+
+
+def fold_solve(system: OobSystem, positions, rhs):
+    """(values, singular): P[S, S] x = rhs solved for a batch of fold positions.
+
+    positions has shape (b, k) and rhs, shape (b, k), holds (P d)[S] for each
+    block.  values are one batched np.linalg.solve, and singular follows
+    fold_inverse's rule, lambda_min <= n*eps * lambda_max; a singular
+    block's values mean nothing.
+
+    No inverse is formed, so the rule is certified by one batched Cholesky
+    factorization of G - c*I, c = (n + k(k+2))*eps, with eigvalsh on the
+    whole batch only if it fails.  If it succeeds, every block has
+    lambda_min > n*eps >= n*eps * lambda_max:
+    - fl(G - c*I) = G - c*I + D, with D diagonal and |D| <= eps/2, as the
+      diagonal of G is at most 1;
+    - a Cholesky factorization of a k x k matrix A that runs to completion
+      gives R^T R = A + E with |E| <= gamma_{k+1} |R^T||R|, gamma_{k+1} =
+      (k+1)(eps/2) / (1 - (k+1)(eps/2)) (Higham, Accuracy and Stability of
+      Numerical Algorithms, Thm 10.3), and ||R^T||R|||_2 <= k ||R||_2^2, so
+      ||E||_2 <= about k(k+1)/2 * eps * ||A||_2 <= k(k+1)/2 * eps;
+    - R^T R is positive definite, so lambda_min(G) > c - ||E||_2 - eps/2 >=
+      n*eps + (k^2 + 3k - 1)/2 * eps, and lambda_max(G) <= 1 as P is an
+      orthogonal projector.
+    The margin left, (k^2 + 3k - 1)/2 * eps, also covers the rounding of
+    the projector and, in practice, of eigvalsh: the tests check that the
+    blocks found singular are exactly those the eigenvalue rule names.
+    """
+    gram = _gram(system, positions)
+    n, k = system.n, positions.shape[1]
+    eps = np.finfo(float).eps
+    try:
+        np.linalg.cholesky(gram - (n + k * (k + 2)) * eps * np.eye(k))
+        singular = []
+    except np.linalg.LinAlgError:
+        singular = _singular(gram, np.arange(len(gram)), n * eps)
+    return np.linalg.solve(gram, rhs[..., None])[..., 0], singular
 
 
 def tukey_window(n: int, alpha: float) -> TukeyWindow:

@@ -9,7 +9,8 @@ the out-of-band projector P = V^H V that recovery solves with: for each
 random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
 with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
 gathered from the projector's O(n) view, so no n x n matrix is built, and
-`dsp.fold_inverse` inverts and checks P[S, S] as it does for recovery.
+`dsp.fold_inverse` inverts P[S, S] and checks it by the rule recovery's
+`dsp.fold_solve` applies.
 
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
@@ -144,7 +145,7 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     def batch_norm(done, sets):
         # Gathered here, not by a helper: see unfold.residue_pre_estimate.
         rows = system.projector[sets]
-        inverse, singular = fold_inverse(rows, sets)
+        inverse, singular = fold_inverse(system, sets)
         if singular:
             trial, low, high = singular[0]
             raise InfeasibleError(

@@ -9,14 +9,14 @@ solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
 least-squares system.  Both sides come from the projector rows P[S, :],
 gathered from the O(n) projector view: the Gram block is their S columns and
 (P d)[S] = P[S, :] d, so no transform of d is taken.  Segments with the same
-fold count share one batched inverse from `dsp.fold_inverse`, which also
-finds the segments whose jumps are not identifiable.  A value solved at
-position p of the segment that starts at `start` belongs to sample
-start + p; the two window tapers covering an overlapped sample sum to one,
-so adding every segment's values at their samples restores the unwindowed
-jumps.  Those are rounded to integer counts of the 2*threshold lattice and
-integrated into the residue, and the unfolded signal is the quantized
-stream minus the residue, lowpassed back to the signal band.
+fold count are solved as one batch by `dsp.fold_solve`, which forms no
+inverse and also finds the segments whose jumps are not identifiable.  A
+value solved at position p of the segment that starts at `start` belongs to
+sample start + p; the two window tapers covering an overlapped sample sum
+to one, so adding every segment's values at their samples restores the
+unwindowed jumps.  Those are rounded to integer counts of the 2*threshold
+lattice and integrated into the residue, and the unfolded signal is the
+quantized stream minus the residue, lowpassed back to the signal band.
 
 Besides its two outputs, a call holds one more record-length float array
 at a time: the first difference while the solve runs, then the summed
@@ -27,7 +27,7 @@ it gathers them, the same products a windowed copy of every segment would
 hold.  Rounding, the integer running sum (carried across blocks) and the
 scaling run in `dsp.blocks`.  The solve batches stay whole, one per fold
 count over the whole record: cutting the record into blocks of segments
-would split them and multiply the `fold_inverse` calls (26 groups in a
+would split them and multiply the `fold_solve` calls (26 groups in a
 desk OF-50 call), and the largest group's projector rows there take 0.75
 of a record length.
 """
@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (FirLowpass, OobSystem, TukeyWindow, blocks, build_oob_system,
-                  design_lowpass, filter_zero_delay, fold_inverse, tukey_window)
+                  design_lowpass, filter_zero_delay, fold_solve, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -127,14 +127,14 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     coefficients; (rows, cols) = np.nonzero(flags) locate the flagged
     samples in row-major order.  With d the windowed difference of a
     segment, the values at its flagged positions S solve
-    P[S, S] x = (P d)[S]; segments with equal fold counts share one batched
-    inverse, and (P d)[S] = P[S, :] d.  Each group's rows are windowed as
+    P[S, S] x = (P d)[S]; segments with equal fold counts are solved as one
+    batch, and (P d)[S] = P[S, :] d.  Each group's rows are windowed as
     they are gathered, so no windowed copy of the batch is made.  Returns
     one value per flagged sample, in that order.
 
     A segment with more folds than out-of-band equations raises
     InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
-    times its largest (dsp.fold_inverse) raises ConfigurationError.  Both
+    times its largest (dsp.fold_solve) raises ConfigurationError.  Both
     name the first such segment by its row.
     """
     differences = np.asarray(differences, dtype=float)
@@ -156,10 +156,10 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
         # kept the previous group's arrays alive through the next gather,
         # which raised minor page faults tenfold and cost about 20 % at n 256.
         p_rows = system.projector[positions]
-        inverse, bad = fold_inverse(p_rows, positions)
-        singular += [(segs[i], low, high) for i, low, high in bad]
         diffed = window * differences[segs]
-        values[entries] = (inverse @ (p_rows @ diffed[..., None]))[..., 0]
+        solved, bad = fold_solve(system, positions, (p_rows @ diffed[..., None])[..., 0])
+        singular += [(segs[i], low, high) for i, low, high in bad]
+        values[entries] = solved
     if singular:
         row, low, high = min(singular)
         raise ConfigurationError(

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
 from modunfold.dsp import (blocks, build_oob_system, design_lowpass,
-                           filter_zero_delay, fold_inverse, tukey_window)
+                           filter_zero_delay, fold_inverse, fold_solve, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -142,6 +142,18 @@ class TestOobSystem:
             build_oob_system(64, 0.25, -0.1)
 
 
+def fold_sets(data, n, k):
+    """One to six fold sets of size k over n samples, some of them adjacent folds."""
+    sets = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        start = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):  # adjacent folds are the worst conditioned
+            sets.append((start + np.arange(k)) % n)
+        else:
+            sets.append(np.random.default_rng(start).permutation(n)[:k])
+    return np.array(sets)
+
+
 class TestFoldInverse:
     @given(st.integers(8, 64), st.floats(1.05, 12.0),
            st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
@@ -151,16 +163,8 @@ class TestFoldInverse:
             system = build_oob_system(n, 1.0 / oversampling, guard)
         except InfeasibleError:
             assume(False)
-        k = data.draw(st.integers(1, system.num_bins))
-        sets = []
-        for _ in range(data.draw(st.integers(1, 6))):
-            start = data.draw(st.integers(0, n - 1))
-            if data.draw(st.booleans()):  # adjacent folds are the worst conditioned
-                sets.append((start + np.arange(k)) % n)
-            else:
-                sets.append(np.random.default_rng(start).permutation(n)[:k])
-        sets = np.array(sets)
-        inverse, singular = fold_inverse(system.projector[sets], sets)
+        sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
+        inverse, singular = fold_inverse(system, sets)
         gram = system.projector[sets[:, :, None], sets[:, None, :]]
         assert_array_equal(inverse, np.linalg.inv(gram))
         eig = np.linalg.eigvalsh(gram)
@@ -172,6 +176,74 @@ class TestFoldInverse:
         trace = np.trace(inverse, axis1=1, axis2=2)
         certified = (trace > 0) & (trace * trace * tol < 1.0)
         assert (eig[certified, 0] > tol * eig[certified, -1]).all()
+
+
+class TestFoldSolve:
+    EPS = np.finfo(float).eps
+
+    @given(st.integers(8, 64), st.floats(1.05, 12.0),
+           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_singular_sets_follow_the_eigenvalue_rule(self, n, oversampling, guard, data):
+        try:
+            system = build_oob_system(n, 1.0 / oversampling, guard)
+        except InfeasibleError:
+            assume(False)
+        sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
+        rhs = np.random.default_rng(n).normal(size=sets.shape)
+        values, singular = fold_solve(system, sets, rhs)
+        gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        eig = np.linalg.eigvalsh(gram)
+        rule = np.flatnonzero(eig[:, 0] <= n * self.EPS * eig[:, -1])
+        assert [i for i, _, _ in singular] == list(rule)
+        for i, low, high in singular:
+            assert (low, high) == (eig[i, 0], eig[i, -1])
+        assert_array_equal(values, np.linalg.solve(gram, rhs[..., None])[..., 0])
+        # Both solvers carry about cond*eps relative error (measured at most
+        # 1.6 cond*eps): 1e-12 where cond <= 1e3, the cond bound past it.
+        certified = np.setdiff1d(np.arange(len(sets)), rule)
+        inverted = (np.linalg.inv(gram[certified]) @ rhs[certified, :, None])[..., 0]
+        error = np.linalg.norm(values[certified] - inverted, axis=1)
+        bound = np.maximum(1e-12, 4.0 * self.EPS * eig[certified, -1] / eig[certified, 0])
+        assert (error <= bound * np.linalg.norm(inverted, axis=1)).all()
+
+    def test_well_conditioned_values_match_the_inverse(self):
+        system = build_oob_system(64, 0.25, np.pi / 32)
+        rng = np.random.default_rng(7)
+        sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
+        rhs = rng.normal(size=sets.shape)
+        values, singular = fold_solve(system, sets, rhs)
+        gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        assert singular == []
+        assert_allclose(values, (np.linalg.inv(gram) @ rhs[..., None])[..., 0],
+                        rtol=1e-12, atol=1e-12 * np.abs(values).max())
+
+    def test_eigenvalue_fallback_returns_values(self, monkeypatch):
+        # 18 adjacent folds against 31 out-of-band bins: lambda_min is about
+        # 122 eps, above 64 eps but below the Cholesky shift of 424 eps, so
+        # the factorization fails and eigvalsh clears the block.
+        system = build_oob_system(64, 0.5, 0.0)
+        sets = np.arange(18)[None]
+        gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        low = np.linalg.eigvalsh(gram)[0, 0]
+        assert 64 * self.EPS < low < (64 + 18 * 20) * self.EPS
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        rhs = np.linspace(-1.0, 1.0, 18)[None]
+        values, singular = fold_solve(system, sets, rhs)
+        assert len(calls) == 1 and singular == []
+        assert_array_equal(values, np.linalg.solve(gram, rhs[..., None])[..., 0])
+
+    def test_singular_block_named_past_the_first(self):
+        # Two random sets of 20 folds, then 20 adjacent ones, whose Gram has
+        # lambda_min/lambda_max ~ 2e-16 against 31 out-of-band bins.
+        system = build_oob_system(64, 0.5, 0.0)
+        rng = np.random.default_rng(1)
+        sets = np.array([rng.permutation(64)[:20], rng.permutation(64)[:20],
+                         np.arange(20, 40)])
+        _, singular = fold_solve(system, sets, np.ones(sets.shape))
+        assert [i for i, _, _ in singular] == [2]
 
 
 class TestSelectColumns:

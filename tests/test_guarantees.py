@@ -219,10 +219,10 @@ class TestInterferenceNorm:
         later_checked = threading.Event()
         checked = guarantees.fold_inverse
 
-        def fold_inverse(rows, sets):
+        def fold_inverse(system, sets):
             if np.array_equal(sets[0], draws[5]):
                 later_checked.wait(timeout=10)
-            result = checked(rows, sets)
+            result = checked(system, sets)
             if np.array_equal(sets[0], draws[7]):
                 assert result[1]
                 later_checked.set()

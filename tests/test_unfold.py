@@ -350,6 +350,16 @@ class TestUnfold:
                                     GUARD, 64)
         assert abs(10 * np.log10(mse) - 10 * np.log10(theory)) < 1.0
 
+    def test_solves_without_an_explicit_inverse(self, monkeypatch):
+        # unfold solves its fold-position systems (dsp.fold_solve); only the
+        # interference-norm Monte Carlo needs the Gram inverse itself.
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("unfold formed an explicit Gram inverse")
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        _, _, _, adc, result = paper_point(2000, 4.0, 4, seed=1)
+        assert adc.folding_bits.any()
+        assert_array_equal(result.residue, adc.residue_truth)
+
     def test_residue_stays_on_lattice(self):
         _, threshold, _, _, result = paper_point(300, 4.0, 4, seed=9)
         multiples = result.residue / (2 * threshold)
