@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import blocks, design_lowpass, filter_zero_delay
+from .dsp import _LPF_LENGTH, _LPF_TRANSITION, blocks, design_lowpass, filter_zero_delay
 from .errors import ConfigurationError
 from .modulo_adc import fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
@@ -44,8 +44,8 @@ def conventional_full_scale(bits: int, peak: float) -> float:
 
 
 def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
-                     lpf_length: int = 1025,
-                     lpf_transition: float = np.pi / 64) -> np.ndarray:
+                     lpf_length: int = _LPF_LENGTH,
+                     lpf_transition: float = _LPF_TRANSITION) -> np.ndarray:
     """Dithered b-bit quantization without folding, lowpassed to the signal band.
 
     The range leaves the dither a sliver of overload room at the very peak

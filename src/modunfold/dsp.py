@@ -239,6 +239,11 @@ def _cosine_taper(length: int) -> np.ndarray:
 # Empirical transition width of the cosine-sum taper, radians * taps.
 _TAPER_TRANSITION = 11.0 * np.pi
 
+# Default tap count and transition width (radians) of the band-limiting
+# lowpass after recovery and after the conventional ADC.
+_LPF_LENGTH = 1025
+_LPF_TRANSITION = np.pi / 64
+
 
 def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
     """Windowed-sinc lowpass: flat to `cutoff`, >= 60 dB down past `cutoff + transition`.

@@ -3,16 +3,20 @@
 Four experiments over a parameter grid: theory-vs-simulation MSE sweeps of
 the sliding-DFT recovery (with the conventional pipeline alongside), the
 sliding-DFT vs higher-order-difference comparison, the interference-norm
-Monte-Carlo grid, and a pure-formula theory table.  Each runs one grid
-loop: one row per grid point, and a point whose measurement is infeasible
-(InfeasibleError) becomes a row marked skipped that holds only the point's
-own fields.  Every experiment is a deterministic function of (config,
-seed); rows serialize to CSV that hashes identically across reruns.
+Monte-Carlo grid, and a pure-formula theory table.  Each yields one row per
+grid point, and a point whose measurement is infeasible (InfeasibleError)
+becomes a row marked skipped that holds only the point's own fields.  The
+two MSE experiments average each point over trials (signal realizations),
+looping oversampling factor, then trial, then the factor's points, so one
+realization's record is alive at a time.  Every experiment is a
+deterministic function of (config, seed); rows serialize to CSV that
+hashes identically across reruns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -29,7 +33,7 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, unfold
-from .dsp import filter_zero_delay, tukey_window
+from .dsp import _LPF_LENGTH, _LPF_TRANSITION, filter_zero_delay, tukey_window
 
 # JSON types of the numeric fields (a null trials or oversampling_list takes
 # the experiment's default, as does theory-only's seed); each range is
@@ -75,8 +79,8 @@ class ExperimentConfig:
     window_length: int = 64
     window_alpha: float = 0.5
     guard_width_list: tuple = (np.pi / 32,)
-    lpf_length: int = 1025
-    lpf_transition: float = np.pi / 64
+    lpf_length: int = _LPF_LENGTH
+    lpf_transition: float = _LPF_TRANSITION
     hod_order: int = 3
     # monte carlo
     trials: int | None = None
@@ -292,113 +296,105 @@ def _adc_points(cfg: ExperimentConfig) -> list[dict]:
             for guard_width in cfg.guard_width_list]
 
 
-@dataclass
-class _TrialContext:
-    """One signal realization, sampled lazily at one oversampling factor at a time.
+def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
+    """Rows of the (oversampling, bits, guard width) grid, averaged over trials.
 
-    Oversampling is the outer loop of `_adc_points`, so every point of a
-    factor follows its first; only that factor's samples are kept.
+    Trial t draws its signal with seed `seed + 1000 t` and spawns dither
+    seeds from its own entropy in the order it measures, so this loop order
+    fixes the CSV bytes.  A trial samples its signal once per factor, after
+    the first feasible threshold.  `measure(trial, peak, entropy, sampled,
+    threshold, **point)` returns one trial's row fields: the `mse_*` ones
+    are averaged, the others kept from the last trial.  A repeated point is
+    measured once; one infeasible in a trial is skipped by later trials and
+    becomes a skipped row in `_grid`.
     """
+    trials = []
+    for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000 * t))
+        trials.append((train, PEAK_MARGIN * estimate_inf_norm(train), entropy))
+    measured = {}  # (oversampling, bits, guard width) -> each trial's fields, or the error
+    for oversampling in dict.fromkeys(cfg.oversampling_list):
+        for t, (train, peak, entropy) in enumerate(trials):
+            sampled = None  # the last record is freed before the next is sampled
+            for bits, guard_width in itertools.product(dict.fromkeys(cfg.bits_list),
+                                                       dict.fromkeys(cfg.guard_width_list)):
+                key = (oversampling, bits, guard_width)
+                if isinstance(measured.get(key), InfeasibleError):
+                    continue
+                guard_bins = guarantees.guard_bin_count(guard_width, cfg.window_length)
+                try:
+                    threshold = guarantees.required_threshold(
+                        peak, oversampling, guard_bins, cfg.window_length)
+                    if sampled is None:
+                        count = nominal_sample_count(train.spec, oversampling)
+                        sampled = sample_signal(train, oversampling, count)
+                    fields = measure(trial=t, peak=peak, entropy=entropy, sampled=sampled,
+                                     threshold=threshold, oversampling=oversampling,
+                                     bits=bits, guard_width=guard_width, guard_bins=guard_bins)
+                except InfeasibleError as err:
+                    measured[key] = err
+                    continue
+                measured.setdefault(key, []).append(fields)
 
-    cfg: ExperimentConfig
-    signal_seed: int
-    adc_entropy: np.random.SeedSequence
+    def averaged(oversampling, bits, guard_width, **_):
+        runs = measured[oversampling, bits, guard_width]
+        if isinstance(runs, InfeasibleError):
+            raise runs
+        return {name: _db(sum(fields[name] for fields in runs) / len(runs))
+                if name.startswith("mse_") else value for name, value in runs[-1].items()}
 
-    def __post_init__(self):
-        self.train = generate_pulse_train(self.cfg.signal_spec(self.signal_seed))
-        self.peak = PEAK_MARGIN * estimate_inf_norm(self.train)
-        self._oversampling = self._sampled = None
-        self._adc_seeds = {}
-        self._conventional = {}
-
-    def sampled(self, oversampling: float):
-        if oversampling != self._oversampling:
-            self._sampled = None  # freed before the next factor is sampled
-            count = nominal_sample_count(self.train.spec, oversampling)
-            self._sampled = sample_signal(self.train, oversampling, count)
-            self._oversampling = oversampling
-        return self._sampled
-
-    def adc_seed(self, key) -> np.random.SeedSequence:
-        # Seeds are spawned in first-request order, so the point order, and
-        # "mod" before "conv" within a point, must not change: either would
-        # hand later points other dither and change the CSV bytes.
-        if key not in self._adc_seeds:
-            self._adc_seeds[key] = self.adc_entropy.spawn(1)[0]
-        return self._adc_seeds[key]
-
-    def mse(self, estimate: np.ndarray, oversampling: float) -> tuple[float, int]:
-        """MSE of `estimate` against the sampled signal, and its sample count.
-
-        The zero-delay lowpass fills its first and last half-window from
-        synthetic padding, so those outputs measure the boundary extension
-        rather than the recovery and are left out.
-        """
-        reference = self.sampled(oversampling).samples
-        trim = self.cfg.lpf_length // 2
-        core = slice(trim, reference.size - trim)
-        err = estimate[core] - reference[core]
-        return float(np.mean(np.square(err, out=err))), err.size
-
-    def conventional_mse(self, oversampling: float, bits: int) -> float:
-        """MSE of the conventional pipeline, computed once per (oversampling, bits)."""
-        key = (oversampling, bits)
-        if key not in self._conventional:
-            estimate = baselines.conventional_adc(
-                self.sampled(oversampling), bits, self.peak,
-                self.adc_seed(("conv",) + key), lpf_length=self.cfg.lpf_length,
-                lpf_transition=self.cfg.lpf_transition)
-            self._conventional[key], _ = self.mse(estimate, oversampling)
-        return self._conventional[key]
+    return _grid(ResultRow, _adc_points(cfg), averaged)
 
 
-def _contexts(cfg: ExperimentConfig) -> list[_TrialContext]:
-    """One realization per trial t: signal seed `seed + 1000 t`, its own dither."""
-    entropy = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    return [_TrialContext(cfg, signal_seed=cfg.seed + 1000 * t, adc_entropy=child)
-            for t, child in enumerate(entropy)]
+def _mse(estimate: np.ndarray, sampled, cfg: ExperimentConfig) -> tuple[float, int]:
+    """MSE of `estimate` against the sampled signal, and its sample count.
+
+    The zero-delay lowpass fills its first and last half-window from
+    synthetic padding, so those outputs measure the boundary extension
+    rather than the recovery and are left out.
+    """
+    reference = sampled.samples
+    trim = cfg.lpf_length // 2
+    core = slice(trim, reference.size - trim)
+    err = estimate[core] - reference[core]
+    return float(np.mean(np.square(err, out=err))), err.size
 
 
-def _modulo_point(ctx: _TrialContext, oversampling: float, bits: int,
-                  guard_width: float, guard_bins: int):
+def _modulo_point(cfg: ExperimentConfig, entropy, sampled, threshold: float,
+                  oversampling: float, bits: int, guard_width: float):
     """Acquire and unfold one realization: (adc, recovery, mse, samples used)."""
-    cfg = ctx.cfg
-    threshold = guarantees.required_threshold(
-        ctx.peak, oversampling, guard_bins, cfg.window_length)
-    sampled = ctx.sampled(oversampling)
-    adc_cfg = AdcConfig(bits=bits, threshold=threshold,
-                        seed=ctx.adc_seed(("mod", oversampling, bits, guard_width)))
-    adc = acquire(sampled, adc_cfg)
+    adc = acquire(sampled, AdcConfig(bits=bits, threshold=threshold,
+                                     seed=entropy.spawn(1)[0]))
     recovery = RecoveryConfig(length=cfg.window_length, alpha=cfg.window_alpha,
                               guard_width=guard_width, threshold=threshold,
                               band_fraction=1.0 / oversampling,
                               lpf_length=cfg.lpf_length,
                               lpf_transition=cfg.lpf_transition)
-    mse, used = ctx.mse(unfold(adc, sampled, recovery).recovered, oversampling)
+    mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
     return adc, recovery, mse, used
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Theory-vs-simulation sweep with the conventional pipeline alongside."""
-    contexts = _contexts(cfg)
+    conventional = {}  # (trial, oversampling, bits) -> its MSE, computed once
 
-    def measure(oversampling, bits, guard_width, guard_bins, **_):
-        acc_mod = acc_conv = acc_theory = 0.0
-        for ctx in contexts:
-            _, recovery, mse_mod, used = _modulo_point(
-                ctx, oversampling, bits, guard_width, guard_bins)
-            acc_mod += mse_mod
-            acc_conv += ctx.conventional_mse(oversampling, bits)
-            acc_theory += guarantees.predict_mse_modulo(
-                ctx.peak, oversampling, bits, guard_bins, guard_width, cfg.window_length)
-        return dict(threshold=recovery.threshold,
-                    mse_simulated_db=_db(acc_mod / len(contexts)),
-                    mse_theory_db=_db(acc_theory / len(contexts)),
-                    mse_conventional_db=_db(acc_conv / len(contexts)),
-                    samples_used=used)
+    def measure(trial, peak, entropy, sampled, threshold, oversampling, bits,
+                guard_width, guard_bins, **_):
+        _, _, mse, used = _modulo_point(cfg, entropy, sampled, threshold,
+                                        oversampling, bits, guard_width)
+        key = (trial, oversampling, bits)
+        if key not in conventional:
+            estimate = baselines.conventional_adc(
+                sampled, bits, peak, entropy.spawn(1)[0], lpf_length=cfg.lpf_length,
+                lpf_transition=cfg.lpf_transition)
+            conventional[key], _ = _mse(estimate, sampled, cfg)
+        return dict(threshold=threshold, mse_simulated_db=mse,
+                    mse_theory_db=guarantees.predict_mse_modulo(
+                        peak, oversampling, bits, guard_bins, guard_width,
+                        cfg.window_length),
+                    mse_conventional_db=conventional[key], samples_used=used)
 
-    points = _adc_points(cfg)
-    return _grid(ResultRow, points, measure)
+    return _trial_grid(cfg, measure)
 
 
 def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -409,25 +405,16 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
     the configured number of signal+dither realizations, at every guard
     width; the regimes of interest sit below OF = 16 (see ExperimentConfig).
     """
-    contexts = _contexts(cfg)
+    def measure(entropy, sampled, threshold, oversampling, bits, guard_width, **_):
+        adc, recovery, mse, used = _modulo_point(cfg, entropy, sampled, threshold,
+                                                 oversampling, bits, guard_width)
+        unfolded = baselines.hod_recover(adc.quantized, baselines.HodConfig(
+            threshold=threshold, order=cfg.hod_order))
+        mse_hod, _ = _mse(filter_zero_delay(unfolded, recovery.lowpass), sampled, cfg)
+        return dict(threshold=threshold, mse_simulated_db=mse, mse_hod_db=mse_hod,
+                    samples_used=used)
 
-    def measure(oversampling, bits, guard_width, guard_bins, **_):
-        acc_mod = acc_hod = 0.0
-        for ctx in contexts:
-            adc, recovery, mse_mod, used = _modulo_point(
-                ctx, oversampling, bits, guard_width, guard_bins)
-            unfolded = baselines.hod_recover(adc.quantized, baselines.HodConfig(
-                threshold=recovery.threshold, order=cfg.hod_order))
-            mse_hod, _ = ctx.mse(
-                filter_zero_delay(unfolded, recovery.lowpass), oversampling)
-            acc_mod += mse_mod
-            acc_hod += mse_hod
-        return dict(threshold=recovery.threshold,
-                    mse_simulated_db=_db(acc_mod / len(contexts)),
-                    mse_hod_db=_db(acc_hod / len(contexts)), samples_used=used)
-
-    points = _adc_points(cfg)
-    return _grid(ResultRow, points, measure)
+    return _trial_grid(cfg, measure)
 
 
 def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:

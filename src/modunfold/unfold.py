@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (FirLowpass, OobSystem, TukeyWindow, blocks, build_oob_system,
-                  design_lowpass, filter_zero_delay, fold_solve, tukey_window)
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, FirLowpass, OobSystem, TukeyWindow, blocks,
+                  build_oob_system, design_lowpass, filter_zero_delay, fold_solve, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -67,8 +67,8 @@ class RecoveryConfig:
     guard_width: float
     threshold: float
     band_fraction: float
-    lpf_length: int = 1025
-    lpf_transition: float = np.pi / 64
+    lpf_length: int = _LPF_LENGTH
+    lpf_transition: float = _LPF_TRANSITION
     window: TukeyWindow = field(init=False, repr=False, compare=False)
     system: OobSystem = field(init=False, repr=False, compare=False)
     lowpass: FirLowpass = field(init=False, repr=False, compare=False)

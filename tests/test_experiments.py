@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
 
 import modunfold
 from modunfold import experiments
 from modunfold.cli import main
-from modunfold.errors import ConfigurationError
-from modunfold.experiments import (EXPERIMENTS, ExperimentConfig, MGridRow,
-                                   ResultRow, emit_csv, load_config,
+from modunfold.errors import ConfigurationError, InfeasibleError
+from modunfold.experiments import (EXPERIMENTS, PEAK_MARGIN, ExperimentConfig,
+                                   MGridRow, ResultRow, emit_csv, load_config,
                                    run_compare_hod, run_experiment, run_m_grid,
                                    run_mse_sweep, run_theory_only)
-from modunfold.guarantees import predict_mse_conventional, predict_mse_modulo
-from modunfold.signal_model import nominal_sample_count, sample_signal
+from modunfold.guarantees import (predict_mse_conventional, predict_mse_modulo,
+                                  required_threshold)
+from modunfold.signal_model import (estimate_inf_norm, generate_pulse_train,
+                                    nominal_sample_count)
 
 FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
                   guard_width_list=(np.pi / 32,), lpf_length=257,
@@ -188,25 +189,56 @@ class TestRunners:
         assert run_cli(tmp_path, experiment, payload, "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 1 + rows
 
-    def test_trial_context_holds_one_factor_of_samples(self):
-        # Oversampling is the outer loop of the grid, so a realization keeps
-        # only the current factor's samples.  Asked for OF 16 (517 KB) and
-        # then OF 4 (129 KB), it was measured holding the OF-4 record plus
-        # 1.3 KB; keeping both held five times that.
-        ctx = experiments._contexts(fast_config(num_pulses=2000))[0]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ctx.sampled(16.0)
-            ctx.sampled(4.0)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        record = ctx.sampled(4.0).samples.nbytes
-        assert record <= held <= 1.1 * record
-        count = nominal_sample_count(ctx.train.spec, 16.0)
-        assert_array_equal(ctx.sampled(16.0).samples,
-                           sample_signal(ctx.train, 16.0, count).samples)
+    def test_compare_hod_peak_does_not_grow_with_trials(self):
+        # Trials run one after another at a factor, so a realization's
+        # record is freed before the next one is sampled: six trials peak
+        # within one record of one trial (measured: 0.17 records).  Keeping
+        # every trial's record alive peaked 7.0 records higher.
+        def peak(trials):
+            cfg = fast_config(experiment="compare-hod", num_pulses=2000,
+                              oversampling_list=(16.0,), trials=trials)
+            tracemalloc.start()
+            try:
+                run_compare_hod(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # a first run also allocates what numpy keeps for later calls
+        record = 8 * nominal_sample_count(fast_config(num_pulses=2000).signal_spec(0), 16.0)
+        assert peak(6) - peak(1) < record
+
+    # CSV digests from the loop that ran each point over every trial before
+    # the next point: the per-trial dither seed order must not change.
+    @pytest.mark.parametrize("experiment, digest", [
+        ("mse-sweep", "58d604fc63dc7f2f8c27477fdd18088926d48d3b77bfd4083f2d13397ae7fc29"),
+        ("compare-hod", "73f5bf8fe2388fadb790120d2ef74ea662b332bff363bb2ae25b5a6b03974015")])
+    def test_point_infeasible_in_one_trial_is_skipped_by_later_trials(
+            self, tmp_path, monkeypatch, experiment, digest):
+        # Trial 1 of three spawns the dither seed of (OF 4, 3 bits, guard 0)
+        # and then fails it; trial 2 must not measure that point, and trial
+        # 1 runs its conventional pipeline at the next guard width instead.
+        cfg = fast_config(experiment=experiment, oversampling_list=(4.0, 6.0),
+                          bits_list=(3, 4), guard_width_list=(0.0, np.pi / 32),
+                          trials=3, seed=2)
+        train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000))
+        failing = required_threshold(PEAK_MARGIN * estimate_inf_norm(train), 4.0, 0, 64)
+        calls = []
+
+        def unfold(adc, sampled, recovery):
+            if (recovery.band_fraction, adc.config.bits, recovery.guard_width) == (0.25, 3, 0.0):
+                calls.append(recovery.threshold)
+                if recovery.threshold == failing:
+                    raise InfeasibleError("fails in trial 1 only")
+            return modunfold.unfold(adc, sampled, recovery)
+
+        monkeypatch.setattr(experiments, "unfold", unfold)
+        rows = run_experiment(cfg)[0]
+        assert len(calls) == 2 and calls[1] == failing
+        assert [(r.status, r.reason) for r in rows if r.status != "ok"] == [
+            ("skipped", "fails in trial 1 only")]
+        out = emit_csv(rows, str(tmp_path / "rows.csv"))
+        assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
 
 
 class TestTheoryOnly:

@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from modunfold.dsp import build_oob_system, tukey_window
+from modunfold.dsp import build_oob_system, oob_bin_indices, tukey_window
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (guard_bin_count, predict_mse_modulo,
                                   required_threshold)
 from modunfold.modulo_adc import AdcConfig, AdcOutput, acquire
-from modunfold.signal_model import (PulseTrainSpec, estimate_inf_norm,
+from modunfold.signal_model import (PulseTrain, PulseTrainSpec, estimate_inf_norm,
                                     generate_pulse_train, nominal_sample_count,
                                     sample_signal)
 from modunfold.unfold import (RecoveryConfig, residue_pre_estimate,
@@ -498,3 +498,34 @@ class TestRecoveryConfig:
         with pytest.raises(ConfigurationError, match="need at least"):
             RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                            threshold=1.0, band_fraction=0.25, lpf_length=129)
+
+
+class TestWindowTrade:
+    # The premise of the paper's window-length trade (OF towards 1 as the
+    # window N grows): a finite-energy signal keeps its largest fold count
+    # per window bounded while the out-of-band equations grow with N, and a
+    # stationary train's count grows with N.  Counted from the fold flags
+    # alone, cut at segment_starts as unfold cuts them, at OF 2 and guard 0.
+    # Exact recovery is not pinned: at 8 bits the burst below slipped
+    # 1,290, 0 and 0 samples at N 64 over dither seeds 0-2, and 1,289, 1,289
+    # and 0 at N 1,024.
+    @pytest.mark.parametrize("num_pulses, live, divisor, largest", [
+        (600, slice(297, 303), 8, [15, 15, 15]),  # a burst of 6 pulses
+        (2000, slice(None), 4, [25, 84, 278])])
+    def test_largest_fold_count_per_window(self, num_pulses, live, divisor, largest):
+        spec = PulseTrainSpec(num_pulses=num_pulses, seed=1)
+        amplitudes = np.zeros(num_pulses)
+        amplitudes[live] = generate_pulse_train(spec).amplitudes[live]
+        train = PulseTrain(spec=spec, amplitudes=amplitudes)
+        threshold = 1.001 * estimate_inf_norm(train) / divisor
+        sig = sample_signal(train, 2.0, nominal_sample_count(spec, 2.0))
+        flags = acquire(sig, AdcConfig(bits=8, threshold=threshold), ideal=True).folding_bits
+        counts = []
+        for n in (64, 256, 1024):
+            edge = tukey_window(n, 0.5).edge
+            starts = segment_starts(max(edge + flags.size, n), n, 0.5)
+            padded = np.zeros(starts[-1] + n, dtype=bool)
+            padded[edge:edge + flags.size] = flags
+            counts.append(int(sliding_window_view(padded, n)[starts].sum(axis=1).max()))
+        assert counts == largest
+        assert [oob_bin_indices(n, 0.5, 0.0).size for n in (64, 256, 1024)] == [31, 127, 511]
