@@ -9,7 +9,10 @@ Gram block P[S, S], read from the first row as P is circulant, and the
 right-hand side (P d)[S] = P[S, :] d.  Recovery solves its Gram systems
 with fold_solve and the interference-norm estimate, which needs the whole
 map inv(P[S, S]) P[S, :], inverts the Gram with fold_inverse.  Both apply
-one rule to find the fold sets that are not identifiable.
+one rule to find the fold sets that are not identifiable.  `dominance`
+gives the diagonal-dominance margins of Gram blocks: fold_solve skips its
+singularity check for the blocks they certify, and the estimate bounds
+each set's norm by them.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
@@ -126,14 +129,33 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     return OobSystem(oob_bins=bins, projector=projector)
 
 
-def _gram(system: OobSystem, positions) -> np.ndarray:
+def fold_gram(system: OobSystem, positions) -> np.ndarray:
     """Gram blocks P[S, S], shape (b, k, k), for fold positions of shape (b, k).
 
     P is circulant, so P[S_a, S_b] = projector[0][(S_b - S_a) % n]: the same
-    floats as the S columns of the rows P[S, :].  take's "wrap" mode does
-    the modulo.
+    floats as the S columns of the rows P[S, :].  The differences lie in
+    (-n, n), and a negative index counts from the end, which is the modulo.
     """
-    return system.projector[0].take(positions[:, None, :] - positions[:, :, None], mode="wrap")
+    return system.projector[0][positions[:, None, :] - positions[:, :, None]]
+
+
+def dominance(gram, n: int):
+    """(margins, certified) of Gram blocks of shape (b, k, k) over an n-point window.
+
+    margins[a, i] = g - s_i is the diagonal of row i of block a less its
+    off-diagonal abs row sum.  By Gershgorin, lambda_min >= min_i margins[a, i].
+    certified marks the blocks whose least margin exceeds (n + k(k+2))*eps
+    plus the rounding of the margin itself, (k+1)*eps: an abs row sum of k
+    terms, at most 2 where the margin is positive, then one subtraction.
+    Such a block has lambda_min > (n + k(k+2))*eps, above the bound
+    fold_solve's shifted Cholesky certifies, so the fold rule cannot call
+    it singular.
+    """
+    k = gram.shape[-1]
+    # einsum sums short rows several times faster than sum(axis=2).
+    margins = 2.0 * np.diagonal(gram, axis1=1, axis2=2) - np.einsum("bij->bi", np.abs(gram))
+    floor = (n + k * (k + 3) + 1) * np.finfo(float).eps
+    return margins, margins.min(axis=1) > floor
 
 
 def _singular(gram, indices, tol) -> list:
@@ -148,8 +170,8 @@ def _singular(gram, indices, tol) -> list:
     return [(int(i), e[0], e[-1]) for i, e in zip(indices[bad], eig[bad])]
 
 
-def fold_inverse(system: OobSystem, positions):
-    """(inv(P[S, S]), singular) for a batch of fold positions of shape (b, k).
+def fold_inverse(system: OobSystem, gram):
+    """(inv(G), singular) for Gram blocks G = fold_gram(system, positions).
 
     singular lists (index, lambda_min, lambda_max), by index, for the blocks
     with lambda_min <= n*eps * lambda_max, whose fold values are not
@@ -158,7 +180,6 @@ def fold_inverse(system: OobSystem, positions):
     1/tr > n*eps * tr, a margin that covers the rounding of tr (about
     cond*eps <= tr*eps relative).
     """
-    gram = _gram(system, positions)
     inverse = np.linalg.inv(gram)
     trace = np.trace(inverse, axis1=1, axis2=2)
     tol = system.n * np.finfo(float).eps
@@ -174,10 +195,10 @@ def fold_solve(system: OobSystem, positions, rhs):
     fold_inverse's rule, lambda_min <= n*eps * lambda_max; a singular
     block's values mean nothing.
 
-    No inverse is formed, so the rule is certified by one batched Cholesky
-    factorization of G - c*I, c = (n + k(k+2))*eps, with eigvalsh on the
-    whole batch only if it fails.  If it succeeds, every block has
-    lambda_min > n*eps >= n*eps * lambda_max:
+    No inverse is formed.  Blocks that dominance certifies need nothing
+    more; the rest are certified by one batched Cholesky factorization of
+    G - c*I, c = (n + k(k+2))*eps, with eigvalsh on them only if it fails.
+    If it succeeds, every block has lambda_min > n*eps >= n*eps * lambda_max:
     - fl(G - c*I) = G - c*I + D, with D diagonal and |D| <= eps/2, as the
       diagonal of G is at most 1;
     - a Cholesky factorization of a k x k matrix A that runs to completion
@@ -192,14 +213,15 @@ def fold_solve(system: OobSystem, positions, rhs):
     the projector and, in practice, of eigvalsh: the tests check that the
     blocks found singular are exactly those the eigenvalue rule names.
     """
-    gram = _gram(system, positions)
+    gram = fold_gram(system, positions)
     n, k = system.n, positions.shape[1]
     eps = np.finfo(float).eps
+    unsure = np.flatnonzero(~dominance(gram, n)[1])
     try:
-        np.linalg.cholesky(gram - (n + k * (k + 2)) * eps * np.eye(k))
+        np.linalg.cholesky(gram[unsure] - (n + k * (k + 2)) * eps * np.eye(k))
         singular = []
     except np.linalg.LinAlgError:
-        singular = _singular(gram, np.arange(len(gram)), n * eps)
+        singular = _singular(gram, unsure, n * eps)
     return np.linalg.solve(gram, rhs[..., None])[..., 0], singular
 
 
@@ -307,7 +329,8 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     of `x`, and only the first and last blocks, which reach into the
     padding, gather their reflected samples.  So every temporary but the
     output is block-sized, whatever the signal length, and a long record
-    holds no full-length copies or spectra.
+    holds no full-length copies or spectra; every block reuses one spectrum
+    and one output buffer.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -324,6 +347,7 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     step = block - head
     last = x.size - 1
     out = np.empty(x.size)
+    product, filtered = np.empty_like(spectrum), np.empty(block)  # reused by every block
     for start in range(0, x.size, step):
         # Padded samples start .. start + block are x[lo:hi], with indices
         # outside [0, last] reflected about 0 and last.
@@ -332,6 +356,8 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
             piece = x[lo:hi]
         else:
             piece = x[last - np.abs(last - np.abs(np.arange(lo, hi)))]
-        piece = np.fft.irfft(np.fft.rfft(piece, block) * spectrum, block)
-        out[start:start + step] = piece[head:head + x.size - start]
+        np.fft.rfft(piece, block, out=product)
+        product *= spectrum
+        np.fft.irfft(product, block, out=filtered)
+        out[start:start + step] = filtered[head:head + x.size - start]
     return out

@@ -6,7 +6,8 @@ sliding-DFT vs higher-order-difference comparison, the interference-norm
 Monte-Carlo grid, and a pure-formula theory table.  Each yields one row per
 grid point, and a point whose measurement is infeasible (InfeasibleError)
 becomes a row marked skipped that holds only the point's own fields.  The
-two MSE experiments average each point over trials (signal realizations),
+two MSE experiments average each point's MSE columns over trials (signal
+realizations) and keep the last trial's threshold and sample count,
 looping oversampling factor, then trial, then the factor's points, so one
 realization's record is alive at a time.  Every experiment is a
 deterministic function of (config, seed); rows serialize to CSV that
@@ -184,7 +185,13 @@ def load_config(path: str, experiment: str, preset: str = "desk",
 
 @dataclass(frozen=True, kw_only=True)
 class ResultRow:
-    """One grid point of an MSE experiment (measured fields empty when skipped)."""
+    """One grid point of an MSE experiment (measured fields empty when skipped).
+
+    The fields are the CSV columns.  The `mse_*` columns average over all
+    trials of the point, while `threshold` and `samples_used` are the last
+    trial's: each trial sizes its threshold from its own signal peak, so
+    the threshold column describes one realization.
+    """
 
     experiment: str
     oversampling: float
@@ -249,8 +256,9 @@ def _fmt(value) -> str:
 def emit_csv(rows, path: str) -> str:
     """Write dataclass rows as CSV with >= 12 significant digits.
 
-    Header from the row fields; floats use repr-exact formatting so the file
-    round-trips losslessly and byte-identically across reruns.
+    Header from the row fields, whose meaning each row type's docstring
+    gives; floats use repr-exact formatting so the file round-trips
+    losslessly and byte-identically across reruns.
     """
     if rows:
         names = [f.name for f in dataclasses.fields(rows[0])]

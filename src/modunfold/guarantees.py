@@ -14,7 +14,10 @@ gathered from the projector's O(n) view, so no n x n matrix is built, and
 
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
-neither its result nor its errors depend on the thread count.
+neither its result nor its errors depend on the thread count.  Its result
+is a max, so a set is mapped only if a bound read from its Gram block
+(`dsp.dominance`) leaves room for it to raise the largest norm mapped so
+far; the sets skipped could not have changed a bit of the result.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .dsp import build_oob_system, fold_inverse
+from .dsp import build_oob_system, dominance, fold_gram, fold_inverse
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
@@ -36,15 +39,26 @@ from .errors import ConfigurationError, InfeasibleError
 # so a larger set times length goes past it.  Measured over the 27 desk
 # m-grid cells on two cores: 2**19 ran as fast but raised the peak resident
 # set by 8-16 MB, as every worker holds its rows and buffer, and 2**17 was
-# 10-15 % slower.  Each worker writes into its one buffer: fresh arrays
-# per batch cost 0.3-0.5M minor page faults and 1.6-1.9 times the CPU time
-# per (256, OF 12, k 32) cell, against about 1.2k faults.
+# 10-15 % slower.  Re-measured once sets were skipped by their bound (three
+# alternating runs of the 27 cells, one process): 2**19 took 1.54-1.89 s,
+# 2**18 1.87-1.99 s and 2**17 2.41-2.93 s; 2**18 stays, as 2**19 would still
+# raise the peak, whose buffers are sized for whole batches.  Each worker
+# writes into its one buffer: fresh arrays per batch cost 0.3-0.5M minor
+# page faults and 1.6-1.9 times the CPU time per (256, OF 12, k 32) cell,
+# against about 1.2k faults.
 _BATCH_ELEMENTS = 2 ** 18
 
 # Largest fold set accepted, as elements of its rows P[S, :] (set size x
 # length): 32 MiB of float64, which one batch always holds.  The paper
 # preset's largest set, 32 x 256, is 512 times below it.
 _MAX_SET_ELEMENTS = 2 ** 22
+
+# Steps refining the bound on each fold set's norm in _norm_bounds.  Over
+# the desk m-grid cells at seed 1 (N 256, k 32), 0 / 2 / 4 / 6 steps left
+# 26 / 21 / 15 / 12 % of the sets mapped at OF 4 and 52 / 40 / 32 / 31 % at
+# OF 12.  At N 256, k 32 a step costs under a fifth of mapping one more set
+# of a batch.
+_BOUND_STEPS = 4
 
 # Threads running batches in estimate_interference_norm: the CPUs this
 # process may run on.
@@ -106,6 +120,50 @@ def check_fold_set(length: int, set_size: int) -> None:
             f"row elements each, above the cap of {_MAX_SET_ELEMENTS}")
 
 
+def _norm_bounds(system, gram) -> np.ndarray:
+    """Upper bounds on the computed ||inv(G) P[S, Sc]||_inf of Gram blocks G = P[S, S].
+
+    Blocks that dsp.dominance does not certify get +inf.  For the others,
+    with g the diagonal, s_i the off-diagonal abs row sums and m_i = g - s_i
+    their margins, L = sum |projector[0]| and b_i = L - g - s_i the abs sum
+    of row i of P[S, Sc]:
+    - ||inv(G) P[S, Sc]||_inf <= max_i (|inv(G)| b)_i <= max_i w_i, where
+      (g I - A) w = b and A is |G| with its diagonal zeroed, as G = g I - C
+      with |C| = A gives |inv(G)| <= sum_p A^p / g^(p+1) = inv(g I - A);
+    - w <= Y, with Y = max_i b_i / m_i the row-wise form of Varah's bound
+      (Linear Algebra Appl. 11, 1975), and w -> (b + A w) / g maps any
+      upper bound on w to a tighter one, so the bound is max_i of
+      _BOUND_STEPS such steps from the constant Y.
+    The bound returned adds a slack of 8 (k^2/m + n) eps L/m, m = min_i
+    m_i, which covers with room to spare the rounding of both the bound and
+    the norm it is compared with:
+    - every bound above is at most L/m, and the computed one is off by
+      about ((k+1)/m + _BOUND_STEPS (k+2) + n) eps times that: each margin
+      carries (k+1) eps, each step k + 2 roundings of nonnegative terms,
+      and L n eps relative;
+    - the computed norm is off by about (k^2 kappa + n) eps L/m: G has
+      condition number kappa <= (g + s_max)/m <= 2/m (Gershgorin), its
+      inverse by LU carries about k kappa eps ||inv(G)||_inf in each of
+      the k entries of a row, ||inv(G)||_inf <= 1/m (Varah), and the
+      product and the row sums add k eps and n eps of ||inv(G)||_inf
+      ||P[S, Sc]||_inf <= L/m.
+    """
+    margins, certified = dominance(gram, system.n)
+    margins = margins[certified]
+    k, g, eps = gram.shape[1], system.projector[0, 0], np.finfo(float).eps
+    total = np.abs(system.projector[0]).sum()
+    b = total - 2.0 * g + margins
+    off = np.abs(gram[certified])
+    off[:, np.arange(k), np.arange(k)] = 0.0
+    bound = np.repeat((b / margins).max(axis=1, keepdims=True), k, axis=1)
+    for _ in range(_BOUND_STEPS):
+        bound = (b + np.matmul(off, bound[..., None])[..., 0]) / g
+    low = margins.min(axis=1)
+    bounds = np.full(len(gram), np.inf)
+    bounds[certified] = bound.max(axis=1) + 8.0 * (k * k / low + system.n) * eps * total / low
+    return bounds
+
+
 def estimate_interference_norm(length: int, oversampling: float, guard_width: float,
                                set_size: int, trials: int, seed) -> float:
     """Monte-Carlo max of ||pinv(V_S) V_Sc||_inf over random fold sets S.
@@ -122,6 +180,19 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     projector, the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed;
     it agrees with the explicit pseudoinverse whenever the fold columns are
     full rank.
+
+    A set whose norm provably cannot exceed the largest one the workers have
+    computed so far is skipped: its Gram P[S, S], gathered once per batch
+    and handed on to dsp.fold_inverse, gives an upper bound on its computed
+    norm (_norm_bounds), and it is skipped when that bound is below the
+    running max.  So every set that could raise the max is computed as it
+    would be without skipping, each by its own LAPACK inverse and matrix
+    product, and the result is bit-identical whichever sets are skipped.
+    The running max is shared by the workers without a lock: a stale or
+    lost update leaves it lower, which only skips fewer sets.  Blocks that
+    dsp.dominance does not certify are never skipped.  As lambda_min is at
+    least the least margin (Gershgorin), every singular block is among
+    them, so an error names the trial it would name without skipping.
 
     A draw whose Gram recovery would reject as singular (dsp.fold_inverse)
     raises InfeasibleError naming the earliest such trial, as an oversized
@@ -147,21 +218,29 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             "equations; the least-squares systems cannot be full rank")
     batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size * length)))
     local = threading.local()
+    running = [0.0]  # largest norm any worker has computed
 
     def batch_norm(done, sets):
+        gram = fold_gram(system, sets)
+        kept = np.flatnonzero(~(_norm_bounds(system, gram) < running[0]))
+        if kept.size == 0:
+            return 0.0
+        sets = sets[kept]
         # Gathered here, not by a helper: see unfold.residue_pre_estimate.
         rows = system.projector[sets]
-        inverse, singular = fold_inverse(system, sets)
+        inverse, singular = fold_inverse(system, gram[kept])
         if singular:
             trial, low, high = singular[0]
             raise InfeasibleError(
-                f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
+                f"trial {done + int(kept[trial])}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
         if not hasattr(local, "out"):
             local.out = np.empty((batch, set_size, length))
         mapped = np.matmul(inverse, rows, out=local.out[:len(sets)])
         np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
-        return float(np.abs(mapped, out=mapped).sum(axis=2).max())
+        norm = float(np.abs(mapped, out=mapped).sum(axis=2).max())
+        running[0] = max(running[0], norm)
+        return norm
 
     rng = np.random.default_rng(seed)
     worst = 0.0

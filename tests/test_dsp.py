@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
-from modunfold.dsp import (blocks, build_oob_system, design_lowpass,
-                           filter_zero_delay, fold_inverse, fold_solve, tukey_window)
+from modunfold.dsp import (blocks, build_oob_system, design_lowpass, dominance,
+                           filter_zero_delay, fold_gram, fold_inverse, fold_solve,
+                           tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -154,6 +155,31 @@ def fold_sets(data, n, k):
     return np.array(sets)
 
 
+class TestDominance:
+    EPS = np.finfo(float).eps
+
+    @given(st.integers(8, 64), st.floats(1.05, 12.0),
+           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_margins_bound_the_least_eigenvalue(self, n, oversampling, guard, data):
+        try:
+            system = build_oob_system(n, 1.0 / oversampling, guard)
+        except InfeasibleError:
+            assume(False)
+        k = data.draw(st.integers(1, system.num_bins))
+        sets = fold_sets(data, n, k)
+        gram = fold_gram(system, sets)
+        assert_array_equal(gram, system.projector[sets[:, :, None], sets[:, None, :]])
+        margins, certified = dominance(gram, n)
+        diagonal = np.diagonal(gram, axis1=1, axis2=2)
+        off = np.abs(gram).sum(axis=2) - np.abs(diagonal)
+        assert_allclose(margins, diagonal - off, rtol=0, atol=(k + 1) * self.EPS)
+        eig = np.linalg.eigvalsh(gram)
+        assert (eig[:, 0] >= margins.min(axis=1) - 2 * (k + 1) * self.EPS).all()
+        # Certified blocks are not singular by the eigenvalue rule.
+        assert (eig[certified, 0] > n * self.EPS * eig[certified, -1]).all()
+
+
 class TestFoldInverse:
     @given(st.integers(8, 64), st.floats(1.05, 12.0),
            st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
@@ -164,8 +190,8 @@ class TestFoldInverse:
         except InfeasibleError:
             assume(False)
         sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
-        inverse, singular = fold_inverse(system, sets)
         gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        inverse, singular = fold_inverse(system, fold_gram(system, sets))
         assert_array_equal(inverse, np.linalg.inv(gram))
         eig = np.linalg.eigvalsh(gram)
         tol = n * np.finfo(float).eps
@@ -217,6 +243,20 @@ class TestFoldSolve:
         assert singular == []
         assert_allclose(values, (np.linalg.inv(gram) @ rhs[..., None])[..., 0],
                         rtol=1e-12, atol=1e-12 * np.abs(values).max())
+
+    def test_dominant_blocks_skip_the_factorization(self, monkeypatch):
+        # 49 of these 50 random sets are diagonally dominant, so one block
+        # is left to the shifted Cholesky.
+        system = build_oob_system(64, 0.25, np.pi / 32)
+        rng = np.random.default_rng(7)
+        sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
+        certified = dominance(fold_gram(system, sets), 64)[1]
+        assert np.count_nonzero(~certified) == 1
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+        _, singular = fold_solve(system, sets, rng.normal(size=sets.shape))
+        assert calls == [1] and singular == []
 
     def test_eigenvalue_fallback_returns_values(self, monkeypatch):
         # 18 adjacent folds against 31 out-of-band bins: lambda_min is about

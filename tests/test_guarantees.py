@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modunfold import guarantees
-from modunfold.dsp import build_oob_system
+from modunfold.dsp import build_oob_system, dominance, fold_gram, fold_inverse
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
@@ -219,11 +219,11 @@ class TestInterferenceNorm:
         later_checked = threading.Event()
         checked = guarantees.fold_inverse
 
-        def fold_inverse(system, sets):
-            if np.array_equal(sets[0], draws[5]):
+        def fold_inverse(system, gram):
+            if np.array_equal(gram[0], fold_gram(system, draws[5:6])[0]):
                 later_checked.wait(timeout=10)
-            result = checked(system, sets)
-            if np.array_equal(sets[0], draws[7]):
+            result = checked(system, gram)
+            if np.array_equal(gram[0], fold_gram(system, draws[7:8])[0]):
                 assert result[1]
                 later_checked.set()
             return result
@@ -233,6 +233,85 @@ class TestInterferenceNorm:
         with pytest.raises(InfeasibleError, match="^trial 5: .*singular"):
             estimate_interference_norm(64, 2.0, 0.0, 31, 40, 87)
         assert later_checked.is_set()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("length, oversampling, set_size, trials",
+                             [(64, 8.0, 8, 2000), (256, 12.0, 32, 200)])
+    def test_pruned_max_equals_the_unpruned_max(self, monkeypatch, workers, length,
+                                                oversampling, set_size, trials):
+        # Pruning skips most sets of the first cell and few of the second.
+        # The reference maps every draw, in one batch, with nothing skipped.
+        system = build_oob_system(length, 1.0 / oversampling, 0.0)
+        sets = np.random.default_rng(9).random((trials, length)).argsort(axis=1)[:, :set_size]
+        inverse, singular = fold_inverse(system, fold_gram(system, sets))
+        mapped = np.matmul(inverse, system.projector[sets])
+        np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
+        assert singular == []
+        monkeypatch.setattr(guarantees, "_WORKERS", workers)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * set_size * length)
+        assert estimate_interference_norm(length, oversampling, 0.0, set_size, trials,
+                                          9) == np.abs(mapped).sum(axis=2).max()
+
+    def test_pruning_skips_sets(self, monkeypatch):
+        # One worker and 16 sets per batch fix which sets are skipped.
+        seen = []
+        checked = guarantees.fold_inverse
+
+        def fold_inverse(system, gram):
+            seen.append(len(gram))
+            return checked(system, gram)
+        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        monkeypatch.setattr(guarantees, "_WORKERS", 1)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 8 * 64)
+        estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
+        assert sum(seen) < 2000 // 4
+
+    @given(st.integers(16, 128), st.floats(3.0, 12.0), st.sampled_from([0.0, np.pi / 32]),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_bound_covers_the_computed_norm(self, length, oversampling, guard, seed, data):
+        system = build_oob_system(length, 1.0 / oversampling, guard)
+        set_size = data.draw(st.integers(1, min(32, system.num_bins)))
+        sets = np.random.default_rng(seed).random((64, length)).argsort(axis=1)[:, :set_size]
+        gram = fold_gram(system, sets)
+        bounds = guarantees._norm_bounds(system, gram)
+        dominant = np.isfinite(bounds)
+        np.testing.assert_array_equal(dominant, dominance(gram, length)[1])
+        assume(dominant.any())
+        inverse, _ = fold_inverse(system, gram[dominant])
+        mapped = np.matmul(inverse, system.projector[sets[dominant]])
+        np.put_along_axis(mapped, sets[dominant, None, :], 0.0, axis=2)
+        assert (bounds[dominant] >= np.abs(mapped).sum(axis=2).max(axis=1)).all()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_singular_draw_after_skipped_sets_names_its_trial(self, monkeypatch, workers):
+        # At (256, OF 2, 20 folds) most random sets are diagonally dominant,
+        # and 20 adjacent folds are singular (lambda_min about 1e-14).  Draw
+        # 61 is made adjacent: it sits 13th in the last batch of 16.
+        class Scripted(np.random.Generator):
+            drawn = 0
+
+            def random(self, size=None):
+                rows = super().random(size)
+                if self.drawn <= 61 < self.drawn + len(rows):
+                    rows[61 - self.drawn, :20] = np.arange(20) - 20.0
+                self.drawn += len(rows)
+                return rows
+        seen = []
+        checked = guarantees.fold_inverse
+
+        def fold_inverse(system, gram):
+            seen.append(gram)
+            return checked(system, gram)
+        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        monkeypatch.setattr(guarantees, "_WORKERS", workers)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 20 * 256)
+        with pytest.raises(InfeasibleError, match="^trial 61: .*singular"):
+            estimate_interference_norm(256, 2.0, 0.0, 20, 64, Scripted(np.random.PCG64(4)))
+        adjacent = fold_gram(build_oob_system(256, 0.5, 0.0), np.arange(20)[None])
+        last = next(gram for gram in seen if (gram == adjacent).all(axis=(1, 2)).any())
+        if workers == 1:  # sets ahead of it in its batch were skipped
+            assert np.flatnonzero((last == adjacent).all(axis=(1, 2)))[0] < 13
 
     def test_peak_memory_bounded_in_trials(self, monkeypatch):
         # 32 sets per batch: 2 batches or 128.  Two workers hold a 2 MiB
