@@ -8,11 +8,10 @@ over fold positions S is then built from the projector rows P[S, :]: the
 Gram block P[S, S], read from the first row as P is circulant, and the
 right-hand side (P d)[S] = P[S, :] d.  Recovery solves its Gram systems
 with fold_solve and the interference-norm estimate, which needs the whole
-map inv(P[S, S]) P[S, :], inverts the Gram with fold_inverse.  Both apply
-one rule to find the fold sets that are not identifiable.  `dominance`
-gives the diagonal-dominance margins of Gram blocks: fold_solve skips its
-singularity check for the blocks they certify, and the estimate bounds
-each set's norm by them.
+map inv(P[S, S]) P[S, :], inverts the Gram with fold_inverse.  Both find
+the fold sets that are not identifiable by one check, _singular, which
+passes the blocks whose diagonal-dominance margins (`dominance`) certify
+them; the estimate also bounds each set's norm by those margins.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
@@ -147,9 +146,8 @@ def dominance(gram, n: int):
     certified marks the blocks whose least margin exceeds (n + k(k+2))*eps
     plus the rounding of the margin itself, (k+1)*eps: an abs row sum of k
     terms, at most 2 where the margin is positive, then one subtraction.
-    Such a block has lambda_min > (n + k(k+2))*eps, above the bound
-    fold_solve's shifted Cholesky certifies, so the fold rule cannot call
-    it singular.
+    Such a block has lambda_min > (n + k(k+2))*eps, above the bound the
+    shifted Cholesky of _singular certifies, so _singular passes it.
     """
     k = gram.shape[-1]
     # einsum sums short rows several times faster than sum(axis=2).
@@ -158,47 +156,15 @@ def dominance(gram, n: int):
     return margins, margins.min(axis=1) > floor
 
 
-def _singular(gram, indices, tol) -> list:
-    """(index, lambda_min, lambda_max) of the blocks gram[indices] that are singular.
+def _singular(gram, n: int) -> list:
+    """(index, lambda_min, lambda_max), by index, of the singular Gram blocks of gram.
 
-    A block is singular when lambda_min <= tol * lambda_max.
-    """
-    if indices.size == 0:
-        return []
-    eig = np.linalg.eigvalsh(gram[indices])
-    bad = eig[:, 0] <= tol * eig[:, -1]
-    return [(int(i), e[0], e[-1]) for i, e in zip(indices[bad], eig[bad])]
-
-
-def fold_inverse(system: OobSystem, gram):
-    """(inv(G), singular) for Gram blocks G = fold_gram(system, positions).
-
-    singular lists (index, lambda_min, lambda_max), by index, for the blocks
-    with lambda_min <= n*eps * lambda_max, whose fold values are not
-    identifiable.  As P is an orthogonal projector, lambda_max <= 1 and
-    lambda_min >= 1/tr(inv); eigvalsh runs only on blocks without
-    1/tr > n*eps * tr, a margin that covers the rounding of tr (about
-    cond*eps <= tr*eps relative).
-    """
-    inverse = np.linalg.inv(gram)
-    trace = np.trace(inverse, axis1=1, axis2=2)
-    tol = system.n * np.finfo(float).eps
-    unsure = np.flatnonzero(~((trace > 0.0) & (trace * trace * tol < 1.0)))
-    return inverse, _singular(gram, unsure, tol)
-
-
-def fold_solve(system: OobSystem, positions, rhs):
-    """(values, singular): P[S, S] x = rhs solved for a batch of fold positions.
-
-    positions has shape (b, k) and rhs, shape (b, k), holds (P d)[S] for each
-    block.  values are one batched np.linalg.solve, and singular follows
-    fold_inverse's rule, lambda_min <= n*eps * lambda_max; a singular
-    block's values mean nothing.
-
-    No inverse is formed.  Blocks that dominance certifies need nothing
-    more; the rest are certified by one batched Cholesky factorization of
-    G - c*I, c = (n + k(k+2))*eps, with eigvalsh on them only if it fails.
-    If it succeeds, every block has lambda_min > n*eps >= n*eps * lambda_max:
+    gram holds blocks P[S, S] of shape (b, k, k) over an n-point window, and a
+    block is singular when lambda_min <= n*eps * lambda_max: its fold values
+    are not identifiable.  Blocks that dominance certifies pass; the rest get
+    one batched Cholesky factorization of G - c*I, c = (n + k(k+2))*eps, and
+    eigvalsh runs on them only if it fails.  If it succeeds, every block has
+    lambda_min > n*eps >= n*eps * lambda_max:
     - fl(G - c*I) = G - c*I + D, with D diagonal and |D| <= eps/2, as the
       diagonal of G is at most 1;
     - a Cholesky factorization of a k x k matrix A that runs to completion
@@ -213,15 +179,38 @@ def fold_solve(system: OobSystem, positions, rhs):
     the projector and, in practice, of eigvalsh: the tests check that the
     blocks found singular are exactly those the eigenvalue rule names.
     """
-    gram = fold_gram(system, positions)
-    n, k = system.n, positions.shape[1]
-    eps = np.finfo(float).eps
     unsure = np.flatnonzero(~dominance(gram, n)[1])
+    if unsure.size == 0:
+        return []
+    k, eps = gram.shape[-1], np.finfo(float).eps
     try:
         np.linalg.cholesky(gram[unsure] - (n + k * (k + 2)) * eps * np.eye(k))
-        singular = []
     except np.linalg.LinAlgError:
-        singular = _singular(gram, unsure, n * eps)
+        eig = np.linalg.eigvalsh(gram[unsure])
+        bad = eig[:, 0] <= n * eps * eig[:, -1]
+        return [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
+    return []
+
+
+def fold_inverse(system: OobSystem, gram):
+    """(inv(G), singular) for Gram blocks G = fold_gram(system, positions).
+
+    singular is _singular's list; a singular block's inverse means nothing.
+    """
+    return np.linalg.inv(gram), _singular(gram, system.n)
+
+
+def fold_solve(system: OobSystem, positions, rhs):
+    """(values, singular): P[S, S] x = rhs solved for a batch of fold positions.
+
+    positions has shape (b, k) and rhs, shape (b, k), holds (P d)[S] for each
+    block.  values are one batched np.linalg.solve, so no inverse is formed,
+    and singular is _singular's list; a singular block's values mean nothing.
+    """
+    gram = fold_gram(system, positions)
+    # Checked before the solve: solving first raised the median peak resident
+    # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
+    singular = _singular(gram, system.n)
     return np.linalg.solve(gram, rhs[..., None])[..., 0], singular
 
 

@@ -9,8 +9,8 @@ the out-of-band projector P = V^H V that recovery solves with: for each
 random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
 with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
 gathered from the projector's O(n) view, so no n x n matrix is built, and
-`dsp.fold_inverse` inverts P[S, S] and checks it by the rule recovery's
-`dsp.fold_solve` applies.
+`dsp.fold_inverse` inverts P[S, S] and runs on it the one singularity check
+of `dsp`, which recovery's `dsp.fold_solve` runs too.
 
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
@@ -194,13 +194,13 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     least the least margin (Gershgorin), every singular block is among
     them, so an error names the trial it would name without skipping.
 
-    A draw whose Gram recovery would reject as singular (dsp.fold_inverse)
-    raises InfeasibleError naming the earliest such trial, as an oversized
-    set does, so an experiment grid marks the cell skipped.  A draw that
-    passes with Gram condition number cond carries about cond*eps relative
-    error: negligible below cond 1e6, up to about 1/length near the limit
-    1/(length*eps).  Sets whose rows exceed _MAX_SET_ELEMENTS raise
-    ConfigurationError before anything is built.
+    A draw whose Gram dsp.fold_inverse finds singular, by the check
+    recovery also runs, raises InfeasibleError naming the earliest such
+    trial, as an oversized set does, so an experiment grid marks the cell
+    skipped.  A draw that passes with Gram condition number cond carries
+    about cond*eps relative error: negligible below cond 1e6, up to about
+    1/length near the limit 1/(length*eps).  Sets whose rows exceed
+    _MAX_SET_ELEMENTS raise ConfigurationError before anything is built.
     """
     if set_size < 0:
         raise ConfigurationError("set_size must be nonnegative")

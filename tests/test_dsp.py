@@ -199,9 +199,29 @@ class TestFoldInverse:
         assert [i for i, _, _ in singular] == list(rule)
         for i, low, high in singular:
             assert (low, high) == (eig[i, 0], eig[i, -1])
-        trace = np.trace(inverse, axis1=1, axis2=2)
-        certified = (trace > 0) & (trace * trace * tol < 1.0)
-        assert (eig[certified, 0] > tol * eig[certified, -1]).all()
+
+    @given(st.integers(8, 64), st.floats(1.05, 12.0),
+           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_singular_sets_match_fold_solve(self, n, oversampling, guard, data):
+        try:
+            system = build_oob_system(n, 1.0 / oversampling, guard)
+        except InfeasibleError:
+            assume(False)
+        sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
+        _, inverted = fold_inverse(system, fold_gram(system, sets))
+        _, solved = fold_solve(system, sets, np.ones(sets.shape))
+        assert inverted == solved
+
+
+# fold_solve and fold_inverse as (output, singular) of (system, sets, rhs),
+# each with its output's reference from the Gram blocks.
+MAPS = [
+    pytest.param(fold_solve, lambda gram, rhs: np.linalg.solve(gram, rhs[..., None])[..., 0],
+                 id="fold_solve"),
+    pytest.param(lambda system, sets, rhs: fold_inverse(system, fold_gram(system, sets)),
+                 lambda gram, rhs: np.linalg.inv(gram), id="fold_inverse"),
+]
 
 
 class TestFoldSolve:
@@ -244,9 +264,10 @@ class TestFoldSolve:
         assert_allclose(values, (np.linalg.inv(gram) @ rhs[..., None])[..., 0],
                         rtol=1e-12, atol=1e-12 * np.abs(values).max())
 
-    def test_dominant_blocks_skip_the_factorization(self, monkeypatch):
+    @pytest.mark.parametrize("apply, reference", MAPS)
+    def test_dominant_blocks_skip_the_factorization(self, monkeypatch, apply, reference):
         # 49 of these 50 random sets are diagonally dominant, so one block
-        # is left to the shifted Cholesky.
+        # is left to the shifted Cholesky, and none once that one is dropped.
         system = build_oob_system(64, 0.25, np.pi / 32)
         rng = np.random.default_rng(7)
         sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
@@ -255,10 +276,15 @@ class TestFoldSolve:
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
-        _, singular = fold_solve(system, sets, rng.normal(size=sets.shape))
+        rhs = rng.normal(size=sets.shape)
+        _, singular = apply(system, sets, rhs)
         assert calls == [1] and singular == []
+        calls.clear()
+        _, singular = apply(system, sets[certified], rhs[certified])
+        assert calls == [] and singular == []
 
-    def test_eigenvalue_fallback_returns_values(self, monkeypatch):
+    @pytest.mark.parametrize("apply, reference", MAPS)
+    def test_eigenvalue_fallback_returns_values(self, monkeypatch, apply, reference):
         # 18 adjacent folds against 31 out-of-band bins: lambda_min is about
         # 122 eps, above 64 eps but below the Cholesky shift of 424 eps, so
         # the factorization fails and eigvalsh clears the block.
@@ -271,9 +297,9 @@ class TestFoldSolve:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
         rhs = np.linspace(-1.0, 1.0, 18)[None]
-        values, singular = fold_solve(system, sets, rhs)
+        values, singular = apply(system, sets, rhs)
         assert len(calls) == 1 and singular == []
-        assert_array_equal(values, np.linalg.solve(gram, rhs[..., None])[..., 0])
+        assert_array_equal(values, reference(gram, rhs))
 
     def test_singular_block_named_past_the_first(self):
         # Two random sets of 20 folds, then 20 adjacent ones, whose Gram has
