@@ -13,12 +13,10 @@ from .errors import ConfigurationError, InfeasibleError, OverloadError
 from .guarantees import (estimate_interference_norm, guard_bin_count,
                          min_oversampling, predict_mse_conventional,
                          predict_mse_modulo, required_bits, required_threshold)
-from .modulo_adc import (AdcConfig, AdcOutput, acquire, fold, quantize_uniform,
-                         triangle_dither)
+from .modulo_adc import AdcConfig, AdcOutput, acquire
 from .signal_model import (PulseTrain, PulseTrainSpec, SampledSignal,
                            estimate_inf_norm, generate_pulse_train,
-                           nominal_sample_count, raised_cosine, sample_signal)
-from .unfold import (RecoveryConfig, UnfoldResult, residue_pre_estimate,
-                     round_to_lattice, segment_starts, unfold)
+                           nominal_sample_count, sample_signal)
+from .unfold import RecoveryConfig, UnfoldResult, unfold
 
 __version__ = "0.1.0"

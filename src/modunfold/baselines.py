@@ -34,8 +34,8 @@ class HodConfig:
         # overflow float64 past order 16 on a billion samples.
         if not 1 <= self.order <= 16:
             raise ConfigurationError(f"difference order must be in [1, 16], got {self.order}")
-        if self.threshold <= 0.0:
-            raise ConfigurationError("modulo threshold must be positive")
+        if not 0.0 < self.threshold < np.inf:
+            raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
 
 
 def conventional_full_scale(bits: int, peak: float) -> float:
@@ -57,8 +57,8 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     """
     if bits < 2:
         raise ConfigurationError("need bits >= 2")
-    if peak <= 0.0:
-        raise ConfigurationError("peak amplitude must be positive")
+    if not 0.0 < peak < np.inf:
+        raise ConfigurationError(f"need 0 < peak < inf, got {peak}")
     f = np.asarray(signal.samples, dtype=float)
     full_scale = conventional_full_scale(bits, peak)
     quantized = np.empty(f.size)

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if rows and all(r.status != "ok" for r in rows):
+    if all(r.status != "ok" for r in rows):
         print("error: every grid point was infeasible", file=sys.stderr)
         return 3
     return 0

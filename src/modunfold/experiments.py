@@ -37,8 +37,8 @@ from .unfold import RecoveryConfig, unfold
 from .dsp import _LPF_LENGTH, _LPF_TRANSITION, filter_zero_delay, tukey_window
 
 # JSON types of the numeric fields (a null trials or oversampling_list takes
-# the experiment's default, as does theory-only's seed); each range is
-# checked by the code that uses the value.
+# the experiment's default, as does theory-only's seed); their ranges are
+# checked by the configs and functions that own the rules (ExperimentConfig).
 _INTS = ("num_pulses", "span", "window_length", "lpf_length", "hod_order",
          "m_trials", "trials", "seed")
 _REALS = ("beta", "amp_low", "amp_high", "window_alpha", "lpf_transition")
@@ -61,9 +61,17 @@ class ExperimentConfig:
     module: mse-sweep runs the nine factors 4-50 once, compare-hod OF 4, 6,
     10, 12, 16 over 12 realizations and m-grid OF 4, 8, 12; a given list is
     run as given.  Every experiment but theory-only needs a seed >= 0;
-    theory-only draws nothing and records seed 0 when given none.  Every
-    field, and the directory of `out`, is checked here, so runners read the
-    fields as they are and a bad value fails before any work.
+    theory-only draws nothing and records seed 0 when given none.
+
+    The fields are checked here, whichever experiment reads them, so
+    runners read them as they are and a bad value fails before any work:
+    the numbers' types, the signal spec (PulseTrainSpec) and each factor's
+    sample count, the window (tukey_window), each bit depth (AdcConfig),
+    each guard width (guarantees.guard_bin_count), the HoD order
+    (HodConfig), the m-grid fold sets, the seed and the directory of `out`.
+    The ranges of lpf_length and lpf_transition are checked when the first
+    point's lowpass is designed (dsp.design_lowpass), as their rules depend
+    on each point's cutoff, and m-grid checks each factor when its cells run.
     """
 
     experiment: str = "mse-sweep"
@@ -131,6 +139,11 @@ class ExperimentConfig:
                 if oversampling > 0.0:
                     nominal_sample_count(spec, oversampling)
         tukey_window(self.window_length, self.window_alpha)
+        for bits in self.bits_list:
+            AdcConfig(bits=bits, threshold=1.0)
+        for guard_width in self.guard_width_list:
+            guarantees.guard_bin_count(guard_width, self.window_length)
+        baselines.HodConfig(threshold=1.0, order=self.hod_order)
         if self.seed is None or self.seed < 0:
             raise ConfigurationError(
                 f"{self.experiment} needs --seed N >= 0 (or a seed in the config)")
@@ -254,16 +267,14 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows, path: str) -> str:
-    """Write dataclass rows as CSV with >= 12 significant digits.
+    """Write nonempty dataclass rows as CSV with >= 12 significant digits.
 
     Header from the row fields, whose meaning each row type's docstring
-    gives; floats use repr-exact formatting so the file round-trips
-    losslessly and byte-identically across reruns.
+    gives (run_experiment returns at least one row); floats use repr-exact
+    formatting so the file round-trips losslessly and byte-identically
+    across reruns.
     """
-    if rows:
-        names = [f.name for f in dataclasses.fields(rows[0])]
-    else:
-        names = [f.name for f in dataclasses.fields(ResultRow)]
+    names = [f.name for f in dataclasses.fields(rows[0])]
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(names) + "\n")
@@ -433,7 +444,7 @@ def run_m_grid(cfg: ExperimentConfig) -> list[MGridRow]:
         # One child seed per cell, spawned in row order.
         norm = guarantees.estimate_interference_norm(
             length, oversampling, 0.0, set_size, cfg.m_trials, entropy.spawn(1)[0])
-        return dict(interference_norm=norm, extra_bits=math.log2(1.0 + 0.75 * norm))
+        return dict(interference_norm=norm, extra_bits=guarantees.extra_bits(norm))
 
     points = [dict(experiment=cfg.experiment, length=length, oversampling=oversampling,
                    set_size=length // fraction, trials=cfg.m_trials, seed=cfg.seed)

@@ -68,9 +68,11 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def guard_bin_count(guard_width: float, length: int) -> int:
     """DFT bins excluded by the leakage guard: 2 * ceil(guard_width * N / pi)."""
-    if guard_width < 0.0:
-        raise ConfigurationError("guard_width must be nonnegative")
-    return 2 * math.ceil(guard_width * length / np.pi)
+    half = guard_width * length / np.pi
+    if not 0.0 <= half < math.inf:
+        raise ConfigurationError(
+            f"need 0 <= guard_width * N / pi < inf, got guard_width {guard_width} at N {length}")
+    return 2 * math.ceil(half)
 
 
 def min_oversampling(length: int, guard_bins: int) -> float:
@@ -96,10 +98,17 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
     return peak / denom
 
 
+def extra_bits(interference_norm: float) -> float:
+    """Bits the interference adds to required_bits: log2(1 + 0.75 * norm)."""
+    if interference_norm < 0.0:
+        raise ConfigurationError("interference norm must be nonnegative")
+    return math.log2(1.0 + 0.75 * interference_norm)
+
+
 def required_bits(interference_norm: float) -> float:
     """Bit depth beyond which lattice rounding is guaranteed exact:
 
-    bits > 3 + log2(1 + 0.75 * interference_norm).
+    bits > 3 + extra_bits(interference_norm) = 3 + log2(1 + 0.75 * norm).
 
     The norm is a worst case over fold sets, so the bound is loose.  At OF
     4 the desk m-grid norms (seed 1; N 64 to 256, N/32 to N/8 folds) ask
@@ -107,9 +116,7 @@ def required_bits(interference_norm: float) -> float:
     8 to 19 folds its segments hold asks for 6.1 to 8.3 bits.  Yet desk
     recovery there slipped at 3 bits in 6 of seeds 0-9 and at 4 in none.
     """
-    if interference_norm < 0.0:
-        raise ConfigurationError("interference norm must be nonnegative")
-    return 3.0 + math.log2(1.0 + 0.75 * interference_norm)
+    return 3.0 + extra_bits(interference_norm)
 
 
 def check_fold_set(length: int, set_size: int) -> None:

@@ -42,8 +42,8 @@ class AdcConfig:
         # Two bits give a positive full scale; past 53 the step is below float64.
         if not 2 <= self.bits <= 53:
             raise ConfigurationError(f"need 2 <= bits <= 53, got {self.bits}")
-        if self.threshold <= 0.0:
-            raise ConfigurationError("modulo threshold must be positive")
+        if not 0.0 < self.threshold < np.inf:
+            raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
 
     @property
     def full_scale(self) -> float:
@@ -72,10 +72,9 @@ def fold(x, threshold: float):
     """Centered modulo: ((x + threshold) mod 2*threshold) - threshold.
 
     The result lies in [-threshold, threshold) and x - fold(x) is an integer
-    multiple of 2*threshold.
+    multiple of 2*threshold.  The threshold must be positive and finite, as
+    AdcConfig and baselines.HodConfig check.
     """
-    if threshold <= 0.0:
-        raise ConfigurationError("modulo threshold must be positive")
     x = np.asarray(x, dtype=float)
     r = np.mod(x + threshold, 2.0 * threshold) - threshold
     # np.mod can return the modulus itself for tiny negative inputs.
@@ -91,12 +90,10 @@ def triangle_dither(count: int, bits: int, full_scale: float, seed):
     `count` draws in total, one per slice of dsp.blocks(count).  The n-th
     draw sums the n-th uniforms of a PCG64 seeded by `seed` and of a second
     one advanced by `count`: the two streams that one generator drawing
-    `count` uniforms twice returns.
+    `count` uniforms twice returns.  bits and full_scale are those of an
+    AdcConfig or of baselines.conventional_adc, which check them: bits >= 2
+    and a positive, finite full_scale.
     """
-    if bits < 1:
-        raise ConfigurationError("bits must be positive")
-    if full_scale <= 0.0:
-        raise ConfigurationError("full_scale must be positive")
     half = full_scale / 2 ** bits
     first = np.random.Generator(np.random.PCG64(seed))
     second = np.random.Generator(np.random.PCG64(seed).advance(count))
@@ -110,12 +107,9 @@ def quantize_uniform(x, bits: int, full_scale: float):
 
     2^bits equal bins, left-closed with the last bin right-closed;
     reconstruction at bin centers, so |result - x| <= step/2.  Inputs beyond
-    full scale raise OverloadError naming the first offending sample.
+    full scale raise OverloadError naming the first offending sample.  bits
+    and full_scale are checked by the callers, as for triangle_dither.
     """
-    if bits < 1:
-        raise ConfigurationError("bits must be positive")
-    if full_scale <= 0.0:
-        raise ConfigurationError("full_scale must be positive")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -130,13 +124,13 @@ def quantize_uniform(x, bits: int, full_scale: float):
     return float(out[0]) if scalar else out
 
 
-def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> AdcOutput:
+def acquire(signal: SampledSignal, config: AdcConfig) -> AdcOutput:
     """Fold, dither and quantize a sampled signal; emit the 1-bit fold flags.
 
     The first sample must already lie within [-threshold, threshold] so the
     residue stream starts from zero and no constant offset survives recovery.
-    With ideal=True the dither and quantizer are bypassed (the output is the
-    exact folded signal), which isolates fold-recovery behaviour in tests.
+    The fold flags and residue_truth do not depend on the dither, so the
+    exact folded stream is this output with quantized = fold(samples).
     An OverloadError names its sample by the index in the whole record.
     """
     f = np.asarray(signal.samples, dtype=float)
@@ -154,21 +148,17 @@ def acquire(signal: SampledSignal, config: AdcConfig, ideal: bool = False) -> Ad
     count = f.size
     quantized, residue = np.empty(count), np.empty(count)
     flags = np.empty(count, dtype=bool)
-    dither = None if ideal else triangle_dither(
-        count, config.bits, config.full_scale, config.seed)
+    dither = triangle_dither(count, config.bits, config.full_scale, config.seed)
     spacing = 2.0 * lam_p
     previous = 0
     for block in blocks(count):
         folded = fold(f[block], lam_p)
-        if ideal:
-            quantized[block] = folded
-        else:
-            try:
-                quantized[block] = quantize_uniform(
-                    folded + next(dither), config.bits, config.full_scale)
-            except OverloadError as err:
-                raise OverloadError(index=block.start + err.index, value=err.value,
-                                    full_scale=err.full_scale) from None
+        try:
+            quantized[block] = quantize_uniform(
+                folded + next(dither), config.bits, config.full_scale)
+        except OverloadError as err:
+            raise OverloadError(index=block.start + err.index, value=err.value,
+                                full_scale=err.full_scale) from None
         # The residue is a multiple of 2*threshold by definition; snap away
         # the float dust of fold(f) - f so ground-truth comparisons can be exact.
         lattice = np.round((folded - f[block]) / spacing).astype(np.int64)

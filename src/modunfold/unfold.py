@@ -172,10 +172,10 @@ def round_to_lattice(x, threshold: float):
     """Index of the nearest multiple of 2*threshold, ties away from zero.
 
     Returns int64 counts (a Python int for a scalar), so a residue built as
-    2*threshold*counts sits exactly on the lattice.
+    2*threshold*counts sits exactly on the lattice.  The threshold must be
+    positive and finite: unfold passes the recovery threshold once it has
+    matched it to the acquisition's, which AdcConfig checks.
     """
-    if threshold <= 0.0:
-        raise ConfigurationError("modulo threshold must be positive")
     x = np.asarray(x, dtype=float)
     out = (np.sign(x) * np.floor(np.abs(x) / (2.0 * threshold) + 0.5)).astype(np.int64)
     return int(out) if out.ndim == 0 else out

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,8 +119,9 @@ class TestConventionalAdc:
         sig, peak = reference_signal(num_pulses=200)
         with pytest.raises(ConfigurationError):
             conventional_adc(sig, 1, peak, seed=0)
-        with pytest.raises(ConfigurationError):
-            conventional_adc(sig, 4, -1.0, seed=0)
+        for peak in (-1.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="peak"):
+                conventional_adc(sig, 4, peak, seed=0)
 
 
 class TestHodRecover:
@@ -129,8 +131,8 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=400, oversampling=40.0, seed=2)
         threshold = 1.2 * np.abs(np.diff(sig.samples, prepend=0.0)).max()
         assert threshold < peak  # the signal does fold
-        adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=2),
-                      ideal=True)
+        adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=2))
+        adc = replace(adc, quantized=fold(sig.samples, threshold))
         assert adc.folding_bits.any()
         recovered = hod_recover(adc.quantized,
                                 HodConfig(threshold=threshold, order=1))
@@ -213,3 +215,9 @@ class TestHodRecover:
             HodConfig(threshold=1.0, order=0)
         with pytest.raises(ConfigurationError):
             HodConfig(threshold=1.0, order=17)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
+    def test_threshold_outside_zero_to_inf_rejected(self, threshold):
+        # NaN used to pass and hod_recover then returned an all-NaN record.
+        with pytest.raises(ConfigurationError, match="threshold"):
+            HodConfig(threshold=threshold)

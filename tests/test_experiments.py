@@ -90,12 +90,6 @@ class TestConfig:
 
 
 class TestEmitCsv:
-    def test_empty_rows_give_header_only(self, tmp_path):
-        path = str(tmp_path / "empty.csv")
-        emit_csv([], path)
-        lines = Path(path).read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("experiment,")
-
     def test_round_trips_through_csv_reader(self, tmp_path):
         row = ResultRow(experiment="mse-sweep", oversampling=4.0, bits=4,
                         guard_width=float(np.pi / 32), guard_bins=4,
@@ -113,7 +107,8 @@ class TestEmitCsv:
 
     def test_newline_terminated(self, tmp_path):
         path = str(tmp_path / "rows.csv")
-        emit_csv([], path)
+        emit_csv([MGridRow(experiment="m-grid", length=64, oversampling=4.0,
+                           set_size=2, trials=10, seed=1)], path)
         assert Path(path).read_bytes().endswith(b"\n")
 
 
@@ -470,6 +465,21 @@ class TestBadInput:
             raise AssertionError("synthesis ran")
         monkeypatch.setattr(experiments, "generate_pulse_train", synthesis)
         assert run_cli(tmp_path, "mse-sweep", {**TINY, "window_alpha": 0.3}) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("bits_list", [1]), ("bits_list", [54]), ("guard_width_list", [-0.1]),
+        ("guard_width_list", [1e308]), ("hod_order", 0), ("hod_order", 17)])
+    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                             field, value):
+        # Each used to fail only where a runner first used it, after every
+        # trial's synthesis, or never where no runner reads it (m-grid).
+        def work(*args):
+            raise AssertionError("work ran")
+        monkeypatch.setattr(experiments, "generate_pulse_train", work)
+        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
+        for experiment in EXPERIMENTS:
+            assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_seed_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
         def work(*args):

@@ -30,6 +30,13 @@ class TestGuardBinCount:
         for width in np.linspace(0.001, 0.5, 23):
             assert guard_bin_count(width, 97) % 2 == 0
 
+    @pytest.mark.parametrize("width", [-0.1, np.nan, 1e308])
+    def test_negative_or_unbounded_width_rejected(self, width):
+        # NaN and 1e308 (whose bin count overflows) used to end in math.ceil's
+        # ValueError and OverflowError.
+        with pytest.raises(ConfigurationError, match="guard_width"):
+            guard_bin_count(width, 64)
+
 
 class TestMinOversampling:
     def test_signal_free_no_guard(self):

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from modunfold.dsp import build_oob_system, oob_bin_indices, tukey_window
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (guard_bin_count, predict_mse_modulo,
                                   required_threshold)
-from modunfold.modulo_adc import AdcConfig, AdcOutput, acquire
+from modunfold.modulo_adc import AdcConfig, AdcOutput, acquire, fold
 from modunfold.signal_model import (PulseTrain, PulseTrainSpec, estimate_inf_norm,
                                     generate_pulse_train, nominal_sample_count,
                                     sample_signal)
@@ -27,14 +28,19 @@ GUARD = np.pi / 32
 
 
 def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
-    """Acquire + recover one operating point of the reference setup."""
+    """Acquire + recover one operating point of the reference setup.
+
+    ideal=True recovers the exact folded samples instead of the quantized
+    ones; the fold flags and residue_truth are the same either way.
+    """
     spec = PulseTrainSpec(num_pulses=num_pulses, seed=seed)
     train = generate_pulse_train(spec)
     peak = 1.001 * estimate_inf_norm(train)
     threshold = required_threshold(peak, oversampling, guard_bin_count(guard, 64), 64)
     sig = sample_signal(train, oversampling, nominal_sample_count(spec, oversampling))
-    adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=seed + 1),
-                  ideal=ideal)
+    adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=seed + 1))
+    if ideal:
+        adc = replace(adc, quantized=fold(sig.samples, threshold))
     config = RecoveryConfig(length=64, alpha=0.5, guard_width=guard,
                             threshold=threshold, band_fraction=1 / oversampling)
     return peak, threshold, sig, adc, unfold(adc, sig, config)
@@ -519,7 +525,7 @@ class TestWindowTrade:
         train = PulseTrain(spec=spec, amplitudes=amplitudes)
         threshold = 1.001 * estimate_inf_norm(train) / divisor
         sig = sample_signal(train, 2.0, nominal_sample_count(spec, 2.0))
-        flags = acquire(sig, AdcConfig(bits=8, threshold=threshold), ideal=True).folding_bits
+        flags = acquire(sig, AdcConfig(bits=8, threshold=threshold)).folding_bits
         counts = []
         for n in (64, 256, 1024):
             edge = tukey_window(n, 0.5).edge
