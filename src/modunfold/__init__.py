@@ -7,8 +7,8 @@ checks the measured error against closed-form performance predictions.
 """
 
 from .baselines import HodConfig, conventional_adc, hod_recover
-from .dsp import (FirLowpass, OobSystem, TukeyWindow, build_oob_system,
-                  design_lowpass, filter_zero_delay, tukey_window)
+from .dsp import (OobSystem, TukeyWindow, build_oob_system, design_lowpass,
+                  filter_zero_delay, tukey_window)
 from .errors import ConfigurationError, InfeasibleError, OverloadError
 from .guarantees import (estimate_interference_norm, guard_bin_count,
                          min_oversampling, predict_mse_conventional,

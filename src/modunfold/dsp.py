@@ -48,7 +48,7 @@ class TukeyWindow:
 
     @property
     def edge(self) -> int:
-        """Number of samples in one taper (half the overlap region)."""
+        """Samples shared by consecutive segments (one window taper)."""
         return int(round(self.alpha * self.n / 2))
 
     @property
@@ -82,13 +82,6 @@ class OobSystem:
     @property
     def num_bins(self) -> int:
         return len(self.oob_bins)
-
-
-@dataclass(frozen=True)
-class FirLowpass:
-    """Symmetric (linear-phase) FIR lowpass with unit DC gain."""
-
-    taps: np.ndarray
 
 
 def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndarray:
@@ -256,11 +249,13 @@ _LPF_LENGTH = 1025
 _LPF_TRANSITION = np.pi / 64
 
 
-def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
+def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
     """Windowed-sinc lowpass: flat to `cutoff`, >= 60 dB down past `cutoff + transition`.
 
-    The ideal edge is placed mid-transition; the response is validated on a
-    dense frequency grid (passband ripple <= 0.01 dB, stopband >= 60 dB).
+    Returns the `length` taps, exactly symmetric (linear phase) with unit DC
+    gain.  The ideal edge is placed mid-transition; the response is
+    validated on a dense frequency grid (passband ripple <= 0.01 dB,
+    stopband >= 60 dB).
     """
     if not 0.0 < cutoff < np.pi:
         raise ConfigurationError(f"cutoff must be in (0, pi), got {cutoff}")
@@ -292,7 +287,7 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> FirLowpass:
             f"design misses spec (ripple {ripple:.2e}, stopband {stop:.2e}); "
             f"try at least {required + (required - 1) // 2 + 1} taps"
         )
-    return FirLowpass(taps=taps)
+    return taps
 
 
 # Samples per block of every record-length loop, and the smallest
@@ -306,15 +301,15 @@ def blocks(count: int) -> list[slice]:
     return [slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
 
 
-def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
-    """Lowpass `x` with group-delay compensation (output aligned to input).
+def filter_zero_delay(x, taps: np.ndarray) -> np.ndarray:
+    """Filter `x` by symmetric lowpass `taps`, delay-compensated (output aligned to input).
 
     Edges are reflect-padded by half the filter length, so boundary
     transients do not leak into the output, and the padded signal is
     convolved by overlap-save: each FFT block of `block` points yields
-    block - taps + 1 outputs.  The block is the smallest power of two of at
-    least _BLOCK and twice the tap count, so at least half of every block
-    is output.  The padded signal is never built: an inner block is a view
+    block - taps.size + 1 outputs.  The block is the smallest power of two
+    of at least _BLOCK and twice the tap count, so at least half of every
+    block is output.  The padded signal is never built: an inner block is a view
     of `x`, and only the first and last blocks, which reach into the
     padding, gather their reflected samples.  So every temporary but the
     output is block-sized, whatever the signal length, and a long record
@@ -324,7 +319,6 @@ def filter_zero_delay(x, lowpass: FirLowpass) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError("expected a 1-D signal")
-    taps = lowpass.taps
     if x.size < taps.size:
         raise ConfigurationError(
             f"signal ({x.size} samples) shorter than filter ({taps.size} taps)"

@@ -68,10 +68,10 @@ class ExperimentConfig:
     the numbers' types, the signal spec (PulseTrainSpec) and each factor's
     sample count, the window (tukey_window), each bit depth (AdcConfig),
     each guard width (guarantees.guard_bin_count), the HoD order
-    (HodConfig), the m-grid fold sets, the seed and the directory of `out`.
-    The ranges of lpf_length and lpf_transition are checked when the first
-    point's lowpass is designed (dsp.design_lowpass), as their rules depend
-    on each point's cutoff, and m-grid checks each factor when its cells run.
+    (HodConfig), the m-grid fold sets and factors, the seed and `out`, which
+    must name a file in an existing directory.  The ranges of lpf_length and
+    lpf_transition are checked when the first point's lowpass is designed
+    (dsp.design_lowpass), as their rules depend on each point's cutoff.
     """
 
     experiment: str = "mse-sweep"
@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigurationError(f"cannot write {self.out}: no such directory")
+        if self.out and os.path.isdir(self.out):
+            raise ConfigurationError(f"cannot write {self.out}: it is a directory")
         if self.trials < 1:
             raise ConfigurationError("trials must be positive")
         if any(f < 1 or n // f < 1 for n in self.m_lengths for f in self.m_set_fractions):
@@ -133,11 +135,13 @@ class ExperimentConfig:
             for f in self.m_set_fractions:
                 guarantees.check_fold_set(n, n // f)
         spec = self.signal_spec(0)
-        if sampled:
-            # A factor <= 0 is an infeasible point (required_threshold), not a size.
-            for oversampling in self.oversampling_list:
-                if oversampling > 0.0:
-                    nominal_sample_count(spec, oversampling)
+        for oversampling in self.oversampling_list:
+            # A factor <= 0 is an infeasible point of the other experiments
+            # (required_threshold), but no m-grid cell can take it.
+            if oversampling <= 0.0 and self.experiment == "m-grid":
+                raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
+            if sampled and oversampling > 0.0:
+                nominal_sample_count(spec, oversampling)
         tukey_window(self.window_length, self.window_alpha)
         for bits in self.bits_list:
             AdcConfig(bits=bits, threshold=1.0)
@@ -266,7 +270,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path: str) -> str:
+def emit_csv(rows, path: str) -> None:
     """Write nonempty dataclass rows as CSV with >= 12 significant digits.
 
     Header from the row fields, whose meaning each row type's docstring
@@ -282,7 +286,6 @@ def emit_csv(rows, path: str) -> str:
                 handle.write(",".join(_fmt(getattr(row, n)) for n in names) + "\n")
     except OSError as err:
         raise ConfigurationError(f"cannot write {path}: {err}") from err
-    return path
 
 
 def _db(x: float) -> float:

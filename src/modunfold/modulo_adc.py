@@ -68,18 +68,16 @@ class AdcOutput:
     config: AdcConfig
 
 
-def fold(x, threshold: float):
-    """Centered modulo: ((x + threshold) mod 2*threshold) - threshold.
+def fold(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Centered modulo of a float array: ((x + threshold) mod 2*threshold) - threshold.
 
     The result lies in [-threshold, threshold) and x - fold(x) is an integer
     multiple of 2*threshold.  The threshold must be positive and finite, as
     AdcConfig and baselines.HodConfig check.
     """
-    x = np.asarray(x, dtype=float)
     r = np.mod(x + threshold, 2.0 * threshold) - threshold
     # np.mod can return the modulus itself for tiny negative inputs.
-    r = np.where(r >= threshold, r - 2.0 * threshold, r)
-    return float(r) if r.ndim == 0 else r
+    return np.where(r >= threshold, r - 2.0 * threshold, r)
 
 
 def triangle_dither(count: int, bits: int, full_scale: float, seed):
@@ -102,17 +100,14 @@ def triangle_dither(count: int, bits: int, full_scale: float, seed):
             for size in (block.stop - block.start for block in blocks(count)))
 
 
-def quantize_uniform(x, bits: int, full_scale: float):
-    """Mid-rise b-bit quantization on [-full_scale, full_scale].
+def quantize_uniform(x: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
+    """Mid-rise b-bit quantization of a float array on [-full_scale, full_scale].
 
     2^bits equal bins, left-closed with the last bin right-closed;
     reconstruction at bin centers, so |result - x| <= step/2.  Inputs beyond
     full scale raise OverloadError naming the first offending sample.  bits
     and full_scale are checked by the callers, as for triangle_dither.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     limit = full_scale * (1.0 + _OVERLOAD_SLACK)
     bad = np.abs(x) > limit
     if bad.any():
@@ -120,8 +115,7 @@ def quantize_uniform(x, bits: int, full_scale: float):
         raise OverloadError(index=i, value=float(x[i]), full_scale=full_scale)
     step = 2.0 * full_scale / 2 ** bits
     cell = np.clip(np.floor((x + full_scale) / step), 0, 2 ** bits - 1)
-    out = -full_scale + (cell + 0.5) * step
-    return float(out[0]) if scalar else out
+    return -full_scale + (cell + 0.5) * step
 
 
 def acquire(signal: SampledSignal, config: AdcConfig) -> AdcOutput:

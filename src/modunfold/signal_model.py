@@ -77,24 +77,20 @@ class SampledSignal:
     band_fraction: float  # occupied fraction of the sampling band; 1/oversampling
 
 
-def raised_cosine(t, beta: float):
-    """Unit-peak raised-cosine pulse value(s) at time(s) t, in symbols.
+def raised_cosine(t: np.ndarray, beta: float) -> np.ndarray:
+    """Unit-peak raised-cosine pulse values at a float array of times t, in symbols.
 
     The removable singularities at t = 0 and |t| = 1/(2*beta) are evaluated
     through their limits (1 and (pi/4)*sinc(1/(2*beta)) respectively).
     """
-    tau = np.asarray(t, dtype=float)
-    scalar = tau.ndim == 0
-    tau = np.atleast_1d(tau)
     if beta == 0.0:
-        out = np.sinc(tau)
-    else:
-        singular = np.isclose(np.abs(tau), 1.0 / (2.0 * beta), rtol=0.0, atol=1e-12)
-        denom = np.where(singular, 1.0, 1.0 - (2.0 * beta * tau) ** 2)
-        out = np.sinc(tau) * np.cos(np.pi * beta * tau) / denom
-        if singular.any():  # a subnormal beta puts the singularity at inf
-            out[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * beta))
-    return float(out[0]) if scalar else out
+        return np.sinc(t)
+    singular = np.isclose(np.abs(t), 1.0 / (2.0 * beta), rtol=0.0, atol=1e-12)
+    denom = np.where(singular, 1.0, 1.0 - (2.0 * beta * t) ** 2)
+    out = np.sinc(t) * np.cos(np.pi * beta * t) / denom
+    if singular.any():  # a subnormal beta puts the singularity at inf
+        out[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * beta))
+    return out
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, FirLowpass, OobSystem, TukeyWindow, blocks,
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, OobSystem, TukeyWindow, blocks,
                   build_oob_system, design_lowpass, filter_zero_delay, fold_solve, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
@@ -51,9 +51,9 @@ from .signal_model import SampledSignal
 class RecoveryConfig:
     """Window, guard-band, threshold and lowpass parameters for unfolding.
 
-    The window, out-of-band system and reconstruction lowpass are built once,
-    here, by the functions that check their parameters (no out-of-band bin is
-    an InfeasibleError; an unrealizable lowpass a ConfigurationError).
+    The window, out-of-band system and reconstruction lowpass taps are built
+    once, here, by the functions that check their parameters (no out-of-band
+    bin is an InfeasibleError; an unrealizable lowpass a ConfigurationError).
 
     The lowpass should pass as much quantization noise as a brickwall at
     band_fraction*pi + guard_width, so its ideal edge is centered there
@@ -71,7 +71,7 @@ class RecoveryConfig:
     lpf_transition: float = _LPF_TRANSITION
     window: TukeyWindow = field(init=False, repr=False, compare=False)
     system: OobSystem = field(init=False, repr=False, compare=False)
-    lowpass: FirLowpass = field(init=False, repr=False, compare=False)
+    lowpass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "window", tukey_window(self.length, self.alpha))
@@ -114,8 +114,6 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     num_samples, so every sample index lands in some [start, start + hop);
     the caller zero-pads the buffer to the end of the last segment.
     """
-    if length > num_samples:
-        raise ConfigurationError(f"segment length {length} exceeds buffer {num_samples}")
     return np.arange(0, num_samples, tukey_window(length, alpha).hop)
 
 
@@ -137,7 +135,6 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     times its largest (dsp.fold_solve) raises ConfigurationError.  Both
     name the first such segment by its row.
     """
-    differences = np.asarray(differences, dtype=float)
     folds = np.bincount(rows, minlength=differences.shape[0])
     values = np.zeros(cols.size)
     if folds.max(initial=0) > system.num_bins:
@@ -168,17 +165,15 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     return values
 
 
-def round_to_lattice(x, threshold: float):
+def round_to_lattice(x: np.ndarray, threshold: float) -> np.ndarray:
     """Index of the nearest multiple of 2*threshold, ties away from zero.
 
-    Returns int64 counts (a Python int for a scalar), so a residue built as
+    Returns int64 counts of a float array, so a residue built as
     2*threshold*counts sits exactly on the lattice.  The threshold must be
     positive and finite: unfold passes the recovery threshold once it has
     matched it to the acquisition's, which AdcConfig checks.
     """
-    x = np.asarray(x, dtype=float)
-    out = (np.sign(x) * np.floor(np.abs(x) / (2.0 * threshold) + 0.5)).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
+    return (np.sign(x) * np.floor(np.abs(x) / (2.0 * threshold) + 0.5)).astype(np.int64)
 
 
 def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -> UnfoldResult:

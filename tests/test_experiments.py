@@ -232,8 +232,9 @@ class TestRunners:
         assert len(calls) == 2 and calls[1] == failing
         assert [(r.status, r.reason) for r in rows if r.status != "ok"] == [
             ("skipped", "fails in trial 1 only")]
-        out = emit_csv(rows, str(tmp_path / "rows.csv"))
-        assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
+        out = tmp_path / "rows.csv"
+        emit_csv(rows, str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTheoryOnly:
@@ -286,9 +287,10 @@ class TestGoldenCsv:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_bytes_unchanged(self, tmp_path, experiment):
         rows, _ = run_experiment(ExperimentConfig(experiment=experiment, **GOLDEN))
-        out = emit_csv(rows, str(tmp_path / "rows.csv"))
+        out = tmp_path / "rows.csv"
+        emit_csv(rows, str(out))
         golden = Path(__file__).parent / "golden" / f"{experiment}.csv"
-        assert Path(out).read_bytes() == golden.read_bytes()
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestCli:
@@ -500,10 +502,22 @@ class TestBadInput:
             raise AssertionError("work ran")
         monkeypatch.setattr(experiments, "generate_pulse_train", work)
         monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
-        out = str(tmp_path / "missing" / "rows.csv")
-        for experiment in EXPERIMENTS:
-            assert run_cli(tmp_path, experiment, TINY, "--out", out) == 2
-            assert "missing" in capsys.readouterr().err
+        for out, reason in [(tmp_path / "missing" / "rows.csv", "no such directory"),
+                            (tmp_path, "is a directory")]:
+            for experiment in EXPERIMENTS:
+                assert run_cli(tmp_path, experiment, TINY, "--out", str(out)) == 2
+                assert reason in capsys.readouterr().err
+
+    def test_nonpositive_m_grid_factor_fails_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # It used to fail only when its cell ran, after the cells before it.
+        def work(*args):
+            raise AssertionError("work ran")
+        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
+        for value in ([4.0, 0.0], [-8.0]):
+            payload = {**TINY, "oversampling_list": value}
+            assert run_cli(tmp_path, "m-grid", payload) == 2
+            assert "oversampling must be positive" in capsys.readouterr().err
 
     @given(st.sampled_from(sorted(CANDIDATES)).flatmap(
         lambda name: st.tuples(st.just(name), CANDIDATES[name])))

@@ -27,24 +27,26 @@ def synthetic_signal(samples, band_fraction=0.25):
 
 class TestFold:
     def test_in_range_passthrough(self):
-        assert fold(0.3, 1.0) == pytest.approx(0.3)
+        assert fold(np.array([0.3]), 1.0) == pytest.approx([0.3])
 
     def test_positive_wrap(self):
-        assert fold(2.5, 1.0) == pytest.approx(0.5)
-        assert 2.5 - fold(2.5, 1.0) == pytest.approx(2.0)
+        folded = fold(np.array([2.5]), 1.0)
+        assert folded == pytest.approx([0.5])
+        assert 2.5 - folded == pytest.approx([2.0])
 
     def test_negative_wrap(self):
-        assert fold(-1.2, 1.0) == pytest.approx(0.8)
-        assert -1.2 - fold(-1.2, 1.0) == pytest.approx(-2.0)
+        folded = fold(np.array([-1.2]), 1.0)
+        assert folded == pytest.approx([0.8])
+        assert -1.2 - folded == pytest.approx([-2.0])
 
     @given(st.floats(-1e4, 1e4), st.floats(1e-3, 1e3))
     @settings(deadline=None, max_examples=200)
     def test_idempotent_lattice_and_range(self, ratio, threshold):
-        x = ratio * threshold  # inputs within a physical range of the threshold
+        x = np.array([ratio * threshold])  # within a physical range of the threshold
         once = fold(x, threshold)
-        assert -threshold <= once < threshold
-        assert fold(once, threshold) == once
-        multiples = (x - once) / (2 * threshold)
+        assert -threshold <= once[0] < threshold
+        assert_array_equal(fold(once, threshold), once)
+        multiples = (x[0] - once[0]) / (2 * threshold)
         assert abs(multiples - round(multiples)) < 1e-9
 
     def test_vectorized(self):
@@ -77,13 +79,13 @@ class TestTriangleDither:
 
 class TestQuantizeUniform:
     def test_bin_center_positive(self):
-        assert quantize_uniform(0.3, 2, 1.0) == pytest.approx(0.25)
+        assert quantize_uniform(np.array([0.3]), 2, 1.0) == pytest.approx([0.25])
 
     def test_lowest_bin_closed_edge(self):
-        assert quantize_uniform(-1.0, 2, 1.0) == pytest.approx(-0.75)
+        assert quantize_uniform(np.array([-1.0]), 2, 1.0) == pytest.approx([-0.75])
 
     def test_top_edge_right_closed(self):
-        assert quantize_uniform(1.0, 2, 1.0) == pytest.approx(0.75)
+        assert quantize_uniform(np.array([1.0]), 2, 1.0) == pytest.approx([0.75])
 
     def test_full_scale_formula(self):
         config = AdcConfig(bits=4, threshold=1.0)

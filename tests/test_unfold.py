@@ -69,10 +69,6 @@ class TestSegmentStarts:
             assert starts[0] == 0 and starts[-1] < total
             assert (np.diff(starts) == tukey_window(n, alpha).hop).all()
 
-    def test_segment_longer_than_buffer_rejected(self):
-        with pytest.raises(ConfigurationError):
-            segment_starts(32, 64, 0.5)
-
 
 class TestWindowedFirstDifference:
     # The reference's per-segment difference; unfold takes the same values
@@ -247,24 +243,24 @@ class TestScalingCorrection:
 
 class TestRoundToLattice:
     def test_near_multiple_rounds_up(self):
-        assert round_to_lattice(0.9 * 2.0, 1.0) == 1
+        assert_array_equal(round_to_lattice(np.array([0.9 * 2.0]), 1.0), [1])
 
     def test_zero(self):
-        assert round_to_lattice(0.0, 1.0) == 0
+        assert_array_equal(round_to_lattice(np.array([0.0]), 1.0), [0])
 
     def test_negative(self):
-        assert round_to_lattice(-2.4 * 2.0, 1.0) == -2
+        assert_array_equal(round_to_lattice(np.array([-2.4 * 2.0]), 1.0), [-2])
 
     def test_ties_away_from_zero(self):
-        assert round_to_lattice(1.0, 1.0) == 1
-        assert round_to_lattice(-1.0, 1.0) == -1
+        assert_array_equal(round_to_lattice(np.array([1.0]), 1.0), [1])
+        assert_array_equal(round_to_lattice(np.array([-1.0]), 1.0), [-1])
 
     @given(st.floats(-100, 100), st.floats(0.01, 10))
     @settings(deadline=None, max_examples=100)
     def test_within_half_spacing(self, x, threshold):
-        index = round_to_lattice(x, threshold)
-        assert isinstance(index, int)
-        assert abs(2 * threshold * index - x) <= threshold * (1 + 1e-9)
+        index = round_to_lattice(np.array([x]), threshold)
+        assert index.dtype == np.int64
+        assert abs(2 * threshold * index[0] - x) <= threshold * (1 + 1e-9)
 
     def test_array_gives_int64_counts(self):
         out = round_to_lattice(np.array([-3.1, 0.2, 5.0]), 1.0)
@@ -480,7 +476,7 @@ class TestRecoveryConfig:
         # Window, out-of-band system and lowpass are built once, at construction.
         assert_array_equal(config.system.projector,
                            build_oob_system(64, 0.25, GUARD).projector)
-        assert config.lowpass.taps.size == config.lpf_length
+        assert config.lowpass.size == config.lpf_length
         assert config == RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                         threshold=1.0, band_fraction=0.25)
 
