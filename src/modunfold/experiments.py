@@ -16,6 +16,7 @@ hashes identically across reruns.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -276,14 +277,15 @@ def emit_csv(rows, path: str) -> None:
     Header from the row fields, whose meaning each row type's docstring
     gives (run_experiment returns at least one row); floats use repr-exact
     formatting so the file round-trips losslessly and byte-identically
-    across reruns.
+    across reruns.  A field holding a comma or quote, as a skip reason may,
+    is quoted, so every row keeps the header's column count.
     """
     names = [f.name for f in dataclasses.fields(rows[0])]
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(names) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(getattr(row, n)) for n in names) + "\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows([_fmt(getattr(row, n)) for n in names] for row in rows)
     except OSError as err:
         raise ConfigurationError(f"cannot write {path}: {err}") from err
 

@@ -10,7 +10,8 @@ random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
 with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
 gathered from the projector's O(n) view, so no n x n matrix is built, and
 `dsp.fold_inverse` inverts P[S, S] and runs on it the one singularity check
-of `dsp`, which recovery's `dsp.fold_solve` runs too.
+of `dsp`, which recovery's `dsp.fold_solve` runs too: blocks that the
+`dsp.dominance` margins certify pass, and eigvalsh decides the rest.
 
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;

@@ -267,15 +267,15 @@ class TestFoldSolve:
     @pytest.mark.parametrize("apply, reference", MAPS)
     def test_dominant_blocks_skip_the_factorization(self, monkeypatch, apply, reference):
         # 49 of these 50 random sets are diagonally dominant, so one block
-        # is left to the shifted Cholesky, and none once that one is dropped.
+        # is left to eigvalsh, and none once that one is dropped.
         system = build_oob_system(64, 0.25, np.pi / 32)
         rng = np.random.default_rng(7)
         sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
         certified = dominance(fold_gram(system, sets), 64)[1]
         assert np.count_nonzero(~certified) == 1
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
         rhs = rng.normal(size=sets.shape)
         _, singular = apply(system, sets, rhs)
         assert calls == [1] and singular == []
@@ -286,8 +286,8 @@ class TestFoldSolve:
     @pytest.mark.parametrize("apply, reference", MAPS)
     def test_eigenvalue_fallback_returns_values(self, monkeypatch, apply, reference):
         # 18 adjacent folds against 31 out-of-band bins: lambda_min is about
-        # 122 eps, above 64 eps but below the Cholesky shift of 424 eps, so
-        # the factorization fails and eigvalsh clears the block.
+        # 122 eps, above 64 eps but below what dominance can certify, so
+        # eigvalsh clears the block.
         system = build_oob_system(64, 0.5, 0.0)
         sets = np.arange(18)[None]
         gram = system.projector[sets[:, :, None], sets[:, None, :]]
@@ -473,6 +473,11 @@ class TestDesignLowpass:
     def test_even_length_rejected(self):
         with pytest.raises(ConfigurationError):
             design_lowpass(np.pi / 4, np.pi / 16, 256)
+
+    @pytest.mark.parametrize("transition", [np.nan, 0.0, -0.1])
+    def test_nonpositive_transition_rejected(self, transition):
+        with pytest.raises(ConfigurationError, match="transition must be > 0"):
+            design_lowpass(np.pi / 4, transition, 257)
 
 
 class TestFilterZeroDelay:

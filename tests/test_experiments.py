@@ -105,6 +105,21 @@ class TestEmitCsv:
         assert float(parsed["threshold"]) == row.threshold
         assert parsed["mse_conventional_db"] == ""
 
+    def test_reason_with_commas_round_trips(self, tmp_path):
+        # No bin is out of band at OF 1, and the skip reason names the
+        # window as "n=64, band_fraction=1, guard_width=0".
+        cfg = ExperimentConfig(experiment="m-grid", m_trials=10, m_lengths=(64,),
+                               m_set_fractions=(32,), oversampling_list=(1.0, 4.0),
+                               seed=1)
+        rows = run_m_grid(cfg)
+        assert rows[0].status == "skipped" and "," in rows[0].reason
+        path = tmp_path / "rows.csv"
+        emit_csv(rows, str(path))
+        with open(path, newline="") as handle:
+            parsed = list(csv.DictReader(handle))
+        assert [p["reason"] for p in parsed] == [r.reason for r in rows]
+        assert all(None not in p for p in parsed)
+
     def test_newline_terminated(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         emit_csv([MGridRow(experiment="m-grid", length=64, oversampling=4.0,

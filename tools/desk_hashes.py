@@ -1,0 +1,50 @@
+"""Print the SHA-256 of each experiment's CSV at seed 1.
+
+    python tools/desk_hashes.py [--preset {desk,paper}]
+
+Runs the four CLI experiments with the default config ({}), --seed 1 and
+the given preset (default desk), and prints one "sha256  experiment" line
+per CSV.  A change meant to keep every output bit-identical keeps these
+lines.  The package is imported from src/ next to this directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from modunfold.cli import main as cli_main  # noqa: E402
+from modunfold.experiments import EXPERIMENTS  # noqa: E402
+
+
+def csv_hash(experiment: str, preset: str = "desk") -> str:
+    """Hex SHA-256 of the CSV that `modunfold <experiment> --seed 1` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "config.json"), Path(tmp, "out.csv")
+        config.write_text("{}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([experiment, "--config", str(config), "--seed", "1",
+                             "--out", str(out), "--preset", preset])
+        if code != 0:
+            raise SystemExit(f"{experiment} exited {code}")
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
+    preset = parser.parse_args(argv).preset
+    for experiment in EXPERIMENTS:
+        print(f"{csv_hash(experiment, preset)}  {experiment}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
