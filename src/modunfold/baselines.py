@@ -7,6 +7,7 @@ centered modulo, rounded anti-difference.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class HodConfig:
     def __post_init__(self):
         # A diverging order-K estimate grows like n^K/K!; its square can
         # overflow float64 past order 16 on a billion samples.
-        if not 1 <= self.order <= 16:
-            raise ConfigurationError(f"difference order must be in [1, 16], got {self.order}")
+        if not isinstance(self.order, numbers.Integral) or not 1 <= self.order <= 16:
+            raise ConfigurationError(
+                f"difference order must be an integer in [1, 16], got {self.order!r}")
         if not 0.0 < self.threshold < np.inf:
             raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
 
@@ -55,8 +57,8 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     (dsp.blocks), so the quantized record and the filtered output are the
     only full-length arrays.
     """
-    if bits < 2:
-        raise ConfigurationError("need bits >= 2")
+    if not isinstance(bits, numbers.Integral) or bits < 2:
+        raise ConfigurationError(f"need an integer bits >= 2, got {bits!r}")
     if not 0.0 < peak < np.inf:
         raise ConfigurationError(f"need 0 < peak < inf, got {peak}")
     f = np.asarray(signal.samples, dtype=float)

@@ -6,13 +6,13 @@ P is real and circulant, so it is stored as a read-only (N, N) strided view
 over 2N floats: O(N) memory at any window length.  Every least-squares map
 over fold positions S is then built from the projector rows P[S, :]: the
 Gram block P[S, S], read from the first row as P is circulant, and the
-right-hand side (P d)[S] = P[S, :] d.  Recovery solves its Gram systems
-with fold_solve and the interference-norm estimate, which needs the whole
-map inv(P[S, S]) P[S, :], inverts the Gram with fold_inverse.  Both find
-the fold sets that are not identifiable by one check, _singular, in two
-tiers: the blocks whose diagonal-dominance margins (`dominance`) certify
-them pass, and eigvalsh decides the rest by the eigenvalue rule.  The
-estimate also bounds each set's norm by those margins.
+right-hand side (P d)[S] = P[S, :] d.  One check, check_gram, finds the
+fold sets that are not identifiable: the blocks whose diagonal-dominance
+margins certify them pass, and eigvalsh decides the rest by the eigenvalue
+rule.  It returns the margins too.  Each caller does its own linear
+algebra on the blocks: recovery solves its Gram systems, and the
+interference-norm estimate, which needs the whole map inv(P[S, S]) P[S, :],
+inverts them after bounding each set's norm by those margins.
 Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
@@ -102,9 +102,9 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     (1/oversampling); guard_width widens the excluded band on both sides to
     absorb spectral leakage.  No bin left out of band is an InfeasibleError.
     """
-    if band_fraction <= 0.0 or guard_width < 0.0:
+    if not (0.0 < band_fraction < np.inf and 0.0 <= guard_width < np.inf):
         raise ConfigurationError(
-            f"need band_fraction > 0 and guard_width >= 0, got "
+            f"need finite band_fraction > 0 and guard_width >= 0, got "
             f"{band_fraction:.6g} and {guard_width:.6g}")
     bins = oob_bin_indices(n, band_fraction, guard_width)
     if bins.size == 0:
@@ -132,64 +132,36 @@ def fold_gram(system: OobSystem, positions) -> np.ndarray:
     return system.projector[0][positions[:, None, :] - positions[:, :, None]]
 
 
-def dominance(gram, n: int):
-    """(margins, certified) of Gram blocks of shape (b, k, k) over an n-point window.
+def check_gram(gram, n: int):
+    """(margins, certified, singular) of Gram blocks of shape (b, k, k) over an n-point window.
 
     margins[a, i] = g - s_i is the diagonal of row i of block a less its
     off-diagonal abs row sum.  By Gershgorin, lambda_min >= min_i margins[a, i].
+    singular lists (index, lambda_min, lambda_max), by index, for the blocks
+    with lambda_min <= n*eps * lambda_max, both eigenvalues from eigvalsh:
+    their fold values are not identifiable.  A caller's solve or inverse of
+    a singular block means nothing.
+
     certified marks the blocks whose least margin exceeds (n + k(k+2))*eps
     plus the rounding of the margin itself, (k+1)*eps: an abs row sum of k
     terms, at most 2 where the margin is positive, then one subtraction.
     Such a block has lambda_min > (n + k(k+2))*eps, and lambda_max <= 1 as P
-    is an orthogonal projector, so the singularity rule of _singular,
-    lambda_min <= n*eps * lambda_max, cannot name it; the k(k+2)*eps above
-    n*eps is slack for the rounding of eigvalsh, which applies the rule, so
-    the eigenvalues it would compute pass the rule too.
+    is an orthogonal projector, so the rule cannot name it; the k(k+2)*eps
+    above n*eps is slack for the rounding of eigvalsh, so the eigenvalues it
+    would compute pass the rule too.  Certified blocks pass unchecked, and
+    eigvalsh, which applies the rule, runs only on the rest, if any.
     """
     k = gram.shape[-1]
     # einsum sums short rows several times faster than sum(axis=2).
     margins = 2.0 * np.diagonal(gram, axis1=1, axis2=2) - np.einsum("bij->bi", np.abs(gram))
     floor = (n + k * (k + 3) + 1) * np.finfo(float).eps
-    return margins, margins.min(axis=1) > floor
-
-
-def _singular(gram, n: int) -> list:
-    """(index, lambda_min, lambda_max), by index, of the singular Gram blocks of gram.
-
-    gram holds blocks P[S, S] of shape (b, k, k) over an n-point window, and a
-    block is singular when lambda_min <= n*eps * lambda_max, with both
-    eigenvalues from eigvalsh: its fold values are not identifiable.  Blocks
-    that dominance certifies pass; eigvalsh decides the rest, and is not
-    called when every block is certified.
-    """
-    unsure = np.flatnonzero(~dominance(gram, n)[1])
+    certified = margins.min(axis=1) > floor
+    unsure = np.flatnonzero(~certified)
     if unsure.size == 0:
-        return []
+        return margins, certified, []
     eig = np.linalg.eigvalsh(gram[unsure])
     bad = eig[:, 0] <= n * np.finfo(float).eps * eig[:, -1]
-    return [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
-
-
-def fold_inverse(system: OobSystem, gram):
-    """(inv(G), singular) for Gram blocks G = fold_gram(system, positions).
-
-    singular is _singular's list; a singular block's inverse means nothing.
-    """
-    return np.linalg.inv(gram), _singular(gram, system.n)
-
-
-def fold_solve(system: OobSystem, positions, rhs):
-    """(values, singular): P[S, S] x = rhs solved for a batch of fold positions.
-
-    positions has shape (b, k) and rhs, shape (b, k), holds (P d)[S] for each
-    block.  values are one batched np.linalg.solve, so no inverse is formed,
-    and singular is _singular's list; a singular block's values mean nothing.
-    """
-    gram = fold_gram(system, positions)
-    # Checked before the solve: solving first raised the median peak resident
-    # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
-    singular = _singular(gram, system.n)
-    return np.linalg.solve(gram, rhs[..., None])[..., 0], singular
+    return margins, certified, [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
 
 
 def tukey_window(n: int, alpha: float) -> TukeyWindow:

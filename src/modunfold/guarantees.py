@@ -8,17 +8,17 @@ folded and conventional pipelines.  The norm is estimated by Monte Carlo on
 the out-of-band projector P = V^H V that recovery solves with: for each
 random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
 with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
-gathered from the projector's O(n) view, so no n x n matrix is built, and
-`dsp.fold_inverse` inverts P[S, S] and runs on it the one singularity check
-of `dsp`, which recovery's `dsp.fold_solve` runs too: blocks that the
-`dsp.dominance` margins certify pass, and eigvalsh decides the rest.
+gathered from the projector's O(n) view, so no n x n matrix is built.  The
+Gram blocks P[S, S] of each batch go through `dsp.check_gram`, the one
+singularity check of `dsp`, which recovery runs too: blocks that its
+diagonal-dominance margins certify pass, and eigvalsh decides the rest.
 
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
 neither its result nor its errors depend on the thread count.  Its result
-is a max, so a set is mapped only if a bound read from its Gram block
-(`dsp.dominance`) leaves room for it to raise the largest norm mapped so
-far; the sets skipped could not have changed a bit of the result.
+is a max, so a set is mapped only if a bound read from the margins of its
+Gram block leaves room for it to raise the largest norm mapped so far; the
+sets skipped could not have changed a bit of the result.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .dsp import build_oob_system, dominance, fold_gram, fold_inverse
+from .dsp import build_oob_system, check_gram, fold_gram
 from .errors import ConfigurationError, InfeasibleError
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
@@ -89,8 +89,10 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
 
     peak / (oversampling * (1 - guard_bins/N) - 2).
     """
-    if peak <= 0.0:
-        raise ConfigurationError("peak amplitude must be positive")
+    if not (0.0 < peak < math.inf and math.isfinite(oversampling)):
+        raise ConfigurationError(
+            f"need a positive, finite peak and a finite oversampling factor, got "
+            f"{peak} and {oversampling}")
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
     if denom <= 0.0:
         raise InfeasibleError(
@@ -128,13 +130,14 @@ def check_fold_set(length: int, set_size: int) -> None:
             f"row elements each, above the cap of {_MAX_SET_ELEMENTS}")
 
 
-def _norm_bounds(system, gram) -> np.ndarray:
+def _norm_bounds(system, gram, margins, certified) -> np.ndarray:
     """Upper bounds on the computed ||inv(G) P[S, Sc]||_inf of Gram blocks G = P[S, S].
 
-    Blocks that dsp.dominance does not certify get +inf.  For the others,
-    with g the diagonal, s_i the off-diagonal abs row sums and m_i = g - s_i
-    their margins, L = sum |projector[0]| and b_i = L - g - s_i the abs sum
-    of row i of P[S, Sc]:
+    margins and certified are dsp.check_gram's for gram.  Blocks it does not
+    certify get +inf.  For the others, with g the diagonal, s_i the
+    off-diagonal abs row sums and m_i = g - s_i their margins,
+    L = sum |projector[0]| and b_i = L - g - s_i the abs sum of row i of
+    P[S, Sc]:
     - ||inv(G) P[S, Sc]||_inf <= max_i (|inv(G)| b)_i <= max_i w_i, where
       (g I - A) w = b and A is |G| with its diagonal zeroed, as G = g I - C
       with |C| = A gives |inv(G)| <= sum_p A^p / g^(p+1) = inv(g I - A);
@@ -156,7 +159,6 @@ def _norm_bounds(system, gram) -> np.ndarray:
       product and the row sums add k eps and n eps of ||inv(G)||_inf
       ||P[S, Sc]||_inf <= L/m.
     """
-    margins, certified = dominance(gram, system.n)
     margins = margins[certified]
     k, g, eps = gram.shape[1], system.projector[0, 0], np.finfo(float).eps
     total = np.abs(system.projector[0]).sum()
@@ -189,34 +191,32 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     it agrees with the explicit pseudoinverse whenever the fold columns are
     full rank.
 
-    A set whose norm provably cannot exceed the largest one the workers have
-    computed so far is skipped: its Gram P[S, S], gathered once per batch
-    and handed on to dsp.fold_inverse, gives an upper bound on its computed
-    norm (_norm_bounds), and it is skipped when that bound is below the
-    running max.  So every set that could raise the max is computed as it
-    would be without skipping, each by its own LAPACK inverse and matrix
-    product, and the result is bit-identical whichever sets are skipped.
-    The running max is shared by the workers without a lock: a stale or
-    lost update leaves it lower, which only skips fewer sets.  Blocks that
-    dsp.dominance does not certify are never skipped.  As lambda_min is at
-    least the least margin (Gershgorin), every singular block is among
-    them, so an error names the trial it would name without skipping.
+    Each batch's Gram blocks P[S, S] are gathered once and checked whole by
+    dsp.check_gram before any set is skipped.  A set whose norm provably
+    cannot exceed the largest one the workers have computed so far is then
+    skipped: the margins give an upper bound on its computed norm
+    (_norm_bounds), and it is skipped when that bound is below the running
+    max.  So every set that could raise the max is computed as it would be
+    without skipping, each by its own LAPACK inverse and matrix product,
+    and the result is bit-identical whichever sets are skipped.  The
+    running max is shared by the workers without a lock: a stale or lost
+    update leaves it lower, which only skips fewer sets.
 
-    A draw whose Gram dsp.fold_inverse finds singular, by the check
-    recovery also runs, raises InfeasibleError naming the earliest such
-    trial, as an oversized set does, so an experiment grid marks the cell
-    skipped.  A draw that passes with Gram condition number cond carries
-    about cond*eps relative error: negligible below cond 1e6, up to about
-    1/length near the limit 1/(length*eps).  Sets whose rows exceed
-    _MAX_SET_ELEMENTS raise ConfigurationError before anything is built.
+    A draw whose Gram dsp.check_gram finds singular, by the check recovery
+    also runs, raises InfeasibleError naming the earliest such trial, as an
+    oversized set does, so an experiment grid marks the cell skipped.  A
+    draw that passes with Gram condition number cond carries about cond*eps
+    relative error: negligible below cond 1e6, up to about 1/length near
+    the limit 1/(length*eps).  Sets whose rows exceed _MAX_SET_ELEMENTS
+    raise ConfigurationError before anything is built.
     """
     if set_size < 0:
         raise ConfigurationError("set_size must be nonnegative")
     check_fold_set(length, set_size)
     if trials < 1:
         raise ConfigurationError("trials must be positive")
-    if oversampling <= 0.0:
-        raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
+    if not 0.0 < oversampling < math.inf:
+        raise ConfigurationError(f"oversampling must be positive and finite, got {oversampling}")
     system = build_oob_system(length, 1.0 / oversampling, guard_width)
     if set_size == 0:
         return 0.0
@@ -230,18 +230,19 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
 
     def batch_norm(done, sets):
         gram = fold_gram(system, sets)
-        kept = np.flatnonzero(~(_norm_bounds(system, gram) < running[0]))
-        if kept.size == 0:
-            return 0.0
-        sets = sets[kept]
-        # Gathered here, not by a helper: see unfold.residue_pre_estimate.
-        rows = system.projector[sets]
-        inverse, singular = fold_inverse(system, gram[kept])
+        margins, certified, singular = check_gram(gram, system.n)
         if singular:
             trial, low, high = singular[0]
             raise InfeasibleError(
-                f"trial {done + int(kept[trial])}: fold-set Gram is singular (eigenvalues "
+                f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
+        keep = ~(_norm_bounds(system, gram, margins, certified) < running[0])
+        if not keep.any():
+            return 0.0
+        sets = sets[keep]
+        # Gathered here, not by a helper: see unfold.residue_pre_estimate.
+        rows = system.projector[sets]
+        inverse = np.linalg.inv(gram[keep])
         if not hasattr(local, "out"):
             local.out = np.empty((batch, set_size, length))
         mapped = np.matmul(inverse, rows, out=local.out[:len(sets)])
@@ -274,6 +275,10 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
     """
     if bits < 2:
         raise ConfigurationError("need bits >= 2")
+    if not all(map(math.isfinite, (peak, oversampling, guard_width))):
+        raise ConfigurationError(
+            f"need a finite peak, oversampling factor and guard width, got {peak}, "
+            f"{oversampling} and {guard_width}")
     floor_of = min_oversampling(length, guard_bins)
     if oversampling < floor_of:
         raise InfeasibleError(
@@ -288,6 +293,8 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
     """Predicted MSE of the conventional pipeline: peak^2 / (OF * (2^b - 2)^2)."""
     if bits < 2:
         raise ConfigurationError("need bits >= 2")
-    if oversampling < 1.0:
-        raise ConfigurationError("oversampling factor must be >= 1")
+    if not (math.isfinite(peak) and 1.0 <= oversampling < math.inf):
+        raise ConfigurationError(
+            f"need a finite peak and an oversampling factor >= 1 and finite, got {peak} "
+            f"and {oversampling}")
     return peak ** 2 / (oversampling * (2 ** bits - 2) ** 2)

@@ -17,6 +17,7 @@ do not depend on the block size.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class AdcConfig:
 
     def __post_init__(self):
         # Two bits give a positive full scale; past 53 the step is below float64.
-        if not 2 <= self.bits <= 53:
-            raise ConfigurationError(f"need 2 <= bits <= 53, got {self.bits}")
+        if not isinstance(self.bits, numbers.Integral) or not 2 <= self.bits <= 53:
+            raise ConfigurationError(f"need an integer 2 <= bits <= 53, got {self.bits!r}")
         if not 0.0 < self.threshold < np.inf:
             raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
 

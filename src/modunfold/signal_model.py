@@ -176,8 +176,8 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
     no greater than num_samples, the samples are the polyphase tap sum at
     exactly t = n/L; any other rate evaluates the train at n * sample period.
     """
-    if oversampling < 1.0:
-        raise ConfigurationError(f"oversampling factor must be >= 1, got {oversampling}")
+    if not 1.0 <= oversampling < math.inf:
+        raise ConfigurationError(f"oversampling factor must be >= 1 and finite, got {oversampling}")
     if num_samples <= 0:
         raise ConfigurationError("num_samples must be positive")
     rate = oversampling * (1.0 + train.spec.beta)

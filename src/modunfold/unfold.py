@@ -9,14 +9,15 @@ solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
 least-squares system.  Both sides come from the projector rows P[S, :],
 gathered from the O(n) projector view: the Gram block is their S columns and
 (P d)[S] = P[S, :] d, so no transform of d is taken.  Segments with the same
-fold count are solved as one batch by `dsp.fold_solve`, which forms no
-inverse and also finds the segments whose jumps are not identifiable.  A
-value solved at position p of the segment that starts at `start` belongs to
-sample start + p; the two window tapers covering an overlapped sample sum
-to one, so adding every segment's values at their samples restores the
-unwindowed jumps.  Those are rounded to integer counts of the 2*threshold
-lattice and integrated into the residue, and the unfolded signal is the
-quantized stream minus the residue, lowpassed back to the signal band.
+fold count are checked as one batch by `dsp.check_gram`, which finds the
+segments whose jumps are not identifiable, and solved as one batch by
+np.linalg.solve, which forms no inverse.  A value solved at position p of
+the segment that starts at `start` belongs to sample start + p; the two
+window tapers covering an overlapped sample sum to one, so adding every
+segment's values at their samples restores the unwindowed jumps.  Those
+are rounded to integer counts of the 2*threshold lattice and integrated
+into the residue, and the unfolded signal is the quantized stream minus
+the residue, lowpassed back to the signal band.
 
 Besides its two outputs, a call holds one more record-length float array
 at a time: the first difference while the solve runs, then the summed
@@ -27,7 +28,7 @@ it gathers them, the same products a windowed copy of every segment would
 hold.  Rounding, the integer running sum (carried across blocks) and the
 scaling run in `dsp.blocks`.  The solve batches stay whole, one per fold
 count over the whole record: cutting the record into blocks of segments
-would split them and multiply the `fold_solve` calls (26 groups in a
+would split them and multiply the checks and solves (26 groups in a
 desk OF-50 call), and the largest group's projector rows there take 0.75
 of a record length.
 """
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, OobSystem, TukeyWindow, blocks,
-                  build_oob_system, design_lowpass, filter_zero_delay, fold_solve, tukey_window)
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, OobSystem, TukeyWindow, blocks, build_oob_system,
+                  check_gram, design_lowpass, filter_zero_delay, fold_gram, tukey_window)
 from .errors import ConfigurationError, InfeasibleError
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
@@ -132,7 +133,7 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
 
     A segment with more folds than out-of-band equations raises
     InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
-    times its largest (dsp.fold_solve) raises ConfigurationError.  Both
+    times its largest (dsp.check_gram) raises ConfigurationError.  Both
     name the first such segment by its row.
     """
     folds = np.bincount(rows, minlength=differences.shape[0])
@@ -154,9 +155,12 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
         # which raised minor page faults tenfold and cost about 20 % at n 256.
         p_rows = system.projector[positions]
         diffed = window * differences[segs]
-        solved, bad = fold_solve(system, positions, (p_rows @ diffed[..., None])[..., 0])
-        singular += [(segs[i], low, high) for i, low, high in bad]
-        values[entries] = solved
+        rhs = p_rows @ diffed[..., None]
+        gram = fold_gram(system, positions)
+        # Checked before the solve: solving first raised the median peak resident
+        # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
+        singular += [(segs[i], low, high) for i, low, high in check_gram(gram, system.n)[2]]
+        values[entries] = np.linalg.solve(gram, rhs)[..., 0]
     if singular:
         row, low, high = min(singular)
         raise ConfigurationError(

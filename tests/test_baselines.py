@@ -119,6 +119,10 @@ class TestConventionalAdc:
         sig, peak = reference_signal(num_pulses=200)
         with pytest.raises(ConfigurationError):
             conventional_adc(sig, 1, peak, seed=0)
+        with pytest.raises(ConfigurationError, match="integer"):
+            conventional_adc(sig, 4.5, peak, seed=0)  # used to run
+        assert_array_equal(conventional_adc(sig, np.int64(4), peak, seed=0),
+                           conventional_adc(sig, 4, peak, seed=0))
         for peak in (-1.0, np.inf, np.nan):
             with pytest.raises(ConfigurationError, match="peak"):
                 conventional_adc(sig, 4, peak, seed=0)
@@ -215,6 +219,10 @@ class TestHodRecover:
             HodConfig(threshold=1.0, order=0)
         with pytest.raises(ConfigurationError):
             HodConfig(threshold=1.0, order=17)
+        # 2.5 used to pass, and hod_recover then died in numpy's TypeError.
+        with pytest.raises(ConfigurationError, match="integer"):
+            HodConfig(threshold=1.0, order=2.5)
+        assert HodConfig(threshold=1.0, order=np.int64(2)).order == 2
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
     def test_threshold_outside_zero_to_inf_rejected(self, threshold):

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).parent.parent / "tools" / "count_lines.py"
 
 
@@ -33,3 +35,25 @@ def test_count_skips_docstrings_comments_and_blank_lines():
 
 def test_trailing_comment_leaves_a_line_code():
     assert load_tool().count("x = 1  # set x\n# only a comment\n") == (2, 1)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        load_tool().main(["--help"])
+    assert exited.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_missing_path_exits_two(capsys):
+    with pytest.raises(SystemExit) as exited:
+        load_tool().main(["no/such/path.py"])
+    assert exited.value.code == 2
+    assert "no such file or directory: no/such/path.py" in capsys.readouterr().err
+
+
+def test_default_path_from_another_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert load_tool().main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith("modunfold/dsp.py") for line in lines)
+    assert lines[-1].endswith(f"all {len(lines) - 2} files")

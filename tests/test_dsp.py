@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
-from modunfold.dsp import (blocks, build_oob_system, design_lowpass, dominance,
-                           filter_zero_delay, fold_gram, fold_inverse, fold_solve,
-                           tukey_window)
+from modunfold.dsp import (blocks, build_oob_system, check_gram, design_lowpass,
+                           filter_zero_delay, fold_gram, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from oob_reference import (dft_normalized, least_squares_apply,
                            min_singular_value, oob_matrix, select_columns)
@@ -170,7 +169,7 @@ class TestDominance:
         sets = fold_sets(data, n, k)
         gram = fold_gram(system, sets)
         assert_array_equal(gram, system.projector[sets[:, :, None], sets[:, None, :]])
-        margins, certified = dominance(gram, n)
+        margins, certified, _ = check_gram(gram, n)
         diagonal = np.diagonal(gram, axis1=1, axis2=2)
         off = np.abs(gram).sum(axis=2) - np.abs(diagonal)
         assert_allclose(margins, diagonal - off, rtol=0, atol=(k + 1) * self.EPS)
@@ -180,51 +179,7 @@ class TestDominance:
         assert (eig[certified, 0] > n * self.EPS * eig[certified, -1]).all()
 
 
-class TestFoldInverse:
-    @given(st.integers(8, 64), st.floats(1.05, 12.0),
-           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
-    @settings(deadline=None, max_examples=200)
-    def test_singular_sets_follow_the_eigenvalue_rule(self, n, oversampling, guard, data):
-        try:
-            system = build_oob_system(n, 1.0 / oversampling, guard)
-        except InfeasibleError:
-            assume(False)
-        sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
-        gram = system.projector[sets[:, :, None], sets[:, None, :]]
-        inverse, singular = fold_inverse(system, fold_gram(system, sets))
-        assert_array_equal(inverse, np.linalg.inv(gram))
-        eig = np.linalg.eigvalsh(gram)
-        tol = n * np.finfo(float).eps
-        rule = np.flatnonzero(eig[:, 0] <= tol * eig[:, -1])
-        assert [i for i, _, _ in singular] == list(rule)
-        for i, low, high in singular:
-            assert (low, high) == (eig[i, 0], eig[i, -1])
-
-    @given(st.integers(8, 64), st.floats(1.05, 12.0),
-           st.sampled_from([0.0, np.pi / 32, np.pi / 8]), st.data())
-    @settings(deadline=None, max_examples=100)
-    def test_singular_sets_match_fold_solve(self, n, oversampling, guard, data):
-        try:
-            system = build_oob_system(n, 1.0 / oversampling, guard)
-        except InfeasibleError:
-            assume(False)
-        sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
-        _, inverted = fold_inverse(system, fold_gram(system, sets))
-        _, solved = fold_solve(system, sets, np.ones(sets.shape))
-        assert inverted == solved
-
-
-# fold_solve and fold_inverse as (output, singular) of (system, sets, rhs),
-# each with its output's reference from the Gram blocks.
-MAPS = [
-    pytest.param(fold_solve, lambda gram, rhs: np.linalg.solve(gram, rhs[..., None])[..., 0],
-                 id="fold_solve"),
-    pytest.param(lambda system, sets, rhs: fold_inverse(system, fold_gram(system, sets)),
-                 lambda gram, rhs: np.linalg.inv(gram), id="fold_inverse"),
-]
-
-
-class TestFoldSolve:
+class TestCheckGram:
     EPS = np.finfo(float).eps
 
     @given(st.integers(8, 64), st.floats(1.05, 12.0),
@@ -236,70 +191,43 @@ class TestFoldSolve:
         except InfeasibleError:
             assume(False)
         sets = fold_sets(data, n, data.draw(st.integers(1, system.num_bins)))
-        rhs = np.random.default_rng(n).normal(size=sets.shape)
-        values, singular = fold_solve(system, sets, rhs)
         gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        singular = check_gram(fold_gram(system, sets), n)[2]
         eig = np.linalg.eigvalsh(gram)
         rule = np.flatnonzero(eig[:, 0] <= n * self.EPS * eig[:, -1])
         assert [i for i, _, _ in singular] == list(rule)
         for i, low, high in singular:
             assert (low, high) == (eig[i, 0], eig[i, -1])
-        assert_array_equal(values, np.linalg.solve(gram, rhs[..., None])[..., 0])
-        # Both solvers carry about cond*eps relative error (measured at most
-        # 1.6 cond*eps): 1e-12 where cond <= 1e3, the cond bound past it.
-        certified = np.setdiff1d(np.arange(len(sets)), rule)
-        inverted = (np.linalg.inv(gram[certified]) @ rhs[certified, :, None])[..., 0]
-        error = np.linalg.norm(values[certified] - inverted, axis=1)
-        bound = np.maximum(1e-12, 4.0 * self.EPS * eig[certified, -1] / eig[certified, 0])
-        assert (error <= bound * np.linalg.norm(inverted, axis=1)).all()
 
-    def test_well_conditioned_values_match_the_inverse(self):
-        system = build_oob_system(64, 0.25, np.pi / 32)
-        rng = np.random.default_rng(7)
-        sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
-        rhs = rng.normal(size=sets.shape)
-        values, singular = fold_solve(system, sets, rhs)
-        gram = system.projector[sets[:, :, None], sets[:, None, :]]
-        assert singular == []
-        assert_allclose(values, (np.linalg.inv(gram) @ rhs[..., None])[..., 0],
-                        rtol=1e-12, atol=1e-12 * np.abs(values).max())
-
-    @pytest.mark.parametrize("apply, reference", MAPS)
-    def test_dominant_blocks_skip_the_factorization(self, monkeypatch, apply, reference):
+    def test_dominant_blocks_skip_eigvalsh(self, monkeypatch):
         # 49 of these 50 random sets are diagonally dominant, so one block
         # is left to eigvalsh, and none once that one is dropped.
         system = build_oob_system(64, 0.25, np.pi / 32)
         rng = np.random.default_rng(7)
-        sets = np.array([rng.permutation(64)[:8] for _ in range(50)])
-        certified = dominance(fold_gram(system, sets), 64)[1]
-        assert np.count_nonzero(~certified) == 1
+        gram = fold_gram(system, np.array([rng.permutation(64)[:8] for _ in range(50)]))
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
-        rhs = rng.normal(size=sets.shape)
-        _, singular = apply(system, sets, rhs)
+        _, certified, singular = check_gram(gram, 64)
+        assert np.count_nonzero(~certified) == 1
         assert calls == [1] and singular == []
         calls.clear()
-        _, singular = apply(system, sets[certified], rhs[certified])
-        assert calls == [] and singular == []
+        assert check_gram(gram[certified], 64)[2] == [] and calls == []
 
-    @pytest.mark.parametrize("apply, reference", MAPS)
-    def test_eigenvalue_fallback_returns_values(self, monkeypatch, apply, reference):
+    def test_eigenvalue_fallback_clears_the_block(self, monkeypatch):
         # 18 adjacent folds against 31 out-of-band bins: lambda_min is about
-        # 122 eps, above 64 eps but below what dominance can certify, so
+        # 122 eps, above 64 eps but below what the margins can certify, so
         # eigvalsh clears the block.
         system = build_oob_system(64, 0.5, 0.0)
-        sets = np.arange(18)[None]
-        gram = system.projector[sets[:, :, None], sets[:, None, :]]
+        gram = fold_gram(system, np.arange(18)[None])
         low = np.linalg.eigvalsh(gram)[0, 0]
         assert 64 * self.EPS < low < (64 + 18 * 20) * self.EPS
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        rhs = np.linspace(-1.0, 1.0, 18)[None]
-        values, singular = apply(system, sets, rhs)
+        margins, certified, singular = check_gram(gram, 64)
         assert len(calls) == 1 and singular == []
-        assert_array_equal(values, reference(gram, rhs))
+        assert margins.min() < low and not certified[0]
 
     def test_singular_block_named_past_the_first(self):
         # Two random sets of 20 folds, then 20 adjacent ones, whose Gram has
@@ -308,7 +236,7 @@ class TestFoldSolve:
         rng = np.random.default_rng(1)
         sets = np.array([rng.permutation(64)[:20], rng.permutation(64)[:20],
                          np.arange(20, 40)])
-        _, singular = fold_solve(system, sets, np.ones(sets.shape))
+        singular = check_gram(fold_gram(system, sets), 64)[2]
         assert [i for i, _, _ in singular] == [2]
 
 

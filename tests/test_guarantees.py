@@ -9,12 +9,40 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modunfold import guarantees
-from modunfold.dsp import build_oob_system, dominance, fold_gram, fold_inverse
+from modunfold.dsp import build_oob_system, check_gram, fold_gram
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
                                   predict_mse_modulo, required_bits,
                                   required_threshold)
+from modunfold.signal_model import PulseTrainSpec, generate_pulse_train, sample_signal
+
+NAN, INF = math.nan, math.inf
+
+# Each used to return NaN, 0.0, inf or zeros, or to raise InfeasibleError,
+# which turns an experiment point into a skipped row.
+NON_FINITE = {
+    "sample_signal-nan": lambda train: sample_signal(train, NAN, 50),
+    "sample_signal-inf": lambda train: sample_signal(train, INF, 50),
+    "required_threshold-nan-of": lambda _: required_threshold(1.0, NAN, 0, 64),
+    "required_threshold-inf-of": lambda _: required_threshold(1.0, INF, 0, 64),
+    "required_threshold-inf-peak": lambda _: required_threshold(INF, 4.0, 0, 64),
+    "predict_mse_modulo-nan-peak": lambda _: predict_mse_modulo(NAN, 8.0, 4, 4, 0.1, 64),
+    "predict_mse_modulo-nan-of": lambda _: predict_mse_modulo(1.0, NAN, 4, 4, 0.1, 64),
+    "predict_mse_modulo-inf-of": lambda _: predict_mse_modulo(1.0, INF, 4, 4, 0.1, 64),
+    "predict_mse_modulo-nan-guard": lambda _: predict_mse_modulo(1.0, 8.0, 4, 4, NAN, 64),
+    "predict_mse_conventional-inf-of": lambda _: predict_mse_conventional(1.0, INF, 4),
+    "build_oob_system-nan-guard": lambda _: build_oob_system(64, 0.25, NAN),
+    "estimate_interference_norm-nan-of":
+        lambda _: estimate_interference_norm(64, NAN, 0.0, 4, 10, 0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_parameters_rejected(call):
+    with pytest.raises(ConfigurationError) as raised:
+        call(generate_pulse_train(PulseTrainSpec(num_pulses=20)))
+    assert not isinstance(raised.value, InfeasibleError)
 
 
 class TestGuardBinCount:
@@ -222,19 +250,20 @@ class TestInterferenceNorm:
                                                                      workers):
         # Seed 87 draws singular sets at trials 5 and 7 of 40.  Trial 5's
         # batch is held until trial 7's has been checked, so 7 fails first.
+        system = build_oob_system(64, 0.5, 0.0)
         draws = np.random.default_rng(87).random((40, 64)).argsort(axis=1)[:, :31]
         later_checked = threading.Event()
-        checked = guarantees.fold_inverse
+        checked = guarantees.check_gram
 
-        def fold_inverse(system, gram):
+        def check_gram(gram, n):
             if np.array_equal(gram[0], fold_gram(system, draws[5:6])[0]):
                 later_checked.wait(timeout=10)
-            result = checked(system, gram)
+            result = checked(gram, n)
             if np.array_equal(gram[0], fold_gram(system, draws[7:8])[0]):
-                assert result[1]
+                assert result[2]
                 later_checked.set()
             return result
-        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        monkeypatch.setattr(guarantees, "check_gram", check_gram)
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 * 64)
         with pytest.raises(InfeasibleError, match="^trial 5: .*singular"):
@@ -250,10 +279,10 @@ class TestInterferenceNorm:
         # The reference maps every draw, in one batch, with nothing skipped.
         system = build_oob_system(length, 1.0 / oversampling, 0.0)
         sets = np.random.default_rng(9).random((trials, length)).argsort(axis=1)[:, :set_size]
-        inverse, singular = fold_inverse(system, fold_gram(system, sets))
-        mapped = np.matmul(inverse, system.projector[sets])
+        gram = fold_gram(system, sets)
+        mapped = np.matmul(np.linalg.inv(gram), system.projector[sets])
         np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
-        assert singular == []
+        assert check_gram(gram, length)[2] == []
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * set_size * length)
         assert estimate_interference_norm(length, oversampling, 0.0, set_size, trials,
@@ -262,16 +291,24 @@ class TestInterferenceNorm:
     def test_pruning_skips_sets(self, monkeypatch):
         # One worker and 16 sets per batch fix which sets are skipped.
         seen = []
-        checked = guarantees.fold_inverse
-
-        def fold_inverse(system, gram):
-            seen.append(len(gram))
-            return checked(system, gram)
-        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(len(a)) or inv(a))
         monkeypatch.setattr(guarantees, "_WORKERS", 1)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 8 * 64)
         estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
         assert sum(seen) < 2000 // 4
+
+    def test_each_batch_checked_once_and_whole(self, monkeypatch):
+        # Sets skipped by their bound are checked too, with the rest of
+        # their batch, and no batch is checked twice.
+        seen = []
+        checked = guarantees.check_gram
+        monkeypatch.setattr(guarantees, "check_gram",
+                            lambda gram, n: seen.append(len(gram)) or checked(gram, n))
+        monkeypatch.setattr(guarantees, "_WORKERS", 1)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 8 * 64)
+        estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
+        assert seen == [16] * 125
 
     @given(st.integers(16, 128), st.floats(3.0, 12.0), st.sampled_from([0.0, np.pi / 32]),
            st.integers(0, 2 ** 32 - 1), st.data())
@@ -281,12 +318,12 @@ class TestInterferenceNorm:
         set_size = data.draw(st.integers(1, min(32, system.num_bins)))
         sets = np.random.default_rng(seed).random((64, length)).argsort(axis=1)[:, :set_size]
         gram = fold_gram(system, sets)
-        bounds = guarantees._norm_bounds(system, gram)
+        margins, certified, _ = check_gram(gram, length)
+        bounds = guarantees._norm_bounds(system, gram, margins, certified)
         dominant = np.isfinite(bounds)
-        np.testing.assert_array_equal(dominant, dominance(gram, length)[1])
+        np.testing.assert_array_equal(dominant, certified)
         assume(dominant.any())
-        inverse, _ = fold_inverse(system, gram[dominant])
-        mapped = np.matmul(inverse, system.projector[sets[dominant]])
+        mapped = np.matmul(np.linalg.inv(gram[dominant]), system.projector[sets[dominant]])
         np.put_along_axis(mapped, sets[dominant, None, :], 0.0, axis=2)
         assert (bounds[dominant] >= np.abs(mapped).sum(axis=2).max(axis=1)).all()
 
@@ -294,7 +331,8 @@ class TestInterferenceNorm:
     def test_singular_draw_after_skipped_sets_names_its_trial(self, monkeypatch, workers):
         # At (256, OF 2, 20 folds) most random sets are diagonally dominant,
         # and 20 adjacent folds are singular (lambda_min about 1e-14).  Draw
-        # 61 is made adjacent: it sits 13th in the last batch of 16.
+        # 61 is made adjacent: it sits at position 13 of the last batch of
+        # 16, which is checked whole, the sets its bound skips included.
         class Scripted(np.random.Generator):
             drawn = 0
 
@@ -305,20 +343,17 @@ class TestInterferenceNorm:
                 self.drawn += len(rows)
                 return rows
         seen = []
-        checked = guarantees.fold_inverse
-
-        def fold_inverse(system, gram):
-            seen.append(gram)
-            return checked(system, gram)
-        monkeypatch.setattr(guarantees, "fold_inverse", fold_inverse)
+        checked = guarantees.check_gram
+        monkeypatch.setattr(guarantees, "check_gram",
+                            lambda gram, n: seen.append(gram) or checked(gram, n))
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 20 * 256)
         with pytest.raises(InfeasibleError, match="^trial 61: .*singular"):
             estimate_interference_norm(256, 2.0, 0.0, 20, 64, Scripted(np.random.PCG64(4)))
         adjacent = fold_gram(build_oob_system(256, 0.5, 0.0), np.arange(20)[None])
         last = next(gram for gram in seen if (gram == adjacent).all(axis=(1, 2)).any())
-        if workers == 1:  # sets ahead of it in its batch were skipped
-            assert np.flatnonzero((last == adjacent).all(axis=(1, 2)))[0] < 13
+        assert len(last) == 16
+        assert list(np.flatnonzero((last == adjacent).all(axis=(1, 2)))) == [13]
 
     def test_peak_memory_bounded_in_trials(self, monkeypatch):
         # 32 sets per batch: 2 batches or 128.  Two workers hold a 2 MiB

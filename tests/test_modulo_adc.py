@@ -113,6 +113,12 @@ class TestAdcConfig:
         with pytest.raises(ConfigurationError):
             AdcConfig(bits=1, threshold=1.0)
 
+    def test_fractional_bits_rejected(self):
+        # 2.5 bits used to quantize on 2^2.5 - 2 = 3.66 steps, 6 levels.
+        with pytest.raises(ConfigurationError, match="integer"):
+            AdcConfig(bits=2.5, threshold=1.0)
+        assert AdcConfig(bits=np.int64(4), threshold=1.0).full_scale == pytest.approx(8 / 7)
+
     def test_bits_past_float_resolution_rejected(self):
         # 2000 bits used to overflow the full-scale formula.
         for bits in (54, 2000):

@@ -353,7 +353,7 @@ class TestUnfold:
         assert abs(10 * np.log10(mse) - 10 * np.log10(theory)) < 1.0
 
     def test_solves_without_an_explicit_inverse(self, monkeypatch):
-        # unfold solves its fold-position systems (dsp.fold_solve); only the
+        # unfold solves its fold-position systems (np.linalg.solve); only the
         # interference-norm Monte Carlo needs the Gram inverse itself.
         def no_inverse(*args, **kwargs):
             raise AssertionError("unfold formed an explicit Gram inverse")

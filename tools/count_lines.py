@@ -2,8 +2,9 @@
 
     python tools/count_lines.py [PATH ...]
 
-PATH is a file or a directory searched for *.py files (default:
-src/modunfold).  "Code" lines are those that are not blank, comment-only or
+PATH is a file or a directory searched for *.py files (default: the
+src/modunfold next to this directory, from any working directory; a missing
+PATH exits 2).  "Code" lines are those that are not blank, comment-only or
 part of a docstring (the first string statement of a module, class or
 function).  A line is code if any token other than a comment or a line
 break sits on it; lines spanned by a multi-line token count once each.
@@ -12,11 +13,15 @@ Prints one line per module and a total.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "modunfold"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -44,8 +49,14 @@ def count(source: str) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs="*", type=Path, metavar="PATH",
+                        default=[Path(os.path.relpath(_PACKAGE))])
+    paths = parser.parse_args(argv).paths
     files = []
-    for path in map(Path, argv or ["src/modunfold"]):
+    for path in paths:
+        if not path.exists():
+            parser.error(f"no such file or directory: {path}")
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     totals = [0, 0]
     print(f"{'total':>7} {'code':>6}  module")
