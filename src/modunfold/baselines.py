@@ -7,14 +7,13 @@ centered modulo, rounded anti-difference.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import _LPF_LENGTH, _LPF_TRANSITION, blocks, design_lowpass, filter_zero_delay
-from .errors import ConfigurationError
-from .modulo_adc import fold, quantize_uniform, triangle_dither
+from .errors import ConfigurationError, check_number, check_record
+from .modulo_adc import _MAX_RANGE, AdcConfig, fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
 
 
@@ -33,11 +32,10 @@ class HodConfig:
     def __post_init__(self):
         # A diverging order-K estimate grows like n^K/K!; its square can
         # overflow float64 past order 16 on a billion samples.
-        if not isinstance(self.order, numbers.Integral) or not 1 <= self.order <= 16:
-            raise ConfigurationError(
-                f"difference order must be an integer in [1, 16], got {self.order!r}")
-        if not 0.0 < self.threshold < np.inf:
-            raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
+        if not 1 <= check_number("order", self.order, integer=True) <= 16:
+            raise ConfigurationError(f"difference order must be in [1, 16], got {self.order}")
+        if not 0.0 < check_number("threshold", self.threshold) <= _MAX_RANGE:
+            raise ConfigurationError(f"need 0 < threshold <= {_MAX_RANGE:g}, got {self.threshold}")
 
 
 def conventional_full_scale(bits: int, peak: float) -> float:
@@ -57,18 +55,17 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     (dsp.blocks), so the quantized record and the filtered output are the
     only full-length arrays.
     """
-    if not isinstance(bits, numbers.Integral) or bits < 2:
-        raise ConfigurationError(f"need an integer bits >= 2, got {bits!r}")
-    if not 0.0 < peak < np.inf:
-        raise ConfigurationError(f"need 0 < peak < inf, got {peak}")
-    f = np.asarray(signal.samples, dtype=float)
+    AdcConfig(bits=bits, threshold=1.0, seed=seed)  # the bit and seed rules
+    if not 0.0 < check_number("peak", peak) <= _MAX_RANGE:
+        raise ConfigurationError(f"need 0 < peak <= {_MAX_RANGE:g}, got {peak}")
+    lowpass = design_lowpass(signal.band_fraction * np.pi, lpf_transition, lpf_length)
+    f = check_record("signal", signal.samples)
     full_scale = conventional_full_scale(bits, peak)
     quantized = np.empty(f.size)
     dither = triangle_dither(f.size, bits, full_scale, seed)
     for block, noise in zip(blocks(f.size), dither):
         dithered = np.clip(f[block] + noise, -full_scale, full_scale)
         quantized[block] = quantize_uniform(dithered, bits, full_scale)
-    lowpass = design_lowpass(signal.band_fraction * np.pi, lpf_transition, lpf_length)
     return filter_zero_delay(quantized, lowpass)
 
 
@@ -87,7 +84,7 @@ def hod_recover(quantized_modulo, config: HodConfig) -> np.ndarray:
     (dsp.blocks) and the integrations in place, so the output is the only
     full-length array left beside the input.
     """
-    y = np.asarray(quantized_modulo, dtype=float)
+    y = check_record("quantized", quantized_modulo)
     estimate = np.diff(y, n=config.order, prepend=np.zeros(config.order))
     for block in blocks(estimate.size):
         estimate[block] -= fold(estimate[block], config.threshold)

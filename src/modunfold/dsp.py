@@ -31,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, check_number
+
+# Longest window or lowpass accepted (tukey_window, build_oob_system,
+# design_lowpass).  Their memory is linear in the length: traced peaks of
+# 3.5 MB for a window and its system and 13.7 MB for a lowpass at 2^16, so
+# about 60 and 220 MB at the cap.  Both presets' windows are 64 to 256
+# samples and their lowpass 1,025 taps.
+_MAX_LENGTH = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,12 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     (1/oversampling); guard_width widens the excluded band on both sides to
     absorb spectral leakage.  No bin left out of band is an InfeasibleError.
     """
-    if not (0.0 < band_fraction < np.inf and 0.0 <= guard_width < np.inf):
+    if not 1 <= check_number("n", n, integer=True) <= _MAX_LENGTH:
+        raise ConfigurationError(f"window length must be in [1, {_MAX_LENGTH}], got {n}")
+    if not (check_number("band_fraction", band_fraction) > 0.0
+            and check_number("guard_width", guard_width) >= 0.0):
         raise ConfigurationError(
-            f"need finite band_fraction > 0 and guard_width >= 0, got "
+            f"need band_fraction > 0 and guard_width >= 0, got "
             f"{band_fraction:.6g} and {guard_width:.6g}")
     bins = oob_bin_indices(n, band_fraction, guard_width)
     if bins.size == 0:
@@ -170,9 +180,9 @@ def tukey_window(n: int, alpha: float) -> TukeyWindow:
     Rejects (n, alpha) pairs where alpha*n is not an even integer, since the
     overlap-add correction relies on exact pairing of the two tapers.
     """
-    if n < 2:
-        raise ConfigurationError("window length must be at least 2")
-    if not 0.0 < alpha <= 1.0:
+    if not 2 <= check_number("n", n, integer=True) <= _MAX_LENGTH:
+        raise ConfigurationError(f"window length must be in [2, {_MAX_LENGTH}], got {n}")
+    if not 0.0 < check_number("alpha", alpha) <= 1.0:
         raise ConfigurationError(f"roll-off alpha must be in (0, 1], got {alpha}")
     prod = alpha * n
     if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0:
@@ -204,16 +214,16 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
     validated on a dense frequency grid (passband ripple <= 0.01 dB,
     stopband >= 60 dB).
     """
-    if not 0.0 < cutoff < np.pi:
+    if not 0.0 < check_number("cutoff", cutoff) < np.pi:
         raise ConfigurationError(f"cutoff must be in (0, pi), got {cutoff}")
-    if not transition > 0.0:
+    if not check_number("transition", transition) > 0.0:
         raise ConfigurationError(f"transition must be > 0, got {transition}")
     if cutoff + transition > np.pi:
         raise ConfigurationError(
             f"transition band ({cutoff:.4g}, {cutoff + transition:.4g}) must stay below pi"
         )
-    if length < 3 or length % 2 == 0:
-        raise ConfigurationError(f"tap count must be odd and >= 3, got {length}")
+    if not 3 <= check_number("length", length, integer=True) <= _MAX_LENGTH or length % 2 == 0:
+        raise ConfigurationError(f"tap count must be odd and in [3, {_MAX_LENGTH}], got {length}")
     # Compared as a product: the tap count a tiny transition needs overflows.
     if length * transition < _TAPER_TRANSITION:
         raise ConfigurationError(

@@ -1,8 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its three input rules.
 
 Every parameter check raises ConfigurationError (a ValueError), so the CLI's
 one handler turns any bad value into exit 2.  OverloadError is a data fault.
+
+The rules are applied once, by the public function or config that owns a
+parameter, which then checks only its own range:
+- check_number: a finite real, or an integer where one is asked for;
+- check_record: a 1-D, nonempty, finite sample record;
+- check_seed: an integer >= 0 or a np.random.SeedSequence.
 """
+
+import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +33,36 @@ class OverloadError(RuntimeError):
         super().__init__(
             f"sample {index} overloads the quantizer: |{value:.6g}| > {full_scale:.6g}"
         )
+
+
+def check_number(name: str, value, integer: bool = False):
+    """value, if it is a finite real (an integer when `integer` is set).
+
+    A bool, a str, None, NaN or +-inf, or a fraction (4.0 included) where an
+    integer is asked for, raises ConfigurationError.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < np.inf:
+        wanted = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
+def check_record(name: str, samples) -> np.ndarray:
+    """samples as a float array, if it is 1-D, nonempty and finite."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ConfigurationError(f"need 1-D, nonempty {name} samples, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"{name} sample {int(np.argmin(np.isfinite(x)))} is not finite")
+    return x
+
+
+def check_seed(name: str, seed) -> None:
+    """Reject a seed that is not an integer >= 0 or a np.random.SeedSequence.
+
+    None, numpy's fresh-entropy seed, is rejected too: every result of the
+    package is a function of its arguments.
+    """
+    if not isinstance(seed, np.random.SeedSequence) and check_number(name, seed, True) < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")

@@ -21,7 +21,6 @@ import dataclasses
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -29,22 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, guarantees
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, check_number
 from .modulo_adc import AdcConfig, acquire
 from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, unfold
 from .dsp import _LPF_LENGTH, _LPF_TRANSITION, filter_zero_delay, tukey_window
-
-# JSON types of the numeric fields (a null trials or oversampling_list takes
-# the experiment's default, as does theory-only's seed); their ranges are
-# checked by the configs and functions that own the rules (ExperimentConfig).
-_INTS = ("num_pulses", "span", "window_length", "lpf_length", "hod_order",
-         "m_trials", "trials", "seed")
-_REALS = ("beta", "amp_low", "amp_high", "window_alpha", "lpf_transition")
-_INT_LISTS = ("bits_list", "m_lengths", "m_set_fractions")
-_REAL_LISTS = ("oversampling_list", "guard_width_list")
 
 # Safety margin on the grid-based peak estimate before sizing the threshold;
 # grid maxima slightly undershoot the continuous maximum.
@@ -65,14 +55,17 @@ class ExperimentConfig:
     theory-only draws nothing and records seed 0 when given none.
 
     The fields are checked here, whichever experiment reads them, so
-    runners read them as they are and a bad value fails before any work:
-    the numbers' types, the signal spec (PulseTrainSpec) and each factor's
-    sample count, the window (tukey_window), each bit depth (AdcConfig),
-    each guard width (guarantees.guard_bin_count), the HoD order
-    (HodConfig), the m-grid fold sets and factors, the seed and `out`, which
-    must name a file in an existing directory.  The ranges of lpf_length and
-    lpf_transition are checked when the first point's lowpass is designed
-    (dsp.design_lowpass), as their rules depend on each point's cutoff.
+    runners read them as they are and a bad value fails before any work.
+    Each is checked once, by the owner of its rule: the signal spec
+    (PulseTrainSpec) and each factor's sample count, the window
+    (tukey_window), each bit depth (AdcConfig), each guard width
+    (guarantees.guard_bin_count) and the HoD order (HodConfig).  This
+    config applies errors.check_number to the fields no owner reads here,
+    and checks the list shapes, the m-grid fold sets and factors, the
+    trial count, the seed and `out`, which must name a file in an existing
+    directory.  The ranges of lpf_length and lpf_transition are checked
+    when the first point's lowpass is designed (dsp.design_lowpass), as
+    their rules depend on each point's cutoff.
     """
 
     experiment: str = "mse-sweep"
@@ -112,34 +105,35 @@ class ExperimentConfig:
             self.trials = trials
         if self.seed is None and not seeded:
             self.seed = 0
-        for name in _INTS + _REALS:
-            if name != "seed" or self.seed is not None:
-                _check_number(name, getattr(self, name), integer=name in _INTS)
-        for name in _INT_LISTS + _REAL_LISTS:
+        for name in ("bits_list", "m_lengths", "m_set_fractions", "oversampling_list",
+                     "guard_width_list"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigurationError(f"{name} must be a nonempty list")
             setattr(self, name, tuple(value))
-            for item in value:
-                _check_number(name, item, integer=name in _INT_LISTS)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigurationError(f"cannot write {self.out}: no such directory")
         if self.out and os.path.isdir(self.out):
             raise ConfigurationError(f"cannot write {self.out}: it is a directory")
-        if self.trials < 1:
+        # The fields no owner reads at construction.
+        check_number("lpf_length", self.lpf_length, integer=True)
+        check_number("lpf_transition", self.lpf_transition)
+        check_number("m_trials", self.m_trials, integer=True)
+        if check_number("trials", self.trials, integer=True) < 1:
             raise ConfigurationError("trials must be positive")
-        if any(f < 1 or n // f < 1 for n in self.m_lengths for f in self.m_set_fractions):
-            raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
-        for n in self.m_lengths:
-            for f in self.m_set_fractions:
-                guarantees.check_fold_set(n, n // f)
+        for n, f in itertools.product(self.m_lengths, self.m_set_fractions):
+            if (check_number("m_set_fractions", f, integer=True) < 1
+                    or check_number("m_lengths", n, integer=True) // f < 1):
+                raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
+            guarantees.check_fold_set(n, n // f)
         spec = self.signal_spec(0)
         for oversampling in self.oversampling_list:
             # A factor <= 0 is an infeasible point of the other experiments
             # (required_threshold), but no m-grid cell can take it.
-            if oversampling <= 0.0 and self.experiment == "m-grid":
+            if (check_number("oversampling_list", oversampling) <= 0.0
+                    and self.experiment == "m-grid"):
                 raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
             if sampled and oversampling > 0.0:
                 nominal_sample_count(spec, oversampling)
@@ -149,7 +143,7 @@ class ExperimentConfig:
         for guard_width in self.guard_width_list:
             guarantees.guard_bin_count(guard_width, self.window_length)
         baselines.HodConfig(threshold=1.0, order=self.hod_order)
-        if self.seed is None or self.seed < 0:
+        if self.seed is None or check_number("seed", self.seed, integer=True) < 0:
             raise ConfigurationError(
                 f"{self.experiment} needs --seed N >= 0 (or a seed in the config)")
 
@@ -157,14 +151,6 @@ class ExperimentConfig:
         return PulseTrainSpec(num_pulses=self.num_pulses, beta=self.beta,
                               span=self.span, amp_low=self.amp_low,
                               amp_high=self.amp_high, seed=seed)
-
-
-def _check_number(name: str, value, integer: bool) -> None:
-    """Reject a bool, a non-number, a fraction for an integer, NaN or inf."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < math.inf:
-        wanted = "an integer" if integer else "a finite number"
-        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
 
 
 _PRESETS = {

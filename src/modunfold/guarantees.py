@@ -32,7 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .dsp import build_oob_system, check_gram, fold_gram
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, check_number, check_seed
+from .modulo_adc import AdcConfig
 
 # Matrix elements (fold sets x set size x length) per batch of fold sets in
 # estimate_interference_norm: 2 MiB of float64 for the gathered rows and as
@@ -54,6 +55,11 @@ _BATCH_ELEMENTS = 2 ** 18
 # preset's largest set, 32 x 256, is 512 times below it.
 _MAX_SET_ELEMENTS = 2 ** 22
 
+# Most fold sets one estimate draws: 100 times the paper preset's 100,000.
+# A paper m-grid cell takes about half a second, so one at the cap about a
+# minute, where 10^12 trials would run for days in some 10^9 batches.
+_MAX_TRIALS = 10 ** 7
+
 # Steps refining the bound on each fold set's norm in _norm_bounds.  Over
 # the desk m-grid cells at seed 1 (N 256, k 32), 0 / 2 / 4 / 6 steps left
 # 26 / 21 / 15 / 12 % of the sets mapped at OF 4 and 52 / 40 / 32 / 31 % at
@@ -69,7 +75,8 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def guard_bin_count(guard_width: float, length: int) -> int:
     """DFT bins excluded by the leakage guard: 2 * ceil(guard_width * N / pi)."""
-    half = guard_width * length / np.pi
+    half = check_number("guard_width", guard_width) * check_number(
+        "length", length, integer=True) / np.pi
     if not 0.0 <= half < math.inf:
         raise ConfigurationError(
             f"need 0 <= guard_width * N / pi < inf, got guard_width {guard_width} at N {length}")
@@ -78,7 +85,9 @@ def guard_bin_count(guard_width: float, length: int) -> int:
 
 def min_oversampling(length: int, guard_bins: int) -> float:
     """Signal-independent sufficient oversampling: 3 / (1 - guard_bins/N)."""
-    if guard_bins >= length:
+    if check_number("guard_bins", guard_bins, integer=True) < 0:
+        raise ConfigurationError(f"need guard_bins >= 0, got {guard_bins}")
+    if guard_bins >= check_number("length", length, integer=True):
         raise InfeasibleError(f"{guard_bins} guard bins exhaust a {length}-sample window")
     return 3.0 / (1.0 - guard_bins / length)
 
@@ -89,10 +98,10 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
 
     peak / (oversampling * (1 - guard_bins/N) - 2).
     """
-    if not (0.0 < peak < math.inf and math.isfinite(oversampling)):
-        raise ConfigurationError(
-            f"need a positive, finite peak and a finite oversampling factor, got "
-            f"{peak} and {oversampling}")
+    if not 0.0 < check_number("peak", peak):
+        raise ConfigurationError(f"need peak > 0, got {peak}")
+    check_number("oversampling", oversampling)
+    min_oversampling(length, guard_bins)  # the window's rules
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
     if denom <= 0.0:
         raise InfeasibleError(
@@ -103,7 +112,7 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
 
 def extra_bits(interference_norm: float) -> float:
     """Bits the interference adds to required_bits: log2(1 + 0.75 * norm)."""
-    if interference_norm < 0.0:
+    if check_number("interference_norm", interference_norm) < 0.0:
         raise ConfigurationError("interference norm must be nonnegative")
     return math.log2(1.0 + 0.75 * interference_norm)
 
@@ -207,16 +216,18 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     oversized set does, so an experiment grid marks the cell skipped.  A
     draw that passes with Gram condition number cond carries about cond*eps
     relative error: negligible below cond 1e6, up to about 1/length near
-    the limit 1/(length*eps).  Sets whose rows exceed _MAX_SET_ELEMENTS
-    raise ConfigurationError before anything is built.
+    the limit 1/(length*eps).  Sets whose rows exceed _MAX_SET_ELEMENTS,
+    and more than _MAX_TRIALS trials, raise ConfigurationError before
+    anything is built.
     """
-    if set_size < 0:
+    if check_number("set_size", set_size, integer=True) < 0:
         raise ConfigurationError("set_size must be nonnegative")
-    check_fold_set(length, set_size)
-    if trials < 1:
-        raise ConfigurationError("trials must be positive")
-    if not 0.0 < oversampling < math.inf:
-        raise ConfigurationError(f"oversampling must be positive and finite, got {oversampling}")
+    check_fold_set(check_number("length", length, integer=True), set_size)
+    if not 1 <= check_number("trials", trials, integer=True) <= _MAX_TRIALS:
+        raise ConfigurationError(f"need 1 <= trials <= {_MAX_TRIALS}, got {trials}")
+    if not 0.0 < check_number("oversampling", oversampling):
+        raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
+    check_seed("seed", seed)
     system = build_oob_system(length, 1.0 / oversampling, guard_width)
     if set_size == 0:
         return 0.0
@@ -271,30 +282,45 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
 
     peak^2 * (1 + guard_width/pi * OF)
     / (OF * (2^b - 2)^2 * (OF * (1 - guard_bins/N) - 2)^2),
-    valid once the oversampling sufficiency condition holds.
+    valid once the oversampling sufficiency condition holds.  A prediction
+    that overflows float64 is a ConfigurationError.
     """
-    if bits < 2:
-        raise ConfigurationError("need bits >= 2")
-    if not all(map(math.isfinite, (peak, oversampling, guard_width))):
-        raise ConfigurationError(
-            f"need a finite peak, oversampling factor and guard width, got {peak}, "
-            f"{oversampling} and {guard_width}")
+    AdcConfig(bits=bits, threshold=1.0)  # the bit rule
+    check_number("peak", peak)
+    check_number("oversampling", oversampling)
+    if not check_number("guard_width", guard_width) >= 0.0:
+        raise ConfigurationError(f"need guard_width >= 0, got {guard_width}")
     floor_of = min_oversampling(length, guard_bins)
     if oversampling < floor_of:
         raise InfeasibleError(
             f"oversampling {oversampling:g} is below the sufficiency bound "
             f"{floor_of:.4g} for {guard_bins} guard bins over {length} samples")
     threshold_denom = oversampling * (1.0 - guard_bins / length) - 2.0
-    return (peak ** 2 * (1.0 + guard_width / np.pi * oversampling)
-            / (oversampling * (2 ** bits - 2) ** 2 * threshold_denom ** 2))
+    return _finite(lambda: peak ** 2 * (1.0 + guard_width / np.pi * oversampling)
+                   / (oversampling * (2 ** bits - 2) ** 2 * threshold_denom ** 2))
 
 
 def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> float:
-    """Predicted MSE of the conventional pipeline: peak^2 / (OF * (2^b - 2)^2)."""
-    if bits < 2:
-        raise ConfigurationError("need bits >= 2")
-    if not (math.isfinite(peak) and 1.0 <= oversampling < math.inf):
-        raise ConfigurationError(
-            f"need a finite peak and an oversampling factor >= 1 and finite, got {peak} "
-            f"and {oversampling}")
-    return peak ** 2 / (oversampling * (2 ** bits - 2) ** 2)
+    """Predicted MSE of the conventional pipeline: peak^2 / (OF * (2^b - 2)^2).
+
+    A prediction that overflows float64 is a ConfigurationError.
+    """
+    AdcConfig(bits=bits, threshold=1.0)  # the bit rule
+    check_number("peak", peak)
+    if not 1.0 <= check_number("oversampling", oversampling):
+        raise ConfigurationError(f"need an oversampling factor >= 1, got {oversampling}")
+    return _finite(lambda: peak ** 2 / (oversampling * (2 ** bits - 2) ** 2))
+
+
+def _finite(prediction) -> float:
+    """prediction(), or a ConfigurationError where it overflows float64.
+
+    A float ** raises OverflowError; * and / return inf or NaN.
+    """
+    try:
+        mse = prediction()
+    except OverflowError:
+        mse = math.inf
+    if not mse < math.inf:
+        raise ConfigurationError(f"the predicted MSE overflows float64 ({mse})")
+    return mse

@@ -17,18 +17,27 @@ do not depend on the block size.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import blocks
-from .errors import ConfigurationError, OverloadError
+from .errors import (ConfigurationError, OverloadError, check_number, check_record,
+                     check_seed)
 from .signal_model import SampledSignal
 
 # Relative slack on the overload test; the no-overload margin is exact in
 # real arithmetic and only float rounding can nudge a sample past full scale.
 _OVERLOAD_SLACK = 1e-12
+
+# Largest bit depth of a quantizer or a prediction: past 53 bits the step is
+# below float64's resolution, and 2^bits sizes the integers formed from it.
+_MAX_BITS = 53
+
+# Largest modulo threshold, or peak of the conventional ADC (baselines): the
+# quantizer's full scale, its step 2 * full_scale / 2^bits and the sums of
+# the lowpass's FFT blocks (up to 2^21 samples) stay finite below about 1e302.
+_MAX_RANGE = 1e300
 
 
 @dataclass(frozen=True)
@@ -40,11 +49,12 @@ class AdcConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        # Two bits give a positive full scale; past 53 the step is below float64.
-        if not isinstance(self.bits, numbers.Integral) or not 2 <= self.bits <= 53:
-            raise ConfigurationError(f"need an integer 2 <= bits <= 53, got {self.bits!r}")
-        if not 0.0 < self.threshold < np.inf:
-            raise ConfigurationError(f"need 0 < threshold < inf, got {self.threshold}")
+        # Two bits give a positive full scale.
+        if not 2 <= check_number("bits", self.bits, integer=True) <= _MAX_BITS:
+            raise ConfigurationError(f"need 2 <= bits <= {_MAX_BITS}, got {self.bits}")
+        if not 0.0 < check_number("threshold", self.threshold) <= _MAX_RANGE:
+            raise ConfigurationError(f"need 0 < threshold <= {_MAX_RANGE:g}, got {self.threshold}")
+        check_seed("seed", self.seed)
 
     @property
     def full_scale(self) -> float:
@@ -128,12 +138,7 @@ def acquire(signal: SampledSignal, config: AdcConfig) -> AdcOutput:
     exact folded stream is this output with quantized = fold(samples).
     An OverloadError names its sample by the index in the whole record.
     """
-    f = np.asarray(signal.samples, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise ConfigurationError(f"need 1-D, nonempty signal samples, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ConfigurationError(
-            f"signal sample {int(np.argmin(np.isfinite(f)))} is not finite")
+    f = check_record("signal", signal.samples)
     lam_p = config.threshold
     if abs(f[0]) > lam_p:
         raise ConfigurationError(

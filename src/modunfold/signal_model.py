@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number, check_seed
 
 _CHUNK = 1 << 18
 
@@ -36,10 +36,11 @@ _GRID_OVERSAMPLE = 64
 # bound), which still leaves some 90 orders below the float maximum 1.8e308.
 _MAX_AMPLITUDE = 1e100
 
-# Largest sample count nominal_sample_count grants: 256 MiB per float64
-# buffer.  The paper preset's largest, 50,000 pulses at OF 50, is 5,002,000
-# samples, 6.7 times below it, and its mse-sweep peaks near 345 MB, so a
-# count at the cap asks for over 2 GB.
+# Largest sample count nominal_sample_count grants and sample_signal takes:
+# 256 MiB per float64 buffer.  The paper preset's largest, 50,000 pulses at
+# OF 50, is 5,002,000 samples, 6.7 times below it, and its mse-sweep peaks
+# near 345 MB, so a count at the cap asks for over 2 GB.  It caps the pulse
+# count too, as a train sampled at OF >= 1 has a sample per pulse or more.
 _MAX_SAMPLES = 2 ** 25
 
 
@@ -55,18 +56,19 @@ class PulseTrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_pulses < 1:
-            raise ConfigurationError("num_pulses must be positive")
-        if not 0.0 <= self.beta <= 1.0:
+        if not 1 <= check_number("num_pulses", self.num_pulses, integer=True) <= _MAX_SAMPLES:
+            raise ConfigurationError(f"need 1 to {_MAX_SAMPLES} pulses, got {self.num_pulses}")
+        if not 0.0 <= check_number("beta", self.beta) <= 1.0:
             raise ConfigurationError(f"roll-off beta must be in [0, 1], got {self.beta}")
-        if self.span <= 0 or self.span % 2 != 0:
+        if check_number("span", self.span, integer=True) <= 0 or self.span % 2 != 0:
             raise ConfigurationError(f"span must be a positive even symbol count, got {self.span}")
-        if not self.amp_low < self.amp_high:
+        if not check_number("amp_low", self.amp_low) < check_number("amp_high", self.amp_high):
             raise ConfigurationError("amplitude interval must be nonempty")
         if max(abs(self.amp_low), abs(self.amp_high)) > _MAX_AMPLITUDE:
             raise ConfigurationError(
                 f"amplitudes must lie within +-{_MAX_AMPLITUDE:g}, "
                 f"got [{self.amp_low}, {self.amp_high}]")
+        check_seed("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,10 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
     no greater than num_samples, the samples are the polyphase tap sum at
     exactly t = n/L; any other rate evaluates the train at n * sample period.
     """
-    if not 1.0 <= oversampling < math.inf:
-        raise ConfigurationError(f"oversampling factor must be >= 1 and finite, got {oversampling}")
-    if num_samples <= 0:
-        raise ConfigurationError("num_samples must be positive")
+    if not 1.0 <= check_number("oversampling", oversampling):
+        raise ConfigurationError(f"oversampling factor must be >= 1, got {oversampling}")
+    if not 1 <= check_number("num_samples", num_samples, integer=True) <= _MAX_SAMPLES:
+        raise ConfigurationError(f"need 1 <= num_samples <= {_MAX_SAMPLES}, got {num_samples}")
     rate = oversampling * (1.0 + train.spec.beta)
     if rate.is_integer() and rate <= num_samples:
         rate = int(rate)
@@ -192,6 +194,8 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
 
 def nominal_sample_count(spec: PulseTrainSpec, oversampling: float) -> int:
     """Samples needed to cover t in [0, num_pulses + span], at most _MAX_SAMPLES."""
+    if not check_number("oversampling", oversampling) > 0.0:
+        raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
     duration = spec.num_pulses + spec.span
     nyquist_period = 2.0 * np.pi / (2.0 * np.pi * (1.0 + spec.beta))
     count = duration / (nyquist_period / oversampling)

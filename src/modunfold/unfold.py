@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, OobSystem, TukeyWindow, blocks, build_oob_system,
                   check_gram, design_lowpass, filter_zero_delay, fold_gram, tukey_window)
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 from .modulo_adc import AdcOutput
 from .signal_model import SampledSignal
 
@@ -75,11 +75,12 @@ class RecoveryConfig:
     lowpass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_number("threshold", self.threshold)  # its range: unfold's match
         object.__setattr__(self, "window", tukey_window(self.length, self.alpha))
         object.__setattr__(self, "system", build_oob_system(
             self.length, self.band_fraction, self.guard_width))
         edge = self.band_fraction * np.pi + self.guard_width
-        transition = self.lpf_transition
+        transition = check_number("lpf_transition", self.lpf_transition)
         cutoff = edge - transition / 2.0 if self.guard_width >= transition / 2.0 else edge
         object.__setattr__(self, "lowpass", design_lowpass(
             cutoff, transition, self.lpf_length))
@@ -192,11 +193,10 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     counts, so where every rounding is right it equals residue_truth
     exactly.
     """
-    quantized, flagged = np.shape(adc.quantized), np.shape(adc.folding_bits)
-    if len(quantized) != 1 or quantized[0] == 0 or flagged != quantized:
-        raise ConfigurationError(
-            f"need 1-D, nonempty quantized samples and fold flags of equal "
-            f"length, got shapes {quantized} and {flagged}")
+    quantized = check_record("quantized", adc.quantized)
+    if np.shape(adc.folding_bits) != quantized.shape:
+        raise ConfigurationError(f"need fold flags of the samples' shape {quantized.shape}, "
+                                 f"got {np.shape(adc.folding_bits)}")
     if not math.isclose(config.threshold, adc.config.threshold, rel_tol=1e-12):
         raise ConfigurationError(
             f"recovery threshold {config.threshold:.6g} != "
@@ -205,12 +205,9 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
         raise ConfigurationError(
             f"recovery band fraction {config.band_fraction:.6g} != "
             f"signal band fraction {signal_meta.band_fraction:.6g}")
-    if not np.isfinite(adc.quantized).all():
-        raise ConfigurationError(
-            f"quantized sample {int(np.argmin(np.isfinite(adc.quantized)))} is not finite")
 
     residue, segments, skipped = _residue(adc, config)
-    recovered = filter_zero_delay(adc.quantized - residue, config.lowpass)
+    recovered = filter_zero_delay(quantized - residue, config.lowpass)
     return UnfoldResult(recovered=recovered, residue=residue,
                         segments_total=segments, segments_skipped=skipped)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,58 @@ def test_default_path_from_another_directory(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(line.endswith("modunfold/dsp.py") for line in lines)
     assert lines[-1].endswith(f"all {len(lines) - 2} files")
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A throwaway repository whose one commit holds pkg/a.py (4 lines, 1 code) and
+    pkg/notes.txt; the worktree then changes a.py and adds an uncommitted b.py."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text('"""Doc."""\n\n# note\nx = 1\n')
+    (package / "notes.txt").write_text("not python\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "one")
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_rev_counts_the_committed_files(repo, capsys):
+    assert load_tool().main(["--rev", "HEAD", "pkg"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["      4      1  pkg/a.py", "      4      1  all 1 files"]
+    assert load_tool().main(["pkg"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "      3      3  all 2 files"
+
+
+def test_rev_from_a_subdirectory(repo, monkeypatch, capsys):
+    monkeypatch.chdir(repo / "pkg")
+    assert load_tool().main(["--rev", "HEAD", "."]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "      4      1  a.py"
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--rev", "nosuch", "pkg"], "nosuch"),
+    (["--rev", "HEAD", "missing"], "no *.py files at HEAD: missing")])
+def test_bad_rev_or_path_exits_two(repo, capsys, args, reason):
+    with pytest.raises(SystemExit) as exited:
+        load_tool().main(args)
+    assert exited.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_rev_outside_a_repository_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    with pytest.raises(SystemExit) as exited:
+        load_tool().main(["--rev", "HEAD", "."])
+    assert exited.value.code == 2
+    assert "git ls-tree" in capsys.readouterr().err

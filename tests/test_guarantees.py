@@ -117,6 +117,16 @@ class TestPredictedMse:
         with pytest.raises(InfeasibleError):
             predict_mse_modulo(1.0, 2.5, 4, 0, 0.0, 64)
 
+    @pytest.mark.parametrize("call", [lambda: predict_mse_modulo(1.0, 8.0, 4, 4, -1.0, 64),
+                                      lambda: predict_mse_modulo(1.0, 8.0, 4, -1, 0.1, 64),
+                                      lambda: required_threshold(1.0, 8.0, -1, 64),
+                                      lambda: min_oversampling(64, -1)])
+    def test_negative_guard_rejected(self, call):
+        # A guard width of -1 used to predict a negative MSE (-3.3e-5), and
+        # -1 guard bins an oversampling floor of 2.95, below the guard-free 3.
+        with pytest.raises(ConfigurationError, match="guard"):
+            call()
+
     def test_one_bit_is_config_error(self):
         # Used to end in a ZeroDivisionError from (2^1 - 2)^2.
         with pytest.raises(ConfigurationError, match="bits"):
@@ -348,8 +358,12 @@ class TestInterferenceNorm:
                             lambda gram, n: seen.append(gram) or checked(gram, n))
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 20 * 256)
+        # The seed must be an integer or a SeedSequence, so the script goes in
+        # through the generator the estimate makes from it.
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Scripted(np.random.PCG64(seed)))
         with pytest.raises(InfeasibleError, match="^trial 61: .*singular"):
-            estimate_interference_norm(256, 2.0, 0.0, 20, 64, Scripted(np.random.PCG64(4)))
+            estimate_interference_norm(256, 2.0, 0.0, 20, 64, 4)
         adjacent = fold_gram(build_oob_system(256, 0.5, 0.0), np.arange(20)[None])
         last = next(gram for gram in seen if (gram == adjacent).all(axis=(1, 2)).any())
         assert len(last) == 16

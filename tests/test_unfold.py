@@ -438,7 +438,7 @@ class TestUnfold:
                         residue_truth=np.zeros(quantized.shape), config=adc.config)
         config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                 threshold=threshold, band_fraction=0.25)
-        with pytest.raises(ConfigurationError, match=r"1-D, nonempty.*shapes"):
+        with pytest.raises(ConfigurationError, match="shape"):
             unfold(bad, sig, config)
 
     def test_threshold_mismatch_rejected(self):

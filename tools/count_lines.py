@@ -1,14 +1,18 @@
 """Count total and code lines per Python module.
 
-    python tools/count_lines.py [PATH ...]
+    python tools/count_lines.py [--rev REV] [PATH ...]
 
 PATH is a file or a directory searched for *.py files (default: the
 src/modunfold next to this directory, from any working directory; a missing
-PATH exits 2).  "Code" lines are those that are not blank, comment-only or
-part of a docstring (the first string statement of a module, class or
-function).  A line is code if any token other than a comment or a line
-break sits on it; lines spanned by a multi-line token count once each.
-Prints one line per module and a total.
+PATH exits 2).  With --rev, the files are read as they are at git revision
+REV of the repository in the working directory (git ls-tree and git show,
+touching no worktree), so `--rev HEAD~1` and no option give a change's
+before and after; an unknown REV, a failing git or a PATH with no *.py
+files at REV exits 2.  "Code" lines are those that are not blank,
+comment-only or part of a docstring (the first string statement of a
+module, class or function).  A line is code if any token other than a
+comment or a line break sits on it; lines spanned by a multi-line token
+count once each.  Prints one line per module and a total.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import ast
 import io
 import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -48,23 +53,47 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - _docstring_lines(ast.parse(source)))
 
 
+def _git(parser: argparse.ArgumentParser, *args: str) -> str:
+    try:
+        done = subprocess.run(["git", *args], capture_output=True, text=True)
+    except OSError as err:
+        parser.error(f"cannot run git: {err}")
+    if done.returncode != 0:
+        parser.error(f"git {' '.join(args)}: {done.stderr.strip()}")
+    return done.stdout
+
+
+def _sources(parser: argparse.ArgumentParser, paths: list[Path], rev: str | None):
+    """(path, source) of every *.py file under paths, in the worktree or at rev."""
+    for path in paths:
+        if rev is None:
+            if not path.exists():
+                parser.error(f"no such file or directory: {path}")
+            for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+                yield file, file.read_text(encoding="utf-8")
+            continue
+        listed = _git(parser, "ls-tree", "-r", "--name-only", rev, "--", str(path)).split("\n")
+        files = sorted(Path(name) for name in listed if name.endswith(".py"))
+        if not files:
+            parser.error(f"no *.py files at {rev}: {path}")
+        for file in files:
+            yield file, _git(parser, "show", f"{rev}:./{file.as_posix()}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rev", help="count the files as they are at this git revision")
     parser.add_argument("paths", nargs="*", type=Path, metavar="PATH",
                         default=[Path(os.path.relpath(_PACKAGE))])
-    paths = parser.parse_args(argv).paths
-    files = []
-    for path in paths:
-        if not path.exists():
-            parser.error(f"no such file or directory: {path}")
-        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    args = parser.parse_args(argv)
+    sources = list(_sources(parser, args.paths, args.rev))
     totals = [0, 0]
     print(f"{'total':>7} {'code':>6}  module")
-    for path in files:
-        lines = count(path.read_text(encoding="utf-8"))
+    for path, source in sources:
+        lines = count(source)
         totals = [a + b for a, b in zip(totals, lines)]
         print(f"{lines[0]:7d} {lines[1]:6d}  {path}")
-    print(f"{totals[0]:7d} {totals[1]:6d}  all {len(files)} files")
+    print(f"{totals[0]:7d} {totals[1]:6d}  all {len(sources)} files")
     return 0
 
 
