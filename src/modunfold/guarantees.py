@@ -17,8 +17,10 @@ The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
 neither its result nor its errors depend on the thread count.  Its result
 is a max, so a set is mapped only if a bound read from the margins of its
-Gram block leaves room for it to raise the largest norm mapped so far; the
-sets skipped could not have changed a bit of the result.
+Gram block leaves room for it to raise the largest norm mapped so far.
+Each batch is mapped in chunks, largest bound first, and stops at the
+first chunk whose largest bound is below that norm; the sets skipped
+could not have changed a bit of the result.
 """
 
 from __future__ import annotations
@@ -35,23 +37,23 @@ from .dsp import build_oob_system, check_gram, fold_gram
 from .errors import ConfigurationError, InfeasibleError, check_number, check_seed
 from .modulo_adc import AdcConfig
 
-# Matrix elements (fold sets x set size x length) per batch of fold sets in
-# estimate_interference_norm: 2 MiB of float64 for the gathered rows and as
-# much for the worker's output buffer; at least one fold set runs per batch,
-# so a larger set times length goes past it.  Measured over the 27 desk
-# m-grid cells on two cores: 2**19 ran as fast but raised the peak resident
-# set by 8-16 MB, as every worker holds its rows and buffer, and 2**17 was
-# 10-15 % slower.  Re-measured once sets were skipped by their bound (three
-# alternating runs of the 27 cells, one process): 2**19 took 1.54-1.89 s,
-# 2**18 1.87-1.99 s and 2**17 2.41-2.93 s; 2**18 stays, as 2**19 would still
-# raise the peak, whose buffers are sized for whole batches.  Each worker
+# Matrix elements per batch and per chunk of fold sets in
+# estimate_interference_norm.  A batch is drawn and checked whole, and its
+# Gram blocks and draws hold set size^2 + length elements per set.  Its sets
+# are mapped chunk by chunk, set size x length elements per set: 1 MiB of
+# float64 for a chunk's gathered rows and as much for the worker's output
+# buffer.  At least one set runs per batch and per chunk, so a larger set
+# goes past it.  perfbench mgrid on a 2-core VM (seeds 1 and 2, 8 s runs):
+# 2**16 read 0.84-0.91 s wall and a 55.5-55.9 MB peak, 2**17 0.72-0.82 s
+# and 60.6-61.1 MB, 2**18 0.78-0.82 s and 69.4-71.7 MB, as every worker
+# holds a batch's blocks, a chunk's rows and its buffer.  Each worker
 # writes into its one buffer: fresh arrays per batch cost 0.3-0.5M minor
 # page faults and 1.6-1.9 times the CPU time per (256, OF 12, k 32) cell,
 # against about 1.2k faults.
-_BATCH_ELEMENTS = 2 ** 18
+_BATCH_ELEMENTS = 2 ** 17
 
 # Largest fold set accepted, as elements of its rows P[S, :] (set size x
-# length): 32 MiB of float64, which one batch always holds.  The paper
+# length): 32 MiB of float64, which one chunk always holds.  The paper
 # preset's largest set, 32 x 256, is 512 times below it.
 _MAX_SET_ELEMENTS = 2 ** 22
 
@@ -205,7 +207,14 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     cannot exceed the largest one the workers have computed so far is then
     skipped: the margins give an upper bound on its computed norm
     (_norm_bounds), and it is skipped when that bound is below the running
-    max.  So every set that could raise the max is computed as it would be
+    max.  A batch is _BATCH_ELEMENTS // (set_size**2 + length) sets, sized
+    by the Gram blocks and draws its check holds, and is mapped in chunks
+    of _BATCH_ELEMENTS // (set_size * length) sets, sized by the rows the
+    map gathers, in decreasing order of their bounds, uncertified sets
+    (+inf) first.  Each chunk drops the sets whose bound is below the
+    running max as it then stands, and the first chunk whose largest bound
+    is below it ends the batch, as no set after it can raise the max.  So
+    every set that could raise the max is computed as it would be
     without skipping, each by its own LAPACK inverse and matrix product,
     and the result is bit-identical whichever sets are skipped.  The
     running max is shared by the workers without a lock: a stale or lost
@@ -235,7 +244,8 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         raise InfeasibleError(
             f"fold sets of {set_size} exceed the {system.num_bins} out-of-band "
             "equations; the least-squares systems cannot be full rank")
-    batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size * length)))
+    batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size ** 2 + length)))
+    chunk = max(1, _BATCH_ELEMENTS // (set_size * length))
     local = threading.local()
     running = [0.0]  # largest norm any worker has computed
 
@@ -247,20 +257,31 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             raise InfeasibleError(
                 f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
-        keep = ~(_norm_bounds(system, gram, margins, certified) < running[0])
-        if not keep.any():
-            return 0.0
-        sets = sets[keep]
-        # Gathered here, not by a helper: see unfold.residue_pre_estimate.
-        rows = system.projector[sets]
-        inverse = np.linalg.inv(gram[keep])
+        bounds = _norm_bounds(system, gram, margins, certified)
+        # Largest bound first, uncertified (+inf) sets before all others.
+        # Reversing an ascending argsort would put a NaN bound first too.
+        order = np.argsort(bounds)[::-1]
+        bounds = bounds[order]
         if not hasattr(local, "out"):
-            local.out = np.empty((batch, set_size, length))
-        mapped = np.matmul(inverse, rows, out=local.out[:len(sets)])
-        np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
-        norm = float(np.abs(mapped, out=mapped).sum(axis=2).max())
-        running[0] = max(running[0], norm)
-        return norm
+            local.out = np.empty((chunk, set_size, length))
+        largest = 0.0
+        for start in range(0, len(order), chunk):
+            # The sets left are sorted, so none can raise the max once the
+            # largest bound among them is below it.
+            floor = running[0]
+            if bounds[start] < floor:
+                break
+            keep = order[start:start + chunk][~(bounds[start:start + chunk] < floor)]
+            kept = sets[keep]
+            # Gathered here, not by a helper: see unfold.residue_pre_estimate.
+            rows = system.projector[kept]
+            inverse = np.linalg.inv(gram[keep])
+            mapped = np.matmul(inverse, rows, out=local.out[:len(keep)])
+            np.put_along_axis(mapped, kept[:, None, :], 0.0, axis=2)
+            norm = float(np.abs(mapped, out=mapped).sum(axis=2).max())
+            running[0] = max(running[0], norm)
+            largest = max(largest, norm)
+        return largest
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -268,7 +289,8 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     with ThreadPoolExecutor(_WORKERS) as pool:
         for done in range(0, trials, batch):
             folds = rng.random((min(batch, trials - done), length)).argsort(axis=1)
-            pending.append(pool.submit(batch_norm, done, folds[:, :set_size]))
+            # A copy, so a pending batch does not hold its whole argsort.
+            pending.append(pool.submit(batch_norm, done, folds[:, :set_size].copy()))
             if len(pending) > _WORKERS:
                 worst = max(worst, pending.popleft().result())
         for future in pending:

@@ -43,6 +43,13 @@ _MAX_AMPLITUDE = 1e100
 # count too, as a train sampled at OF >= 1 has a sample per pulse or more.
 _MAX_SAMPLES = 2 ** 25
 
+# Longest pulse span accepted, in symbols: 50 times the presets' 20.
+# estimate_inf_norm and sample_signal loop in Python over the span + 1 tap
+# offsets, each over the whole train plus the span, so a span costs about
+# its square even on a short train: a 20-pulse train took 0.37 s to bound
+# at span 1,000 against 1 ms at 20, and at 2,000,000 ran past 20 s.
+_MAX_SPAN = 1000
+
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
@@ -60,8 +67,10 @@ class PulseTrainSpec:
             raise ConfigurationError(f"need 1 to {_MAX_SAMPLES} pulses, got {self.num_pulses}")
         if not 0.0 <= check_number("beta", self.beta) <= 1.0:
             raise ConfigurationError(f"roll-off beta must be in [0, 1], got {self.beta}")
-        if check_number("span", self.span, integer=True) <= 0 or self.span % 2 != 0:
-            raise ConfigurationError(f"span must be a positive even symbol count, got {self.span}")
+        if not 0 < check_number("span", self.span, integer=True) <= _MAX_SPAN or self.span % 2:
+            raise ConfigurationError(
+                f"span must be an even symbol count from 2 to the cap of {_MAX_SPAN}, "
+                f"got {self.span}")
         if not check_number("amp_low", self.amp_low) < check_number("amp_high", self.amp_high):
             raise ConfigurationError("amplitude interval must be nonempty")
         if max(abs(self.amp_low), abs(self.amp_high)) > _MAX_AMPLITUDE:

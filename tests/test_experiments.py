@@ -445,6 +445,12 @@ class TestBadInput:
             assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    def test_huge_span_rejected_at_construction(self):
+        # It used to construct, and bounding its train's peak ran past 20 s.
+        with pytest.raises(ConfigurationError, match="span"):
+            ExperimentConfig(experiment="mse-sweep", span=2_000_000, num_pulses=20,
+                             oversampling_list=[4.0], seed=1)
+
     @pytest.mark.parametrize("field, value, experiments", [
         ("oversampling_list", [1e6], SIMULATED),
         ("oversampling_list", [1e12], SIMULATED),

@@ -185,23 +185,25 @@ class TestInterferenceNorm:
     def test_bit_identical_across_batch_sizes(self, monkeypatch, length, oversampling,
                                               set_size, trials):
         # None: as many folds as out-of-band bins.  The default budget splits
-        # both cases into batches with a shorter last one (174 and 256 trials).
+        # both cases into batches with a shorter last one (1 and 95 trials).
         set_size = set_size or build_oob_system(length, 1.0 / oversampling, 0.0).num_bins
         default = estimate_interference_norm(length, oversampling, 0.0, set_size, trials, 3)
         for per_batch in (1, trials):
-            monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * set_size * length)
+            monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS",
+                                per_batch * (set_size ** 2 + length))
             assert estimate_interference_norm(
                 length, oversampling, 0.0, set_size, trials, 3) == default
 
     @pytest.mark.parametrize("per_batch", [1, 48])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_bit_identical_across_worker_counts(self, monkeypatch, workers, per_batch):
-        # 400 trials: one set per batch, or eight batches of 48 and one of 16.
+        # 400 trials: one set per batch, or eight batches of 48 and one of 16
+        # mapped in chunks of 9.
         # A short switch interval interleaves the workers as often as it can;
         # workers sharing one output buffer failed here most of the time.
         default = estimate_interference_norm(128, 8, 0.0, 16, 400, 3)
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * 16 * 128)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * (16 ** 2 + 128))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -249,7 +251,7 @@ class TestInterferenceNorm:
         # Draw 15 is the only singular one of the first 40 of seed 0; one
         # set per batch puts it in flight next to its neighbours.
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 * 64)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 ** 2 + 64)
         with pytest.raises(InfeasibleError, match="^trial 15: .*singular"):
             estimate_interference_norm(64, 2.0, 0.0, 31, 40, 0)
         assert estimate_interference_norm(64, 2.0, 0.0, 31, 15, 0) == pytest.approx(
@@ -275,18 +277,23 @@ class TestInterferenceNorm:
             return result
         monkeypatch.setattr(guarantees, "check_gram", check_gram)
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 * 64)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 31 ** 2 + 64)
         with pytest.raises(InfeasibleError, match="^trial 5: .*singular"):
             estimate_interference_norm(64, 2.0, 0.0, 31, 40, 87)
         assert later_checked.is_set()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("length, oversampling, set_size, trials",
-                             [(64, 8.0, 8, 2000), (256, 12.0, 32, 200)])
+                             [(64, 8.0, 8, 2000), (256, 12.0, 32, 200), (64, 2.0, 8, 400),
+                              (256, 3.0, 32, 200)])
     def test_pruned_max_equals_the_unpruned_max(self, monkeypatch, workers, length,
                                                 oversampling, set_size, trials):
         # Pruning skips most sets of the first cell and few of the second.
-        # The reference maps every draw, in one batch, with nothing skipped.
+        # The last two hold uncertified blocks (121 of 400 and 63 of 200).
+        # Batches of 16 are mapped in chunks of 4 or 2; stopping at a chunk
+        # whose first bound is below the max misses it in the first, third
+        # and fourth cells unless the sets are sorted by bound.  The
+        # reference maps every draw, in one batch, with nothing skipped.
         system = build_oob_system(length, 1.0 / oversampling, 0.0)
         sets = np.random.default_rng(9).random((trials, length)).argsort(axis=1)[:, :set_size]
         gram = fold_gram(system, sets)
@@ -294,7 +301,7 @@ class TestInterferenceNorm:
         np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
         assert check_gram(gram, length)[2] == []
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * set_size * length)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * (set_size ** 2 + length))
         assert estimate_interference_norm(length, oversampling, 0.0, set_size, trials,
                                           9) == np.abs(mapped).sum(axis=2).max()
 
@@ -304,9 +311,19 @@ class TestInterferenceNorm:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(len(a)) or inv(a))
         monkeypatch.setattr(guarantees, "_WORKERS", 1)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 8 * 64)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * (8 ** 2 + 64))
         estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
         assert sum(seen) < 2000 // 4
+
+    def test_sets_inverted_at_the_default_budget(self, monkeypatch):
+        # One worker, batches of 1,024 sets in chunks of 256: the first chunk
+        # is mapped whole, as no norm is known yet, and 102 sets after it.
+        seen = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(len(a)) or inv(a))
+        monkeypatch.setattr(guarantees, "_WORKERS", 1)
+        estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
+        assert seen == [256, 102]
 
     def test_each_batch_checked_once_and_whole(self, monkeypatch):
         # Sets skipped by their bound are checked too, with the rest of
@@ -316,7 +333,7 @@ class TestInterferenceNorm:
         monkeypatch.setattr(guarantees, "check_gram",
                             lambda gram, n: seen.append(len(gram)) or checked(gram, n))
         monkeypatch.setattr(guarantees, "_WORKERS", 1)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 8 * 64)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * (8 ** 2 + 64))
         estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
         assert seen == [16] * 125
 
@@ -357,7 +374,7 @@ class TestInterferenceNorm:
         monkeypatch.setattr(guarantees, "check_gram",
                             lambda gram, n: seen.append(gram) or checked(gram, n))
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
-        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * 20 * 256)
+        monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", 16 * (20 ** 2 + 256))
         # The seed must be an integer or a SeedSequence, so the script goes in
         # through the generator the estimate makes from it.
         monkeypatch.setattr(np.random, "default_rng",
@@ -370,9 +387,10 @@ class TestInterferenceNorm:
         assert list(np.flatnonzero((last == adjacent).all(axis=(1, 2)))) == [13]
 
     def test_peak_memory_bounded_in_trials(self, monkeypatch):
-        # 32 sets per batch: 2 batches or 128.  Two workers hold a 2 MiB
-        # gather and a 2 MiB output buffer each; drawing all 128 batches
-        # ahead of the workers would add 8 MB of fold sets.
+        # 102 sets per batch, mapped in chunks of 16: 1 batch or 41.  Two
+        # workers hold a batch's Gram blocks and their abs copy, 0.8 MB each,
+        # and a 1 MiB gather and a 1 MiB output buffer; the keys and argsort
+        # of all 4096 draws at once would take 16.8 MB.
         monkeypatch.setattr(guarantees, "_WORKERS", 2)
         for trials in (64, 4096):
             tracemalloc.start()

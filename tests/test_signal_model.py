@@ -99,6 +99,9 @@ class TestPulseTrain:
             PulseTrainSpec(num_pulses=10, beta=1.5)
         with pytest.raises(ConfigurationError):
             PulseTrainSpec(num_pulses=10, span=7)
+        PulseTrainSpec(num_pulses=10, span=1000)
+        with pytest.raises(ConfigurationError, match="cap"):
+            PulseTrainSpec(num_pulses=10, span=1002)
         # An empty interval, then amplitudes whose squared errors overflowed.
         for low, high in ((1.0, 0.5), (-0.5, 1.41e169), (-1e300, 1.0), (-2e100, -1.5e100)):
             with pytest.raises(ConfigurationError):
