@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, InfeasibleError, check_number
+from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 
 # Longest window or lowpass accepted (tukey_window, build_oob_system,
 # design_lowpass).  Their memory is linear in the length: traced peaks of
@@ -276,9 +276,7 @@ def filter_zero_delay(x, taps: np.ndarray) -> np.ndarray:
     holds no full-length copies or spectra; every block reuses one spectrum
     and one output buffer.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigurationError("expected a 1-D signal")
+    x = check_record("filtered", x)
     if x.size < taps.size:
         raise ConfigurationError(
             f"signal ({x.size} samples) shorter than filter ({taps.size} taps)"

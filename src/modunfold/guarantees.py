@@ -94,14 +94,19 @@ def min_oversampling(length: int, guard_bins: int) -> float:
     return 3.0 / (1.0 - guard_bins / length)
 
 
+def _check_peak(peak: float) -> None:
+    """The peak rule of the threshold and the predictions: a finite real > 0."""
+    if not 0.0 < check_number("peak", peak):
+        raise ConfigurationError(f"need peak > 0, got {peak}")
+
+
 def required_threshold(peak: float, oversampling: float, guard_bins: int,
                        length: int) -> float:
     """Modulo threshold realizing the sufficiency condition:
 
     peak / (oversampling * (1 - guard_bins/N) - 2).
     """
-    if not 0.0 < check_number("peak", peak):
-        raise ConfigurationError(f"need peak > 0, got {peak}")
+    _check_peak(peak)
     check_number("oversampling", oversampling)
     min_oversampling(length, guard_bins)  # the window's rules
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
@@ -308,7 +313,7 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
     that overflows float64 is a ConfigurationError.
     """
     AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    check_number("peak", peak)
+    _check_peak(peak)
     check_number("oversampling", oversampling)
     if not check_number("guard_width", guard_width) >= 0.0:
         raise ConfigurationError(f"need guard_width >= 0, got {guard_width}")
@@ -328,7 +333,7 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
     A prediction that overflows float64 is a ConfigurationError.
     """
     AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    check_number("peak", peak)
+    _check_peak(peak)
     if not 1.0 <= check_number("oversampling", oversampling):
         raise ConfigurationError(f"need an oversampling factor >= 1, got {oversampling}")
     return _finite(lambda: peak ** 2 / (oversampling * (2 ** bits - 2) ** 2))

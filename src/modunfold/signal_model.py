@@ -8,11 +8,13 @@ amplitude estimated on a dense grid.  Time is measured in symbols: pulse m
 peaks at t = m.  Every time in the model (support, sample period, peak
 grid) would scale with a symbol period, so one would change only rounding.
 
-Both the sampler and the peak estimate read the train on a grid of L points
-per symbol, t = first + n/L.  When L is an integer, sample n = qL + r sums
-taps h(j + r/L) of the pulse over the span+1 offsets j, which are shared by
-every row q: the train is a polyphase tap sum, not a per-sample evaluation.
-Other rates go through PulseTrain.evaluate, the evaluator at arbitrary t.
+Every value of the train comes from one tap sum, _tap_sum, at times
+t = row + phase with an integer row: pulse m meets the time at tap offset
+j = row - m, so each of the span+1 offsets is one tap row h(j + phase) times
+the amplitudes of pulses row - j.  The sampler at an integer L samples per
+symbol and the peak estimate pass rows of symbols and the L phases r/L, so
+one tap row serves every row; PulseTrain.evaluate splits arbitrary times
+into their nearest integer and the exact remainder.
 """
 
 from __future__ import annotations
@@ -127,22 +129,10 @@ class PulseTrain:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         for lo in range(0, t.size, _CHUNK):
-            out[lo:lo + _CHUNK] = self._evaluate_chunk(t[lo:lo + _CHUNK])
+            chunk = t[lo:lo + _CHUNK]
+            rows = np.rint(chunk)  # chunk - rows is exact, and within [-1/2, 1/2]
+            out[lo:lo + _CHUNK] = _tap_sum(self, rows.astype(int), chunk - rows)
         return out
-
-    def _evaluate_chunk(self, t: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        half = spec.span / 2.0
-        acc = np.zeros_like(t)
-        first = np.ceil(t - half).astype(int)
-        for off in range(spec.span + 1):
-            m = first + off
-            live = (m >= 1) & (m <= spec.num_pulses) & (np.abs(t - m) <= half)
-            if not live.any():
-                continue
-            acc[live] += self.amplitudes[m[live] - 1] * raised_cosine(
-                t[live] - m[live], spec.beta)
-        return acc
 
 
 def generate_pulse_train(spec: PulseTrainSpec) -> PulseTrain:
@@ -152,30 +142,26 @@ def generate_pulse_train(spec: PulseTrainSpec) -> PulseTrain:
     return PulseTrain(spec=spec, amplitudes=amps)
 
 
-def _grid_rows(train: PulseTrain, rate: int, first_row: int, rows: int) -> np.ndarray:
-    """The train at t = first_row + q + r/rate, as a (rows, rate) array [q, r].
+def _tap_sum(train: PulseTrain, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The train at t = rows + phases, broadcast, for integer rows.
 
-    Pulse m meets row q at tap offset j = first_row + q - m, so one tap row
-    h(j + r/rate) times the amplitudes shifted by j covers every row.  Offsets
-    run in increasing pulse index, the order PulseTrain.evaluate sums in, so a
-    time that is a binary fraction gives the evaluator's value bit for bit.
+    Offsets j run from span/2 down, in increasing pulse index, the order of a
+    direct sum.  Each phase must be exactly t - row, so that j + phase rounds
+    t - m once, as t - m does.  Phases in [-1/2, 1 - 1e-12] keep the offsets
+    +-(span/2 + 1) from rounding onto the span's edge, so the span + 1 offsets
+    hold every tap a direct sum takes.
     """
     spec = train.spec
     half = spec.span // 2
-    # shifted[i] is the amplitude of pulse first_row - half + i, zero off the train.
-    shifted = np.zeros(rows + spec.span)
-    lo = max(first_row - half, 1)
-    hi = min(first_row + rows + half, spec.num_pulses + 1)
-    if lo < hi:
-        shifted[lo - first_row + half:hi - first_row + half] = train.amplitudes[lo - 1:hi - 1]
-    phases = np.arange(rate) / rate
-    out = np.zeros((rows, rate))
+    # padded[m] is pulse m's amplitude; take's clip sends off-train pulses to a 0.
+    padded = np.concatenate(([0.0], train.amplitudes, [0.0]))
+    out = np.zeros(np.broadcast_shapes(rows.shape, phases.shape))
     term = np.empty_like(out)
     for j in range(half, -half - 1, -1):
         tau = j + phases
         taps = raised_cosine(tau, spec.beta)
         taps[np.abs(tau) > half] = 0.0
-        np.multiply(shifted[half - j:half - j + rows, None], taps, out=term)
+        np.multiply(padded.take(rows - j, mode="clip"), taps, out=term)
         out += term
     return out
 
@@ -194,7 +180,8 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
     rate = oversampling * (1.0 + train.spec.beta)
     if rate.is_integer() and rate <= num_samples:
         rate = int(rate)
-        samples = _grid_rows(train, rate, 0, -(-num_samples // rate)).ravel()[:num_samples]
+        rows = np.arange(-(-num_samples // rate))[:, None]
+        samples = _tap_sum(train, rows, np.arange(rate) / rate).ravel()[:num_samples]
     else:
         sample_period = 2.0 * np.pi / (oversampling * train.bandwidth)
         samples = train.evaluate(np.arange(num_samples) * sample_period)
@@ -219,12 +206,13 @@ def estimate_inf_norm(train: PulseTrain) -> float:
     """Peak amplitude max|f(t)| over a dense grid covering the support.
 
     The grid holds L = ceil(64 * (1 + beta)) points per symbol, at least 64
-    per Nyquist sample period, and is summed by the polyphase path in blocks
-    of about _CHUNK points.
+    per Nyquist sample period, and is summed by _tap_sum in blocks of about
+    _CHUNK points.
     """
     lo, hi = train.support
     rate = math.ceil(_GRID_OVERSAMPLE * (1.0 + train.spec.beta))
-    first, rows = int(lo), int(hi - lo) + 1
+    rows = np.arange(int(lo), int(hi) + 1)[:, None]
+    phases = np.arange(rate) / rate
     step = max(1, _CHUNK // rate)
-    return max(float(np.abs(_grid_rows(train, rate, q, min(step, first + rows - q))).max())
-               for q in range(first, first + rows, step))
+    return max(float(np.abs(_tap_sum(train, rows[q:q + step], phases)).max())
+               for q in range(0, rows.size, step))

@@ -4,66 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
 from modunfold.dsp import (blocks, build_oob_system, check_gram, design_lowpass,
                            filter_zero_delay, fold_gram, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
-from oob_reference import (dft_normalized, least_squares_apply,
-                           min_singular_value, oob_matrix, select_columns)
-
-
-def brute_force_dft(x):
-    """O(N^2) reference DFT with the 1/sqrt(N) scaling."""
-    n = len(x)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        for m in range(n):
-            out[k] += x[m] * np.exp(-2j * np.pi * k * m / n)
-    return out / np.sqrt(n)
-
-
-class TestDftNormalized:
-    # The reference solver's DFT; the library applies the same projection
-    # through the circulant kernel.
-    def test_constant_signal_is_dc_only(self):
-        assert_allclose(dft_normalized([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
-
-    def test_impulse_is_flat(self):
-        assert_allclose(dft_normalized([1, 0, 0, 0]), [0.5] * 4, atol=1e-15)
-
-    def test_matches_brute_force(self):
-        x = np.random.default_rng(11).normal(size=16)
-        assert_allclose(dft_normalized(x), brute_force_dft(x), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [4, 8, 16, 32])
-    def test_matches_brute_force_up_to_32(self, n):
-        x = np.random.default_rng(n).normal(size=n)
-        assert_allclose(dft_normalized(x), brute_force_dft(x), atol=1e-12)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            dft_normalized([])
-
-    @given(arrays(np.float64, st.integers(1, 64),
-                  elements=st.floats(-100, 100)))
-    @settings(deadline=None, max_examples=50)
-    def test_parseval(self, x):
-        spec = dft_normalized(x)
-        time_energy = float(np.sum(x ** 2))
-        freq_energy = float(np.sum(np.abs(spec) ** 2))
-        assert abs(freq_energy - time_energy) <= 1e-10 * max(time_energy, 1.0)
-
-    @given(arrays(np.float64, 24, elements=st.floats(-10, 10)),
-           arrays(np.float64, 24, elements=st.floats(-10, 10)),
-           st.floats(-5, 5), st.floats(-5, 5))
-    @settings(deadline=None, max_examples=50)
-    def test_linearity(self, x, y, a, b):
-        lhs = dft_normalized(a * x + b * y)
-        rhs = a * dft_normalized(x) + b * dft_normalized(y)
-        assert np.abs(lhs - rhs).max() <= 1e-10 * (1 + np.abs(rhs).max())
+from oob_reference import oob_matrix
 
 
 class TestOobSystem:
@@ -238,98 +185,6 @@ class TestCheckGram:
                          np.arange(20, 40)])
         singular = check_gram(fold_gram(system, sets), 64)[2]
         assert [i for i, _, _ in singular] == [2]
-
-
-class TestSelectColumns:
-    # Column selection of the reference solver's explicit V.
-    def test_empty_selection(self):
-        sys = build_oob_system(16, 0.5, 0.0)
-        assert select_columns(oob_matrix(sys), []).shape == (sys.num_bins, 0)
-
-    def test_full_selection_returns_matrix(self):
-        v = oob_matrix(build_oob_system(16, 0.5, 0.0))
-        assert_array_equal(select_columns(v, range(16)), v)
-
-    def test_columns_match_entry_formula(self):
-        sys = build_oob_system(64, 0.25, 0.0)
-        cols = select_columns(oob_matrix(sys), [3, 17])
-        for j, m in enumerate((3, 17)):
-            expected = np.exp(-2j * np.pi * m * sys.oob_bins / 64) / 8.0
-            assert_allclose(cols[:, j], expected, atol=1e-14)
-
-    def test_out_of_range_rejected(self):
-        v = oob_matrix(build_oob_system(16, 0.5, 0.0))
-        with pytest.raises(ValueError):
-            select_columns(v, [16])
-        with pytest.raises(ValueError):
-            select_columns(v, [3, 3])
-
-
-class TestLeastSquares:
-    # The reference solver's complex least squares.
-    def test_orthonormal_columns_invert_exactly(self):
-        a = np.eye(4)[:, :2]
-        rhs = a @ np.array([1.0, -2.0])
-        assert_allclose(least_squares_apply(a, rhs), [1.0, -2.0], atol=1e-12)
-
-    def test_round_trip_random_complex(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(45, 6)) + 1j * rng.normal(size=(45, 6))
-        x0 = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert_allclose(least_squares_apply(a, a @ x0), x0, atol=1e-9)
-
-    @given(st.integers(1, 8), st.integers(0, 100))
-    @settings(deadline=None, max_examples=40)
-    def test_round_trip_property(self, cols, seed):
-        rng = np.random.default_rng(seed)
-        rows = cols + int(rng.integers(0, 20))
-        a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        if np.linalg.svd(a, compute_uv=False)[-1] < 1e-6:
-            return  # skip accidental near-singular draws
-        x0 = rng.normal(size=cols)
-        assert np.abs(least_squares_apply(a, a @ x0) - x0).max() < 1e-9
-
-    def test_orthogonal_rhs_gives_zero(self):
-        a = np.array([[1.0], [0.0]])
-        rhs = np.array([0.0, 3.0])  # orthogonal to range(a)
-        assert_allclose(least_squares_apply(a, rhs), [0.0], atol=1e-12)
-
-    def test_rank_deficient_still_returns_min_norm(self, caplog):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with caplog.at_level("WARNING"):
-            x = least_squares_apply(a, np.array([2.0, 2.0]))
-        assert "rank-deficient" in caplog.text
-        assert_allclose(x, [1.0, 1.0], atol=1e-12)  # min-norm split
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            least_squares_apply(np.ones((2, 3)), np.ones(2))
-
-    def test_oob_round_trip_at_recovery_scale(self):
-        sys = build_oob_system(64, 0.25, np.pi / 32)
-        rng = np.random.default_rng(9)
-        cols = select_columns(oob_matrix(sys), rng.choice(64, size=6, replace=False))
-        x0 = rng.normal(size=6)
-        assert np.abs(least_squares_apply(cols, cols @ x0) - x0).max() < 1e-9
-
-
-class TestMinSingularValue:
-    def test_identity(self):
-        assert min_singular_value(np.eye(4)) == pytest.approx(1.0)
-
-    def test_duplicated_column_is_singular(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        assert min_singular_value(a) < 1e-12
-
-    def test_fold_columns_well_conditioned_under_sufficiency(self):
-        # Four fold columns at OF=4 satisfy the full-rank sufficiency bound;
-        # the Gram eigenvalues the library checks are their squares.
-        sys = build_oob_system(64, 0.25, 0.0)
-        folds = [5, 19, 33, 60]
-        sigma = min_singular_value(select_columns(oob_matrix(sys), folds))
-        assert sigma > 1e-8
-        gram = sys.projector[np.ix_(folds, folds)]
-        assert np.linalg.eigvalsh(gram)[0] == pytest.approx(sigma ** 2, rel=1e-9)
 
 
 class TestTukeyWindow:

@@ -15,34 +15,6 @@ from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
                                   predict_mse_modulo, required_bits,
                                   required_threshold)
-from modunfold.signal_model import PulseTrainSpec, generate_pulse_train, sample_signal
-
-NAN, INF = math.nan, math.inf
-
-# Each used to return NaN, 0.0, inf or zeros, or to raise InfeasibleError,
-# which turns an experiment point into a skipped row.
-NON_FINITE = {
-    "sample_signal-nan": lambda train: sample_signal(train, NAN, 50),
-    "sample_signal-inf": lambda train: sample_signal(train, INF, 50),
-    "required_threshold-nan-of": lambda _: required_threshold(1.0, NAN, 0, 64),
-    "required_threshold-inf-of": lambda _: required_threshold(1.0, INF, 0, 64),
-    "required_threshold-inf-peak": lambda _: required_threshold(INF, 4.0, 0, 64),
-    "predict_mse_modulo-nan-peak": lambda _: predict_mse_modulo(NAN, 8.0, 4, 4, 0.1, 64),
-    "predict_mse_modulo-nan-of": lambda _: predict_mse_modulo(1.0, NAN, 4, 4, 0.1, 64),
-    "predict_mse_modulo-inf-of": lambda _: predict_mse_modulo(1.0, INF, 4, 4, 0.1, 64),
-    "predict_mse_modulo-nan-guard": lambda _: predict_mse_modulo(1.0, 8.0, 4, 4, NAN, 64),
-    "predict_mse_conventional-inf-of": lambda _: predict_mse_conventional(1.0, INF, 4),
-    "build_oob_system-nan-guard": lambda _: build_oob_system(64, 0.25, NAN),
-    "estimate_interference_norm-nan-of":
-        lambda _: estimate_interference_norm(64, NAN, 0.0, 4, 10, 0),
-}
-
-
-@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_non_finite_parameters_rejected(call):
-    with pytest.raises(ConfigurationError) as raised:
-        call(generate_pulse_train(PulseTrainSpec(num_pulses=20)))
-    assert not isinstance(raised.value, InfeasibleError)
 
 
 class TestGuardBinCount:
@@ -126,6 +98,14 @@ class TestPredictedMse:
         # -1 guard bins an oversampling floor of 2.95, below the guard-free 3.
         with pytest.raises(ConfigurationError, match="guard"):
             call()
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0])
+    def test_nonpositive_peak_rejected(self, peak):
+        # A peak of -1 used to predict 2.64e-5 and 6.38e-4, and 0 to predict 0.0.
+        with pytest.raises(ConfigurationError, match="peak > 0"):
+            predict_mse_modulo(peak, 8.0, 4, 4, np.pi / 32, 64)
+        with pytest.raises(ConfigurationError, match="peak > 0"):
+            predict_mse_conventional(peak, 8.0, 4)
 
     def test_one_bit_is_config_error(self):
         # Used to end in a ZeroDivisionError from (2^1 - 2)^2.

@@ -26,7 +26,7 @@ import pytest
 
 import modunfold
 from modunfold.baselines import HodConfig, conventional_adc, hod_recover
-from modunfold.dsp import build_oob_system, design_lowpass, tukey_window
+from modunfold.dsp import build_oob_system, design_lowpass, filter_zero_delay, tukey_window
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, extra_bits,
                                   guard_bin_count, min_oversampling,
@@ -149,6 +149,8 @@ RECORD_CALLS = {
                                RecoveryConfig(64, 0.5, np.pi / 32, 0.5, 0.25, **LPF)),
     "conventional_adc": lambda x: conventional_adc(SampledSignal(x, 0.25), 4, 1.0, 0, **LPF),
     "hod_recover": lambda x: hod_recover(x, HodConfig(0.5)),
+    "filter_zero_delay": lambda x: filter_zero_delay(
+        x, design_lowpass(np.pi / 4, np.pi / 16, 257)),
 }
 
 
@@ -156,7 +158,8 @@ RECORD_CALLS = {
 @pytest.mark.parametrize("call", RECORD_CALLS)
 def test_bad_record_rejected(call, record):
     # At 400 samples, conventional_adc returned NaNs for a NaN sample and
-    # clipped an inf one, and hod_recover returned NaNs or warned.
+    # clipped an inf one, hod_recover returned NaNs or warned, and
+    # filter_zero_delay turned one NaN into NaN outputs.
     reason = "sample 5 is not finite" if record in ("nan", "inf") else "1-D, nonempty"
     with pytest.raises(ConfigurationError, match=reason):
         RECORD_CALLS[call](RECORDS[record])

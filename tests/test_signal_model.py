@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -152,8 +153,8 @@ class TestSampleSignal:
 
 
 class TestGridPath:
-    # Integer samples per symbol, L = OF * (1 + beta), take the polyphase tap
-    # sum on t = n/L; the reference is the evaluator at n * sample period.
+    # Integer samples per symbol, L = OF * (1 + beta), take the tap sum on
+    # rows of t = n/L; the reference is the evaluator at n * sample period.
     @staticmethod
     def _evaluated(train, oversampling, count):
         period = 2.0 * np.pi / (oversampling * train.bandwidth)
@@ -208,6 +209,35 @@ class TestGridPath:
             tracemalloc.stop()
         assert peak_value == 1.0240204201256768
         assert peak <= 5e6
+
+
+def sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+class TestArbitraryRateBits:
+    # SHA-256 of outputs of the non-integer-rate path, which no golden CSV
+    # covers; a change to the tap sum must keep them.
+    @pytest.mark.parametrize("beta, oversampling, digest", [
+        (0.3, 4.0, "ce037dc0c0f87a43754fa7fe80ab9846c4e25863c945d99657564e6cd748d77d"),  # L = 5.2
+        (1.0, 1.25, "cea038bd0a47b5c421237e326bc9645b6ca242b1904824c079fd724503f540e2"),  # L = 2.5
+    ])
+    def test_non_integer_rate_samples(self, beta, oversampling, digest):
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=200, beta=beta, seed=4))
+        count = nominal_sample_count(train.spec, oversampling)
+        assert sha256(sample_signal(train, oversampling, count).samples) == digest
+
+    def test_evaluator_below_zero_and_past_the_support(self):
+        # The last times sit where t - floor(t) rounds (inside (-1, 0)) or
+        # where t - m rounds onto the span's edge (a hair under an integer).
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=50, beta=0.5, seed=2))
+        lo, hi = train.support
+        edge = [-0.25 + 2.0 ** -53 + 2.0 ** -55, -2.0 ** -60, -1 + 2.0 ** -53,
+                1 - 2.0 ** -53, 7 - 2.0 ** -50]
+        t = np.concatenate([np.linspace(lo - 1.5, 0.0, 301), np.linspace(hi - 2.0, hi + 1.5, 301),
+                            edge])
+        assert sha256(train.evaluate(t)) == (
+            "9385b516111d9489283ce287b6ad21fecc72acff7a6a43a2b8f3fb311160fc5c")
 
 
 class TestEstimateInfNorm:
