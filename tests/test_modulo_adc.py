@@ -185,6 +185,19 @@ class TestAcquire:
         with pytest.raises(ConfigurationError, match="first sample"):
             acquire(sig, AdcConfig(bits=4, threshold=1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.full(64, 0.2)
+        samples[5] = bad
+        with pytest.raises(ConfigurationError, match="sample 5 is not finite"):
+            acquire(synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0))
+
+    @pytest.mark.parametrize("samples", [np.zeros(0), np.zeros((4, 16))])
+    def test_malformed_buffer_rejected(self, samples):
+        # Used to end in an IndexError at f[0], or numpy's ambiguous truth value.
+        with pytest.raises(ConfigurationError, match=r"1-D, nonempty.*shape"):
+            acquire(synthetic_signal(samples), AdcConfig(bits=4, threshold=1.0))
+
     def test_deterministic_under_seed(self):
         sig = synthetic_signal(np.sin(0.1 * np.arange(512)))
         config = AdcConfig(bits=4, threshold=0.6, seed=11)

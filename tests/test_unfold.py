@@ -346,11 +346,26 @@ class TestUnfold:
         with pytest.raises(ConfigurationError, match="segment 0: .*singular"):
             unfold(adc, sig_meta, recovery)
 
-    def test_malformed_buffers_rejected(self):
+    def test_non_finite_samples_rejected(self):
+        _, _, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
+        quantized = adc.quantized.copy()
+        quantized[7] = np.nan
+        bad = AdcOutput(quantized=quantized, folding_bits=adc.folding_bits,
+                        residue_truth=adc.residue_truth, config=adc.config)
+        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
+                                threshold=adc.config.threshold, band_fraction=0.25)
+        with pytest.raises(ConfigurationError, match="sample 7 is not finite"):
+            unfold(bad, sig, config)
+
+    @pytest.mark.parametrize("quantized, flags", [
+        (np.zeros(256), np.zeros(255, dtype=bool)),
+        (np.zeros((2, 128)), np.zeros((2, 128), dtype=bool)),
+        (np.zeros(0), np.zeros(0, dtype=bool))])
+    def test_malformed_buffers_rejected(self, quantized, flags):
         # Flags shorter than the samples used to end in numpy's broadcast error.
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
-        bad = AdcOutput(quantized=np.zeros(256), folding_bits=np.zeros(255, dtype=bool),
-                        residue_truth=np.zeros(256), config=adc.config)
+        bad = AdcOutput(quantized=quantized, folding_bits=flags,
+                        residue_truth=np.zeros(quantized.shape), config=adc.config)
         config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
                                 threshold=threshold, band_fraction=0.25)
         with pytest.raises(ConfigurationError, match="shape"):
