@@ -16,10 +16,24 @@ diagonal-dominance margins certify pass, and eigvalsh decides the rest.
 The Monte Carlo draws its fold sets on the calling thread in stream order
 and maps them, batch by batch, on one thread per CPU the process may use;
 neither its result nor its errors depend on the thread count.  Its result
-is a max, so a set is mapped only if a bound read from the margins of its
-Gram block leaves room for it to raise the largest norm mapped so far.
-Each batch is mapped in chunks, largest bound first, and stops at the
-first chunk whose largest bound is below that norm; the sets skipped
+is a max, so a set is mapped only while an upper bound on its computed
+norm reaches the largest norm mapped so far, the floor; a set whose bound
+is below the floor cannot raise the max, as the floor only grows.  Two
+bounds cut the work, each an upper bound on the norm as computed in
+floating point, not only on the exact norm:
+- before any inverse, a bound read from the margins of the set's Gram
+  block (_norm_bounds): Varah's bound for every certified block, refined
+  only where it reaches the floor;
+- after the inverse X of the block, max_i (|X| b)_i with b the abs row
+  sums of P[S, Sc], read from the margins too, times a rounding factor
+  (_inverse_bounds): the k x n product X P[S, :] runs only where it
+  reaches the floor.  By Higham's bounds for dot products and sums, the
+  computed product's abs row sums exceed |X| b by a factor of about
+  1 + (n + k) eps/2 at most, for any X, so uncertified blocks are
+  covered too.
+Each batch is mapped in chunks, largest margin bound first, and stops at
+the first chunk whose largest bound is below the floor; a batch that
+starts with no norm known maps its top set alone first.  The sets skipped
 could not have changed a bit of the result.
 """
 
@@ -146,7 +160,7 @@ def check_fold_set(length: int, set_size: int) -> None:
             f"row elements each, above the cap of {_MAX_SET_ELEMENTS}")
 
 
-def _norm_bounds(system, gram, margins, certified) -> np.ndarray:
+def _norm_bounds(system, gram, margins, certified, floor) -> np.ndarray:
     """Upper bounds on the computed ||inv(G) P[S, Sc]||_inf of Gram blocks G = P[S, S].
 
     margins and certified are dsp.check_gram's for gram.  Blocks it does not
@@ -161,6 +175,9 @@ def _norm_bounds(system, gram, margins, certified) -> np.ndarray:
       (Linear Algebra Appl. 11, 1975), and w -> (b + A w) / g maps any
       upper bound on w to a tighter one, so the bound is max_i of
       _BOUND_STEPS such steps from the constant Y.
+    The steps run only for the blocks whose Y plus the slack below reaches
+    `floor`, a norm already computed; the others keep Y, as valid a bound
+    and already below the floor, so the caller skips them either way.
     The bound returned adds a slack of 8 (k^2/m + n) eps L/m, m = min_i
     m_i, which covers with room to spare the rounding of both the bound and
     the norm it is compared with:
@@ -175,19 +192,63 @@ def _norm_bounds(system, gram, margins, certified) -> np.ndarray:
       product and the row sums add k eps and n eps of ||inv(G)||_inf
       ||P[S, Sc]||_inf <= L/m.
     """
-    margins = margins[certified]
+    sure = np.flatnonzero(certified)
+    # Held as (k, blocks), so the min and max over each block's k margins
+    # run across blocks: 2 to 20 times faster at k 2 to 32 than along rows
+    # of k (numpy 2.4, one thread).
+    margins = margins.T.take(sure, axis=1)
     k, g, eps = gram.shape[1], system.projector[0, 0], np.finfo(float).eps
     total = np.abs(system.projector[0]).sum()
     b = total - 2.0 * g + margins
-    off = np.abs(gram[certified])
+    low = margins.min(axis=0)
+    slack = 8.0 * (k * k / low + system.n) * eps * total / low
+    bound = (b / margins).max(axis=0)  # Varah's Y
+    near = bound + slack >= floor
+    off = np.abs(gram[sure[near]])
     off[:, np.arange(k), np.arange(k)] = 0.0
-    bound = np.repeat((b / margins).max(axis=1, keepdims=True), k, axis=1)
+    w = np.repeat(bound[near, None], k, axis=1)
     for _ in range(_BOUND_STEPS):
-        bound = (b + np.matmul(off, bound[..., None])[..., 0]) / g
-    low = margins.min(axis=1)
+        w = (b[:, near].T + np.matmul(off, w[..., None])[..., 0]) / g
+    bound[near] = w.max(axis=1)
     bounds = np.full(len(gram), np.inf)
-    bounds[certified] = bound.max(axis=1) + 8.0 * (k * k / low + system.n) * eps * total / low
+    bounds[sure] = bound + slack
     return bounds
+
+
+def _inverse_bounds(system, inverse, margins) -> np.ndarray:
+    """Upper bounds on the computed norms of the sets whose Gram inverses are given.
+
+    inverse is np.linalg.inv's X of Gram blocks G = P[S, S], shape
+    (c, k, k), and margins are dsp.check_gram's margins m of the same
+    blocks, certified or not.  The estimate computes a set's norm as the
+    largest fl(sum_j |fl(X P[S, :])_ij|) over the columns j not in S.  By
+    Higham, Accuracy and Stability of Numerical Algorithms (2002), section
+    3.1, with u = eps/2 and gamma_p = p u / (1 - p u), whatever X is:
+    - each entry of the product is within gamma_k (|X| |P[S, :]|)_ij of
+      the exact product of the same floats, and the sum of n nonnegative
+      terms adds a factor 1 + gamma_n, so row i of the computed norm is at
+      most (1 + gamma_n)(1 + gamma_k) (|X| b)_i, with b_l the exact abs
+      sum of row l of P[S, Sc];
+    - b_l = L - 2g + m_l, with L = sum |projector[0]| (every row of the
+      circulant P holds the same floats) and g the diagonal.  The
+      computed L - 2g + m_l is within (n + k + 3) u L of b_l: L sums n
+      terms and each margin k, and the two subtractions and the addition
+      round by at most 2uL, 2uL and uL.  So b^ = fl(L - 2g + m) +
+      (n + k + 6) eps L, about twice that, is >= b after its own rounding;
+    - fl(|X| b^) >= (1 - gamma_k) |X| b^, as its terms are nonnegative.
+    So the norm is at most max_i fl(|X| b^)_i times (1 + gamma_n)(1 +
+    gamma_k) / (1 - gamma_k).  The bound returned multiplies by
+    1 + (n + 2k + 2) eps, twice the first-order term (n + 2k + 2) u of
+    that ratio, of the product's rounding and of the factor's own; with
+    n <= dsp._MAX_LENGTH = 2^20 and k <= n, (n + 2k) u < 4e-10, so the
+    higher-order terms fit in the other half many times over.  At k = 1
+    the norm is b/g, and the bound exceeds it by these allowances alone.
+    """
+    k, n, eps = inverse.shape[1], system.n, np.finfo(float).eps
+    total = np.abs(system.projector[0]).sum()
+    rows = total - 2.0 * system.projector[0, 0] + margins + (n + k + 6) * eps * total
+    sums = np.matmul(np.abs(inverse), rows[..., None])
+    return sums.max(axis=(1, 2)) * (1.0 + (n + 2 * k + 2) * eps)
 
 
 def estimate_interference_norm(length: int, oversampling: float, guard_width: float,
@@ -208,22 +269,27 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     full rank.
 
     Each batch's Gram blocks P[S, S] are gathered once and checked whole by
-    dsp.check_gram before any set is skipped.  A set whose norm provably
-    cannot exceed the largest one the workers have computed so far is then
-    skipped: the margins give an upper bound on its computed norm
-    (_norm_bounds), and it is skipped when that bound is below the running
-    max.  A batch is _BATCH_ELEMENTS // (set_size**2 + length) sets, sized
-    by the Gram blocks and draws its check holds, and is mapped in chunks
-    of _BATCH_ELEMENTS // (set_size * length) sets, sized by the rows the
-    map gathers, in decreasing order of their bounds, uncertified sets
-    (+inf) first.  Each chunk drops the sets whose bound is below the
-    running max as it then stands, and the first chunk whose largest bound
-    is below it ends the batch, as no set after it can raise the max.  So
-    every set that could raise the max is computed as it would be
-    without skipping, each by its own LAPACK inverse and matrix product,
-    and the result is bit-identical whichever sets are skipped.  The
-    running max is shared by the workers without a lock: a stale or lost
-    update leaves it lower, which only skips fewer sets.
+    dsp.check_gram before any set is skipped.  A set is then skipped once
+    an upper bound on its computed norm is below the floor, the largest
+    norm the workers have computed so far: first the bound read from the
+    margins (_norm_bounds, refined only for the sets whose Varah bound
+    reaches the floor), then, for the sets left, the bound read from the
+    inverse X of their Gram block (_inverse_bounds: max_i (|X| b)_i with
+    allowances for the rounding of b, of the product and of its row sums),
+    which skips the gather, the k x n product and its row sums.  A batch is
+    _BATCH_ELEMENTS // (set_size**2 + length) sets, sized by the Gram blocks
+    and draws its check holds, and is mapped in chunks of
+    _BATCH_ELEMENTS // (set_size * length) sets, sized by the rows the map
+    gathers, in decreasing order of their margin bounds, uncertified sets
+    (+inf) first.  A batch that starts with no norm known maps its top set
+    alone, so the rest is pruned against that set's norm.  Each chunk
+    drops the sets whose bound is below the floor as it then stands, and
+    the first chunk whose largest bound is below it ends the batch, as no
+    set after it can raise the max.  So every set that could raise the max
+    is computed as it would be without skipping, each by its own LAPACK
+    inverse and matrix product, and the result is bit-identical whichever
+    sets are skipped.  The floor is shared by the workers without a lock:
+    a stale or lost update leaves it lower, which only skips fewer sets.
 
     A draw whose Gram dsp.check_gram finds singular, by the check recovery
     also runs, raises InfeasibleError naming the earliest such trial, as an
@@ -252,7 +318,7 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size ** 2 + length)))
     chunk = max(1, _BATCH_ELEMENTS // (set_size * length))
     local = threading.local()
-    running = [0.0]  # largest norm any worker has computed
+    running = [0.0]  # the floor: the largest norm any worker has computed
 
     def batch_norm(done, sets):
         gram = fold_gram(system, sets)
@@ -262,25 +328,33 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             raise InfeasibleError(
                 f"trial {done + trial}: fold-set Gram is singular (eigenvalues "
                 f"{low:.3e} to {high:.3e}); fold values are not identifiable")
-        bounds = _norm_bounds(system, gram, margins, certified)
+        floor = running[0]
+        bounds = _norm_bounds(system, gram, margins, certified, floor)
         # Largest bound first, uncertified (+inf) sets before all others.
         # Reversing an ascending argsort would put a NaN bound first too.
         order = np.argsort(bounds)[::-1]
         bounds = bounds[order]
         if not hasattr(local, "out"):
             local.out = np.empty((chunk, set_size, length))
+        # With no norm known yet, the top set goes alone, to set the floor.
+        prime = int(floor == 0.0)
+        edges = [0] * prime + list(range(prime, len(order), chunk)) + [len(order)]
         largest = 0.0
-        for start in range(0, len(order), chunk):
+        for start, stop in zip(edges, edges[1:]):
             # The sets left are sorted, so none can raise the max once the
             # largest bound among them is below it.
             floor = running[0]
             if bounds[start] < floor:
                 break
-            keep = order[start:start + chunk][~(bounds[start:start + chunk] < floor)]
+            keep = order[start:stop][~(bounds[start:stop] < floor)]
+            inverse = np.linalg.inv(gram[keep])
+            live = ~(_inverse_bounds(system, inverse, margins[keep]) < floor)
+            if not live.any():
+                continue
+            keep, inverse = keep[live], inverse[live]
             kept = sets[keep]
             # Gathered here, not by a helper: see unfold.residue_pre_estimate.
             rows = system.projector[kept]
-            inverse = np.linalg.inv(gram[keep])
             mapped = np.matmul(inverse, rows, out=local.out[:len(keep)])
             np.put_along_axis(mapped, kept[:, None, :], 0.0, axis=2)
             norm = float(np.abs(mapped, out=mapped).sum(axis=2).max())

@@ -125,8 +125,17 @@ class PulseTrain:
         return (1.0 - half, self.spec.num_pulses + half)
 
     def evaluate(self, t) -> np.ndarray:
-        """Sum of truncated pulses at time(s) t; zero outside the support."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        """Sum of truncated pulses at time(s) t; zero outside the support.
+
+        Times must be finite reals, else ConfigurationError.  A time past the
+        support is evaluated one symbol outside it, where no pulse reaches,
+        so no time is cast to an integer out of range.
+        """
+        t = np.atleast_1d(np.asarray(t))
+        if t.dtype.kind not in "iuf" or not np.isfinite(t).all():
+            raise ConfigurationError("times must be finite real numbers")
+        lo, hi = self.support
+        t = np.clip(t, lo - 1.0, hi + 1.0, dtype=float)
         out = np.empty_like(t)
         for lo in range(0, t.size, _CHUNK):
             chunk = t[lo:lo + _CHUNK]

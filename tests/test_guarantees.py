@@ -296,14 +296,20 @@ class TestInterferenceNorm:
         assert sum(seen) < 2000 // 4
 
     def test_sets_inverted_at_the_default_budget(self, monkeypatch):
-        # One worker, batches of 1,024 sets in chunks of 256: the first chunk
-        # is mapped whole, as no norm is known yet, and 102 sets after it.
-        seen = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(len(a)) or inv(a))
+        # One worker, batches of 1,024 sets in chunks of 256.  The batch starts
+        # with no norm known, so its top set is mapped alone; 122 of the next
+        # 256 sets and 102 after them have a margin bound at or above the
+        # max as it then stands, and the bound from their inverse leaves 72
+        # and 65 of those for the k x n product.
+        inverted, multiplied = [], []
+        inv, put = np.linalg.inv, np.put_along_axis
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
+        monkeypatch.setattr(np, "put_along_axis", lambda a, *args, **kwargs: (
+            multiplied.append(len(a)) or put(a, *args, **kwargs)))
         monkeypatch.setattr(guarantees, "_WORKERS", 1)
         estimate_interference_norm(64, 8.0, 0.0, 8, 2000, 9)
-        assert seen == [256, 102]
+        assert inverted == [1, 122, 102]
+        assert multiplied == [1, 72, 65]
 
     def test_each_batch_checked_once_and_whole(self, monkeypatch):
         # Sets skipped by their bound are checked too, with the rest of
@@ -321,18 +327,78 @@ class TestInterferenceNorm:
            st.integers(0, 2 ** 32 - 1), st.data())
     @settings(deadline=None, max_examples=60)
     def test_bound_covers_the_computed_norm(self, length, oversampling, guard, seed, data):
+        # Sets whose Varah bound is below the floor keep it unrefined.
         system = build_oob_system(length, 1.0 / oversampling, guard)
         set_size = data.draw(st.integers(1, min(32, system.num_bins)))
+        floor = data.draw(st.sampled_from([0.0, 1.0, 2.0, 4.0, np.inf]))
         sets = np.random.default_rng(seed).random((64, length)).argsort(axis=1)[:, :set_size]
         gram = fold_gram(system, sets)
         margins, certified, _ = check_gram(gram, length)
-        bounds = guarantees._norm_bounds(system, gram, margins, certified)
+        bounds = guarantees._norm_bounds(system, gram, margins, certified, floor)
         dominant = np.isfinite(bounds)
         np.testing.assert_array_equal(dominant, certified)
         assume(dominant.any())
         mapped = np.matmul(np.linalg.inv(gram[dominant]), system.projector[sets[dominant]])
         np.put_along_axis(mapped, sets[dominant, None, :], 0.0, axis=2)
         assert (bounds[dominant] >= np.abs(mapped).sum(axis=2).max(axis=1)).all()
+
+    @given(st.integers(16, 128), st.floats(2.0, 12.0), st.sampled_from([0.0, np.pi / 32]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_inverse_bound_covers_the_computed_norm(self, length, oversampling, guard,
+                                                    clustered, seed, data):
+        # Clustered sets lie within twice their size, so many of their Gram
+        # blocks are uncertified and some are near singular.
+        system = build_oob_system(length, 1.0 / oversampling, guard)
+        set_size = data.draw(st.integers(1, min(32, system.num_bins)))
+        width = min(length, 2 * set_size) if clustered else length
+        rng = np.random.default_rng(seed)
+        sets = (rng.random((64, width)).argsort(axis=1)[:, :set_size]
+                + rng.integers(0, length - width + 1, (64, 1)))
+        gram = fold_gram(system, sets)
+        margins, _, singular = check_gram(gram, length)
+        regular = np.setdiff1d(np.arange(64), [trial for trial, *_ in singular])
+        assume(regular.size)
+        inverse = np.linalg.inv(gram[regular])
+        mapped = np.matmul(inverse, system.projector[sets[regular]])
+        np.put_along_axis(mapped, sets[regular, None, :], 0.0, axis=2)
+        norms = np.abs(mapped).sum(axis=2).max(axis=1)
+        assert (guarantees._inverse_bounds(system, inverse, margins[regular]) >= norms).all()
+
+    def test_inverse_bound_is_tight_for_one_fold(self):
+        # With one fold the inverse is 1/g and the norm b/g, so the bound
+        # exceeds it by no more than its rounding allowance.
+        system = build_oob_system(64, 0.25, 0.0)
+        sets = np.arange(64)[:, None]
+        gram = fold_gram(system, sets)
+        inverse = np.linalg.inv(gram)
+        mapped = np.matmul(inverse, system.projector[sets])
+        np.put_along_axis(mapped, sets[:, None, :], 0.0, axis=2)
+        bounds = guarantees._inverse_bounds(system, inverse, check_gram(gram, 64)[0])
+        ratio = np.abs(mapped).sum(axis=2).max(axis=1) / bounds
+        assert ((1.0 - 1e-13 < ratio) & (ratio <= 1.0)).all()
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_stacked_inverse_is_each_block_inverted_alone(self, clustered):
+        # A chunk inverts the sets it keeps as one stack, so each norm keeps
+        # its bits whichever sets share the stack only if every block's
+        # inverse does.  Clustered sets give uncertified blocks.
+        system = build_oob_system(256, 0.25, 0.0)
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for k in range(1, 33):
+            width = 2 * k if clustered else 256
+            sets = rng.random((16, width)).argsort(axis=1)[:, :k] + rng.integers(
+                0, 257 - width, (16, 1))
+            gram = fold_gram(system, sets)
+            _, certified, singular = check_gram(gram, 256)
+            regular = np.setdiff1d(np.arange(16), [trial for trial, *_ in singular])
+            kinds.update(certified[regular])
+            stacked = np.linalg.inv(gram[regular])
+            for block, inverse in zip(gram[regular], stacked):
+                np.testing.assert_array_equal(np.linalg.inv(block), inverse)
+                np.testing.assert_array_equal(np.linalg.inv(block[None])[0], inverse)
+        assert kinds == {False, True}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_singular_draw_after_skipped_sets_names_its_trial(self, monkeypatch, workers):

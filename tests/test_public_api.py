@@ -48,6 +48,7 @@ LPF = dict(lpf_length=257, lpf_transition=np.pi / 16)
 CALLS = {
     "PulseTrainSpec": (PulseTrainSpec, dict(num_pulses=20, beta=1.0, span=20, amp_low=-0.5,
                                             amp_high=1.0, seed=0)),
+    "PulseTrain.evaluate": (TRAIN.evaluate, dict(t=5.0)),
     "sample_signal": (sample_signal, dict(train=TRAIN, oversampling=4.0, num_samples=400)),
     "nominal_sample_count": (nominal_sample_count, dict(spec=SPEC, oversampling=4.0)),
     "AdcConfig": (AdcConfig, dict(bits=4, threshold=0.5, seed=0)),

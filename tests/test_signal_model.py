@@ -78,6 +78,18 @@ class TestPulseTrain:
         lo, hi = train.support
         assert_array_equal(train.evaluate([lo - 0.3, hi + 0.3]), [0.0, 0.0])
 
+    def test_zero_far_past_the_support(self):
+        # These used to reach an int cast out of range: numpy warned, and
+        # the zeros came from wraparound.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=10, seed=0))
+        far = [-1e300, -2.0 ** 63, 2.0 ** 63, 1e19, 1e300]
+        assert_array_equal(train.evaluate(far), np.zeros(5))
+
+    def test_non_finite_time_among_finite_ones_rejected(self):
+        # test_public_api covers a scalar time.
+        with pytest.raises(ConfigurationError, match="finite real"):
+            generate_pulse_train(PulseTrainSpec(num_pulses=10, seed=0)).evaluate([5.0, np.nan])
+
     def test_truncation_at_span(self):
         # A time 10.5 symbols away from the only pulse is outside its span.
         train = single_pulse(1.0)

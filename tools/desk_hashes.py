@@ -1,10 +1,11 @@
 """Print the SHA-256 of each experiment's CSV at seed 1.
 
-    python tools/desk_hashes.py [--preset {desk,paper}]
+    python tools/desk_hashes.py [--preset {desk,paper}] [experiment ...]
 
-Runs the four CLI experiments with the default config ({}), --seed 1 and
-the given preset (default desk), and prints one "sha256  experiment" line
-per CSV.  A change meant to keep every output bit-identical keeps these
+Runs the named CLI experiments (default: all four) with the default config
+({}), --seed 1 and the given preset (default desk), and prints one
+"sha256  experiment" line per CSV, e.g. `--preset paper m-grid` for the one
+paper hash of the m-grid.  A change meant to keep every output bit-identical keeps these
 lines.  The package is imported from src/ next to this directory.
 """
 
@@ -40,9 +41,15 @@ def csv_hash(experiment: str, preset: str = "desk") -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
-    preset = parser.parse_args(argv).preset
-    for experiment in EXPERIMENTS:
-        print(f"{csv_hash(experiment, preset)}  {experiment}", flush=True)
+    # No choices=: argparse checks an empty list against them and fails.
+    parser.add_argument("experiments", nargs="*", metavar="experiment",
+                        help=f"any of {', '.join(EXPERIMENTS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.experiments) - set(EXPERIMENTS))
+    if unknown:
+        parser.error(f"unknown experiment {', '.join(unknown)}")
+    for experiment in args.experiments or EXPERIMENTS:
+        print(f"{csv_hash(experiment, args.preset)}  {experiment}", flush=True)
     return 0
 
 
