@@ -177,16 +177,16 @@ def check_gram(gram, n: int):
 def tukey_window(n: int, alpha: float) -> TukeyWindow:
     """Tapered-cosine window of length n with roll-off alpha in (0, 1].
 
-    Rejects (n, alpha) pairs where alpha*n is not an even integer, since the
-    overlap-add correction relies on exact pairing of the two tapers.
+    Rejects (n, alpha) pairs where alpha*n is not an even integer >= 2, since
+    the overlap-add correction relies on exact pairing of the two tapers.
     """
     if not 2 <= check_number("n", n, integer=True) <= _MAX_LENGTH:
         raise ConfigurationError(f"window length must be in [2, {_MAX_LENGTH}], got {n}")
     if not 0.0 < check_number("alpha", alpha) <= 1.0:
         raise ConfigurationError(f"roll-off alpha must be in (0, 1], got {alpha}")
     prod = alpha * n
-    if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0:
-        raise ConfigurationError(f"alpha*n must be an even integer, got {prod!r}")
+    if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0 or round(prod) < 2:
+        raise ConfigurationError(f"alpha*n must be an even integer >= 2, got {prod!r}")
     edge = int(round(prod / 2))
     i = np.arange(n)
     w = np.ones(n)

@@ -2,12 +2,13 @@
 
 Calculators for the guard-bin count, the minimal oversampling factor that
 keeps the fold-position least-squares systems full rank, the modulo
-threshold that realizes it, the bit-depth margin driven by the worst-case
-off-support interference norm, and the predicted mean-squared error of the
-folded and conventional pipelines.  The norm is estimated by Monte Carlo on
-the out-of-band projector P = V^H V that recovery solves with: for each
-random fold set S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows
-with the S columns zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
+threshold that realizes it, the bit-depth margin driven by the off-support
+interference norm, and the predicted mean-squared error of the folded and
+conventional pipelines.  The norm is a max over random fold sets, not a
+worst case (see required_bits), computed by Monte Carlo on the out-of-band
+projector P = V^H V that recovery solves with: for each random fold set
+S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows with the S columns
+zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
 gathered from the projector's O(n) view, so no n x n matrix is built.  The
 Gram blocks P[S, S] of each batch go through `dsp.check_gram`, the one
 singularity check of `dsp`, which recovery runs too: blocks that its
@@ -91,8 +92,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def guard_bin_count(guard_width: float, length: int) -> int:
     """DFT bins excluded by the leakage guard: 2 * ceil(guard_width * N / pi)."""
-    half = check_number("guard_width", guard_width) * check_number(
-        "length", length, integer=True) / np.pi
+    if check_number("length", length, integer=True) < 1:
+        raise ConfigurationError(f"need length >= 1, got {length}")
+    half = check_number("guard_width", guard_width) * length / np.pi
     if not 0.0 <= half < math.inf:
         raise ConfigurationError(
             f"need 0 <= guard_width * N / pi < inf, got guard_width {guard_width} at N {length}")
@@ -103,7 +105,9 @@ def min_oversampling(length: int, guard_bins: int) -> float:
     """Signal-independent sufficient oversampling: 3 / (1 - guard_bins/N)."""
     if check_number("guard_bins", guard_bins, integer=True) < 0:
         raise ConfigurationError(f"need guard_bins >= 0, got {guard_bins}")
-    if guard_bins >= check_number("length", length, integer=True):
+    if check_number("length", length, integer=True) < 1:
+        raise ConfigurationError(f"need length >= 1, got {length}")
+    if guard_bins >= length:
         raise InfeasibleError(f"{guard_bins} guard bins exhaust a {length}-sample window")
     return 3.0 / (1.0 - guard_bins / length)
 
@@ -139,15 +143,20 @@ def extra_bits(interference_norm: float) -> float:
 
 
 def required_bits(interference_norm: float) -> float:
-    """Bit depth beyond which lattice rounding is guaranteed exact:
+    """Bit depth beyond which lattice rounding is exact for fold sets of norm <= the given one:
 
     bits > 3 + extra_bits(interference_norm) = 3 + log2(1 + 0.75 * norm).
 
-    The norm is a worst case over fold sets, so the bound is loose.  At OF
-    4 the desk m-grid norms (seed 1; N 64 to 256, N/32 to N/8 folds) ask
-    for 4.7 to 6.9 bits, and the desk window (N 64, guard pi/32) with the
-    8 to 19 folds its segments hold asks for 6.1 to 8.3 bits.  Yet desk
-    recovery there slipped at 3 bits in 6 of seeds 0-9 and at 4 in none.
+    The m-grid passes estimate_interference_norm's max over random draws,
+    which is no worst case over fold sets: a set of adjacent folds leaks
+    far more than the draws find.  At N 64, OF 4, guard 0 and 8 folds the
+    set {0, ..., 7} reads 24.2 against 8.10 over 10,000 draws (seed 1),
+    and at N 256 with 32 folds 4.04e5 against 20.7, or 21.2 against 7.0
+    bits.  Nor is it the norm of the fold sets a run holds.  At OF 4 the
+    desk m-grid norms (seed 1; N 64 to 256, N/32 to N/8 folds) ask for 4.7
+    to 6.9 bits, and the desk window (N 64, guard pi/32) with the 8 to 19
+    folds its segments hold asks for 6.1 to 8.3 bits.  Yet desk recovery
+    there slipped at 3 bits in 6 of seeds 0-9 and at 4 in none.
     """
     return 3.0 + extra_bits(interference_norm)
 
@@ -255,8 +264,10 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
                                set_size: int, trials: int, seed) -> float:
     """Monte-Carlo max of ||pinv(V_S) V_Sc||_inf over random fold sets S.
 
-    Bounds how strongly quantization noise at unflagged samples can leak
-    into the solved residue values.  Each fold set is the first `set_size`
+    The largest leak, over the sets drawn, of quantization noise at
+    unflagged samples into the solved residue values.  It is no bound over
+    all fold sets: adjacent folds, which the draws seldom hit, leak far
+    more (see required_bits).  Each fold set is the first `set_size`
     entries of a random permutation, drawn batch by batch from one stream
     on the calling thread, so the result is deterministic under the seed,
     independent of the batch size, and nondecreasing in `trials`.  Batches

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +14,7 @@ from modunfold.modulo_adc import AdcConfig, acquire, fold
 from modunfold.signal_model import (PulseTrainSpec, SampledSignal,
                                     estimate_inf_norm, generate_pulse_train,
                                     nominal_sample_count, sample_signal)
+from conftest import traced_peak
 
 
 def reference_signal(num_pulses=1000, oversampling=4.0, seed=1):
@@ -106,13 +106,7 @@ class TestConventionalAdc:
         samples = np.sin(0.05 * np.arange(202_000))
         sig = SampledSignal(samples=samples, band_fraction=0.25)
         conventional_adc(sig, 4, 1.0, 3)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            conventional_adc(sig, 4, 1.0, 3)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(conventional_adc, sig, 4, 1.0, 3)
         assert peak <= 2 * samples.nbytes + 12 * BLOCK * 8
 
     def test_bad_args(self):
@@ -205,13 +199,7 @@ class TestHodRecover:
         sig, peak = reference_signal(num_pulses=1000, oversampling=16.0, seed=8)
         adc = acquire(sig, AdcConfig(bits=4, threshold=0.4 * peak, seed=8))
         config = HodConfig(threshold=0.4 * peak, order=3)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            hod_recover(adc.quantized, config)
-            held = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, held = traced_peak(hod_recover, adc.quantized, config)
         assert held <= 2.2 * adc.quantized.nbytes
 
     def test_invalid_order_rejected(self):

@@ -1,17 +1,10 @@
-import importlib.util
 import subprocess
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).parent.parent / "tools" / "count_lines.py"
+from conftest import load_tool
 
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("count_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+count_lines = load_tool("count_lines")
 
 
 # Lines 1-2 docstring, 3 blank, 4 comment, 5-6 blank, 7 code, 8 docstring,
@@ -31,30 +24,30 @@ def f(x):
 
 
 def test_count_skips_docstrings_comments_and_blank_lines():
-    assert load_tool().count(SOURCE) == (11, 4)
+    assert count_lines.count(SOURCE) == (11, 4)
 
 
 def test_trailing_comment_leaves_a_line_code():
-    assert load_tool().count("x = 1  # set x\n# only a comment\n") == (2, 1)
+    assert count_lines.count("x = 1  # set x\n# only a comment\n") == (2, 1)
 
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exited:
-        load_tool().main(["--help"])
+        count_lines.main(["--help"])
     assert exited.value.code == 0
     assert "usage" in capsys.readouterr().out
 
 
 def test_missing_path_exits_two(capsys):
     with pytest.raises(SystemExit) as exited:
-        load_tool().main(["no/such/path.py"])
+        count_lines.main(["no/such/path.py"])
     assert exited.value.code == 2
     assert "no such file or directory: no/such/path.py" in capsys.readouterr().err
 
 
 def test_default_path_from_another_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert load_tool().main([]) == 0
+    assert count_lines.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.endswith("modunfold/dsp.py") for line in lines)
     assert lines[-1].endswith(f"all {len(lines) - 2} files")
@@ -83,16 +76,16 @@ def repo(tmp_path, monkeypatch):
 
 
 def test_rev_counts_the_committed_files(repo, capsys):
-    assert load_tool().main(["--rev", "HEAD", "pkg"]) == 0
+    assert count_lines.main(["--rev", "HEAD", "pkg"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == ["      4      1  pkg/a.py", "      4      1  all 1 files"]
-    assert load_tool().main(["pkg"]) == 0
+    assert count_lines.main(["pkg"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "      3      3  all 2 files"
 
 
 def test_rev_from_a_subdirectory(repo, monkeypatch, capsys):
     monkeypatch.chdir(repo / "pkg")
-    assert load_tool().main(["--rev", "HEAD", "."]) == 0
+    assert count_lines.main(["--rev", "HEAD", "."]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "      4      1  a.py"
 
 
@@ -101,7 +94,7 @@ def test_rev_from_a_subdirectory(repo, monkeypatch, capsys):
     (["--rev", "HEAD", "missing"], "no *.py files at HEAD: missing")])
 def test_bad_rev_or_path_exits_two(repo, capsys, args, reason):
     with pytest.raises(SystemExit) as exited:
-        load_tool().main(args)
+        count_lines.main(args)
     assert exited.value.code == 2
     assert reason in capsys.readouterr().err
 
@@ -110,6 +103,6 @@ def test_rev_outside_a_repository_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     with pytest.raises(SystemExit) as exited:
-        load_tool().main(["--rev", "HEAD", "."])
+        count_lines.main(["--rev", "HEAD", "."])
     assert exited.value.code == 2
     assert "git ls-tree" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from modunfold.guarantees import (predict_mse_conventional, predict_mse_modulo,
                                   required_threshold)
 from modunfold.signal_model import (estimate_inf_norm, generate_pulse_train,
                                     nominal_sample_count)
+from conftest import traced_peak
 
 FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
                   guard_width_list=(np.pi / 32,), lpf_length=257,
@@ -207,12 +207,7 @@ class TestRunners:
         def peak(trials):
             cfg = fast_config(experiment="compare-hod", num_pulses=2000,
                               oversampling_list=(16.0,), trials=trials)
-            tracemalloc.start()
-            try:
-                run_compare_hod(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(run_compare_hod, cfg)[1]
 
         peak(1)  # a first run also allocates what numpy keeps for later calls
         record = 8 * nominal_sample_count(fast_config(num_pulses=2000).signal_spec(0), 16.0)
@@ -463,12 +458,8 @@ class TestBadInput:
         # and 16 TiB for one fold set's rows, and ended in a kill, a
         # MemoryError or numpy's ValueError.
         for experiment in experiments:
-            tracemalloc.start()
-            try:
-                assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(run_cli, tmp_path, experiment, {**TINY, field: value})
+            assert code == 2
             assert peak < 1e6
             assert "cap" in capsys.readouterr().err
 
@@ -481,34 +472,20 @@ class TestBadInput:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**{**TINY, **payload})
 
-    def test_bad_window_fails_before_synthesis(self, tmp_path, monkeypatch):
-        import modunfold.experiments as experiments
-
-        def synthesis(*args):
-            raise AssertionError("synthesis ran")
-        monkeypatch.setattr(experiments, "generate_pulse_train", synthesis)
+    def test_bad_window_fails_before_synthesis(self, tmp_path, no_work):
         assert run_cli(tmp_path, "mse-sweep", {**TINY, "window_alpha": 0.3}) == 2
 
     @pytest.mark.parametrize("field, value", [
         ("bits_list", [1]), ("bits_list", [54]), ("guard_width_list", [-0.1]),
         ("guard_width_list", [1e308]), ("hod_order", 0), ("hod_order", 17)])
-    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                             field, value):
+    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, no_work, field, value):
         # Each used to fail only where a runner first used it, after every
         # trial's synthesis, or never where no runner reads it (m-grid).
-        def work(*args):
-            raise AssertionError("work ran")
-        monkeypatch.setattr(experiments, "generate_pulse_train", work)
-        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
         for experiment in EXPERIMENTS:
             assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
             assert capsys.readouterr().err.startswith("error: ")
 
-    def test_missing_seed_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
-        def work(*args):
-            raise AssertionError("work ran")
-        monkeypatch.setattr(experiments, "generate_pulse_train", work)
-        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
+    def test_missing_seed_fails_before_any_work(self, tmp_path, capsys, no_work):
         seedless = {k: v for k, v in TINY.items() if k != "seed"}
         for experiment in SIMULATED + ("m-grid",):
             with pytest.raises(ConfigurationError, match="needs --seed"):
@@ -516,13 +493,8 @@ class TestBadInput:
             assert run_cli(tmp_path, experiment, seedless) == 2
             assert "needs --seed" in capsys.readouterr().err
 
-    def test_missing_out_directory_fails_before_any_work(self, tmp_path, capsys,
-                                                         monkeypatch):
+    def test_missing_out_directory_fails_before_any_work(self, tmp_path, capsys, no_work):
         # It used to fail only on writing, after the whole run.
-        def work(*args):
-            raise AssertionError("work ran")
-        monkeypatch.setattr(experiments, "generate_pulse_train", work)
-        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
         for out, reason in [(tmp_path / "missing" / "rows.csv", "no such directory"),
                             (tmp_path, "is a directory")]:
             for experiment in EXPERIMENTS:
@@ -530,11 +502,8 @@ class TestBadInput:
                 assert reason in capsys.readouterr().err
 
     def test_nonpositive_m_grid_factor_fails_before_any_work(self, tmp_path, capsys,
-                                                              monkeypatch):
+                                                              no_work):
         # It used to fail only when its cell ran, after the cells before it.
-        def work(*args):
-            raise AssertionError("work ran")
-        monkeypatch.setattr(experiments.guarantees, "estimate_interference_norm", work)
         for value in ([4.0, 0.0], [-8.0]):
             payload = {**TINY, "oversampling_list": value}
             assert run_cli(tmp_path, "m-grid", payload) == 2

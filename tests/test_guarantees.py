@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
                                   predict_mse_modulo, required_bits,
                                   required_threshold)
+from conftest import traced_peak
 
 
 class TestGuardBinCount:
@@ -37,6 +37,13 @@ class TestGuardBinCount:
         with pytest.raises(ConfigurationError, match="guard_width"):
             guard_bin_count(width, 64)
 
+    @pytest.mark.parametrize("width, length", [(np.pi / 32, 0), (0.0, -5)])
+    def test_window_below_one_sample_rejected(self, width, length):
+        # Both returned 0.
+        with pytest.raises(ConfigurationError, match="length >= 1") as info:
+            guard_bin_count(width, length)
+        assert info.type is ConfigurationError
+
 
 class TestMinOversampling:
     def test_signal_free_no_guard(self):
@@ -52,6 +59,15 @@ class TestMinOversampling:
     def test_saturated_guard_infeasible(self):
         with pytest.raises(InfeasibleError):
             min_oversampling(64, 64)
+
+    @pytest.mark.parametrize("call", [lambda: min_oversampling(-5, 0),
+                                      lambda: required_threshold(1.0, 8.0, 0, -5)])
+    def test_window_below_one_sample_rejected(self, call):
+        # A bad window is a parameter fault, not an infeasible point: both
+        # raised InfeasibleError ("0 guard bins exhaust a -5-sample window").
+        with pytest.raises(ConfigurationError, match="length >= 1") as info:
+            call()
+        assert info.type is ConfigurationError
 
 
 class TestRequiredThreshold:
@@ -439,25 +455,25 @@ class TestInterferenceNorm:
         # of all 4096 draws at once would take 16.8 MB.
         monkeypatch.setattr(guarantees, "_WORKERS", 2)
         for trials in (64, 4096):
-            tracemalloc.start()
-            try:
-                estimate_interference_norm(256, 4.0, 0.0, 32, trials, 0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(estimate_interference_norm, 256, 4.0, 0.0, 32, trials, 0)
             assert peak <= 12e6
 
     def test_peak_memory_stays_linear_in_length(self):
         # Rows are gathered from the O(n) projector view; an n x n projector
         # alone would be 33.5 MB at n 2048.
-        tracemalloc.start()
-        try:
-            norm = estimate_interference_norm(2048, 4.0, 0.0, 4, 8, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        norm, peak = traced_peak(estimate_interference_norm, 2048, 4.0, 0.0, 4, 8, 0)
         assert norm == pytest.approx(4.298511905544368, rel=1e-12)
         assert peak <= 4e6
+
+    def test_adjacent_set_exceeds_the_random_max(self):
+        # The random max is no worst case: the adjacent set {0, ..., 7}
+        # reads 24.2 against 8.10 over 10,000 draws.
+        projector = build_oob_system(64, 0.25, 0.0).projector
+        adjacent = np.arange(8)
+        leak = np.linalg.solve(projector[np.ix_(adjacent, adjacent)], projector[adjacent])
+        leak[:, adjacent] = 0.0
+        random_max = estimate_interference_norm(64, 4.0, 0.0, 8, 10_000, 1)
+        assert np.abs(leak).sum(axis=1).max() > random_max
 
     def test_oversized_set_rejected(self):
         with pytest.raises(InfeasibleError):
@@ -466,13 +482,9 @@ class TestInterferenceNorm:
     @pytest.mark.parametrize("length, set_size", [(2 ** 22, 2), (4194304, 524288)])
     def test_unallocatable_set_rejected_before_allocation(self, length, set_size):
         # 524288 folds over 4194304 samples: 16 TiB of rows for one set.
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError, match="cap"):
-                estimate_interference_norm(length, 4.0, 0.0, set_size, 1, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        raised, peak = traced_peak(pytest.raises, ConfigurationError,
+                                   estimate_interference_norm, length, 4.0, 0.0, set_size, 1, 0)
+        raised.match("cap")
         assert peak < 1e6
         guarantees.check_fold_set(2 ** 21, 2)
 

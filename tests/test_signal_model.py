@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from modunfold.signal_model import (PulseTrain, PulseTrainSpec,
                                     estimate_inf_norm, generate_pulse_train,
                                     nominal_sample_count, raised_cosine,
                                     sample_signal)
+from conftest import traced_peak
 
 
 def single_pulse(amplitude=1.0, **kwargs):
@@ -213,12 +213,7 @@ class TestGridPath:
         # 20,000 pulses put 2.56M points on the peak grid, 41 MB for one
         # full-grid sum and its term buffer; blocks of rows keep it to 4.3 MB.
         train = generate_pulse_train(PulseTrainSpec(num_pulses=20000, seed=1))
-        tracemalloc.start()
-        try:
-            peak_value = estimate_inf_norm(train)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak_value, peak = traced_peak(estimate_inf_norm, train)
         assert peak_value == 1.0240204201256768
         assert peak <= 5e6
 

@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +19,8 @@ from modunfold.signal_model import (PulseTrain, PulseTrainSpec, estimate_inf_nor
                                     sample_signal)
 from modunfold.unfold import (RecoveryConfig, residue_pre_estimate,
                               round_to_lattice, segment_starts, unfold)
+from conftest import GUARD, desk_recovery, traced_peak
 from oob_reference import lattice_counts, oob_matrix, pre_estimate
-
-GUARD = np.pi / 32
 
 
 def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
@@ -39,8 +37,7 @@ def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
     adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=seed + 1))
     if ideal:
         adc = replace(adc, quantized=fold(sig.samples, threshold))
-    config = RecoveryConfig(length=64, alpha=0.5, guard_width=guard,
-                            threshold=threshold, band_fraction=1 / oversampling)
+    config = desk_recovery(threshold, 1 / oversampling, guard)
     return peak, threshold, sig, adc, unfold(adc, sig, config)
 
 
@@ -207,15 +204,7 @@ class TestUnfold:
         # difference (4/3 record lengths) and full-length lattice temporaries
         # it replaced peaked at 9.0.
         _, threshold, sig, adc, _ = paper_point(2000, 50.0, 4, seed=1)
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=1 / 50.0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            unfold(adc, sig, config)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(unfold, adc, sig, desk_recovery(threshold, 1 / 50.0))
         assert peak <= 3.5 * sig.samples.nbytes
 
     def test_no_folds_high_resolution_noise_floor(self):
@@ -228,9 +217,7 @@ class TestUnfold:
         sig = sample_signal(train, 4.0, nominal_sample_count(spec, 4.0))
         adc = acquire(sig, AdcConfig(bits=16, threshold=1.0, seed=7))
         assert not adc.folding_bits.any()
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=1.0, band_fraction=0.25)
-        result = unfold(adc, sig, config)
+        result = unfold(adc, sig, desk_recovery(1.0, 0.25))
         mse = np.mean((result.recovered - sig.samples) ** 2)
         floor = (adc.config.full_scale ** 2 / 2 ** 32) * (0.25 + GUARD / np.pi)
         assert 10 * np.log10(mse) < -80.0
@@ -259,9 +246,8 @@ class TestUnfold:
                                        guard_bin_count(GUARD, 64), 64)
         sig = sample_signal(train, oversampling, nominal_sample_count(spec, oversampling))
         adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=seed + 1))
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=1 / oversampling,
-                                lpf_length=129, lpf_transition=np.pi / 8)
+        config = desk_recovery(threshold, 1 / oversampling, lpf_length=129,
+                               lpf_transition=np.pi / 8)
         assert_matches_reference(adc, config, unfold(adc, sig, config))
 
     def test_slipping_two_bit_case_matches_reference(self):
@@ -269,9 +255,7 @@ class TestUnfold:
         # and must slip exactly as the per-segment solver's does.
         _, threshold, sig, adc, result = paper_point(300, 4.0, 2, seed=1)
         assert (result.residue != adc.residue_truth).any()
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=0.25)
-        assert_matches_reference(adc, config, result)
+        assert_matches_reference(adc, desk_recovery(threshold, 0.25), result)
 
     def test_quantized_acquisition_still_exact_and_near_theory(self):
         peak, threshold, sig, adc, result = paper_point(300, 4.0, 4, seed=5)
@@ -309,9 +293,7 @@ class TestUnfold:
         threshold = required_threshold(peak, 4.0, guard_bin_count(GUARD, 64), 64)
         sig = sample_signal(train, 4.0, nominal_sample_count(spec, 4.0))
         adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=11))
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=0.25)
-        result = unfold(adc, sig, config)
+        result = unfold(adc, sig, desk_recovery(threshold, 0.25))
         assert result.segments_skipped > 0
         assert_array_equal(np.round(result.residue / (2 * threshold)),
                            np.round(adc.residue_truth / (2 * threshold)))
@@ -323,9 +305,7 @@ class TestUnfold:
                         residue_truth=np.zeros(256), config=config)
         sig_meta = sample_signal(
             generate_pulse_train(PulseTrainSpec(num_pulses=20, seed=0)), 4.0, 256)
-        recovery = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                  threshold=1.0, band_fraction=0.25,
-                                  lpf_length=129, lpf_transition=np.pi / 8)
+        recovery = desk_recovery(1.0, 0.25, lpf_length=129, lpf_transition=np.pi / 8)
         with pytest.raises(InfeasibleError, match="segment 0"):
             unfold(adc, sig_meta, recovery)
 
@@ -340,50 +320,30 @@ class TestUnfold:
                         config=AdcConfig(bits=4, threshold=1.0))
         sig_meta = sample_signal(
             generate_pulse_train(PulseTrainSpec(num_pulses=20, seed=0)), 2.0, 256)
-        recovery = RecoveryConfig(length=64, alpha=0.5, guard_width=0.0,
-                                  threshold=1.0, band_fraction=0.5, lpf_length=129,
-                                  lpf_transition=np.pi / 8)
+        recovery = desk_recovery(1.0, 0.5, 0.0, lpf_length=129, lpf_transition=np.pi / 8)
         with pytest.raises(ConfigurationError, match="segment 0: .*singular"):
             unfold(adc, sig_meta, recovery)
 
-    def test_non_finite_samples_rejected(self):
-        _, _, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
-        quantized = adc.quantized.copy()
-        quantized[7] = np.nan
-        bad = AdcOutput(quantized=quantized, folding_bits=adc.folding_bits,
-                        residue_truth=adc.residue_truth, config=adc.config)
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=adc.config.threshold, band_fraction=0.25)
-        with pytest.raises(ConfigurationError, match="sample 7 is not finite"):
-            unfold(bad, sig, config)
-
+    # Non-finite, 2-D and empty records: test_public_api.test_bad_record_rejected.
     @pytest.mark.parametrize("quantized, flags", [
-        (np.zeros(256), np.zeros(255, dtype=bool)),
-        (np.zeros((2, 128)), np.zeros((2, 128), dtype=bool)),
-        (np.zeros(0), np.zeros(0, dtype=bool))])
+        (np.zeros(256), np.zeros(255, dtype=bool))])
     def test_malformed_buffers_rejected(self, quantized, flags):
         # Flags shorter than the samples used to end in numpy's broadcast error.
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
         bad = AdcOutput(quantized=quantized, folding_bits=flags,
                         residue_truth=np.zeros(quantized.shape), config=adc.config)
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=0.25)
         with pytest.raises(ConfigurationError, match="shape"):
-            unfold(bad, sig, config)
+            unfold(bad, sig, desk_recovery(threshold, 0.25))
 
     def test_threshold_mismatch_rejected(self):
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
-        bad = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                             threshold=2 * threshold, band_fraction=0.25)
         with pytest.raises(ConfigurationError, match="threshold"):
-            unfold(adc, sig, bad)
+            unfold(adc, sig, desk_recovery(2 * threshold, 0.25))
 
     def test_band_fraction_mismatch_rejected(self):
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
-        bad = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                             threshold=threshold, band_fraction=0.125)
         with pytest.raises(ConfigurationError, match="band fraction"):
-            unfold(adc, sig, bad)
+            unfold(adc, sig, desk_recovery(threshold, 0.125))
 
 
 class TestRecoveryConfig:
@@ -395,25 +355,21 @@ class TestRecoveryConfig:
     def test_saturated_guard_rejected(self):
         # No bin is left out of band, so build_oob_system refuses the config.
         with pytest.raises(InfeasibleError):
-            RecoveryConfig(length=64, alpha=0.5, guard_width=np.pi,
-                           threshold=1.0, band_fraction=0.25)
+            desk_recovery(1.0, 0.25, np.pi)
 
     def test_hop_and_overlap(self):
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=1.0, band_fraction=0.25)
+        config = desk_recovery(1.0, 0.25)
         assert config.overlap == 16 and config.hop == 48
         assert (config.window.edge, config.window.hop) == (16, 48)
         # Window, out-of-band system and lowpass are built once, at construction.
         assert_array_equal(config.system.projector,
                            build_oob_system(64, 0.25, GUARD).projector)
         assert config.lowpass.size == config.lpf_length
-        assert config == RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                        threshold=1.0, band_fraction=0.25)
+        assert config == desk_recovery(1.0, 0.25)
 
     def test_unfold_reads_the_config_system(self, monkeypatch):
         _, threshold, sig, adc, expected = paper_point(300, 4.0, 4, seed=12)
-        config = RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                                threshold=threshold, band_fraction=0.25)
+        config = desk_recovery(threshold, 0.25)
 
         def rebuilt(*args):
             raise AssertionError("unfold rebuilt the out-of-band system or lowpass")
@@ -428,8 +384,7 @@ class TestRecoveryConfig:
         # 129 taps cannot realize the default pi/64 transition; this used to
         # surface only after the solve, inside unfold.
         with pytest.raises(ConfigurationError, match="need at least"):
-            RecoveryConfig(length=64, alpha=0.5, guard_width=GUARD,
-                           threshold=1.0, band_fraction=0.25, lpf_length=129)
+            desk_recovery(1.0, 0.25, lpf_length=129)
 
 
 class TestWindowTrade:
