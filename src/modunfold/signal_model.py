@@ -10,11 +10,15 @@ grid) would scale with a symbol period, so one would change only rounding.
 
 Every value of the train comes from one tap sum, _tap_sum, at times
 t = row + phase with an integer row: pulse m meets the time at tap offset
-j = row - m, so each of the span+1 offsets is one tap row h(j + phase) times
-the amplitudes of pulses row - j.  The sampler at an integer L samples per
+j = row - m, so each value sums span+1 products of a tap h(j + phase) and
+the amplitude of pulse row - j.  The sampler at an integer L samples per
 symbol and the peak estimate pass rows of symbols and the L phases r/L, so
-one tap row serves every row; PulseTrain.evaluate splits arbitrary times
-into their nearest integer and the exact remainder.
+one tap table serves every row; PulseTrain.evaluate splits arbitrary times
+into their nearest integer and the exact remainder, one phase per row.  One
+np.einsum contraction sums the products in offset order, from j = span/2
+down, rounding each product and then each partial sum once, as a direct sum
+over the pulses in index order does; _tap_sum says why einsum keeps that
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ import numpy as np
 
 from .errors import ConfigurationError, check_number, check_seed
 
-_CHUNK = 1 << 18
+# Elements in any one temporary of a tap sum (the tap table, the gathered
+# amplitudes, a block of outputs) and times per chunk of PulseTrain.evaluate.
+# A per-time tap table holds span + 1 taps a time, so this sets the peak of a
+# non-integer rate: at 2^14 the desk train at OF 4.3 (17,372 times) peaks at
+# 1.9 MB; 2^16 synthesized the desk sweep about 14 % faster but peaked at
+# 4.6 MB (2-core x86-64, numpy 2.4).
+_CHUNK = 1 << 14
 
 # Least points per Nyquist sample period of the dense grid estimate_inf_norm
 # scans; it rounds the points per symbol up to an integer.
@@ -46,10 +56,10 @@ _MAX_AMPLITUDE = 1e100
 _MAX_SAMPLES = 2 ** 25
 
 # Longest pulse span accepted, in symbols: 50 times the presets' 20.
-# estimate_inf_norm and sample_signal loop in Python over the span + 1 tap
-# offsets, each over the whole train plus the span, so a span costs about
-# its square even on a short train: a 20-pulse train took 0.37 s to bound
-# at span 1,000 against 1 ms at 20, and at 2,000,000 ran past 20 s.
+# Each value sums span + 1 products, and the peak grid of estimate_inf_norm
+# covers the train plus the span, so a span costs about its square even on a
+# short train: a 20-pulse train took 0.17 s to bound at span 1,000 against
+# 0.3 ms at 20 (2-core x86-64, numpy 2.4).
 _MAX_SPAN = 1000
 
 
@@ -138,9 +148,9 @@ class PulseTrain:
         t = np.clip(t, lo - 1.0, hi + 1.0, dtype=float)
         out = np.empty_like(t)
         for lo in range(0, t.size, _CHUNK):
-            chunk = t[lo:lo + _CHUNK]
+            chunk = t[lo:lo + _CHUNK, None]
             rows = np.rint(chunk)  # chunk - rows is exact, and within [-1/2, 1/2]
-            out[lo:lo + _CHUNK] = _tap_sum(self, rows.astype(int), chunk - rows)
+            out[lo:lo + _CHUNK] = _tap_sum(self, rows.astype(int), chunk - rows).ravel()
         return out
 
 
@@ -152,26 +162,45 @@ def generate_pulse_train(spec: PulseTrainSpec) -> PulseTrain:
 
 
 def _tap_sum(train: PulseTrain, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The train at t = rows + phases, broadcast, for integer rows.
+    """The train at t = rows + phases, as (R, P), for integer rows (R, 1).
 
-    Offsets j run from span/2 down, in increasing pulse index, the order of a
-    direct sum.  Each phase must be exactly t - row, so that j + phase rounds
-    t - m once, as t - m does.  Phases in [-1/2, 1 - 1e-12] keep the offsets
+    Phases are (1, P), shared by every row, or (R, 1), one per row.  Offsets
+    j run from span/2 down, in increasing pulse index, the order of a direct
+    sum.  Each phase must be exactly t - row, so that j + phase rounds t - m
+    once, as t - m does.  Phases in [-1/2, 1 - 1e-12] keep the offsets
     +-(span/2 + 1) from rounding onto the span's edge, so the span + 1 offsets
     hold every tap a direct sum takes.
+
+    A block takes one tap table h(j + phase), zero past |j + phase| > span/2,
+    and one gather of the amplitudes of pulses row - j, and np.einsum sums
+    their products over j.  Without optimize, on two or more outputs einsum
+    loops over j outermost and adds each rounded product to each output's
+    rounded partial sum, the order of a direct sum.  A lone output would run
+    einsum's dot-product loop, which sums in another order, so it is padded
+    to two.  A numpy build whose einsum fuses the multiply and add would move
+    last bits; tests/test_signal_model.py's per-offset oracle names that.
+    Blocks keep every temporary to about _CHUNK elements at any span.
     """
     spec = train.spec
     half = spec.span // 2
+    offsets = np.arange(half, -half - 1, -1)[:, None, None]
     # padded[m] is pulse m's amplitude; take's clip sends off-train pulses to a 0.
     padded = np.concatenate(([0.0], train.amplitudes, [0.0]))
-    out = np.zeros(np.broadcast_shapes(rows.shape, phases.shape))
-    term = np.empty_like(out)
-    for j in range(half, -half - 1, -1):
-        tau = j + phases
-        taps = raised_cosine(tau, spec.beta)
-        taps[np.abs(tau) > half] = 0.0
-        np.multiply(padded.take(rows - j, mode="clip"), taps, out=term)
-        out += term
+    out = np.empty(np.broadcast_shapes(rows.shape, phases.shape))
+    count, width = out.shape
+    cols = min(width, max(1, _CHUNK // offsets.size))
+    step = max(1, _CHUNK // max(offsets.size, cols))
+    for c in range(0, width, cols):
+        for r in range(0, count, step):
+            if r == 0 or phases.shape[0] > 1:  # shared phases: one table a column block
+                tau = offsets + phases[r:r + step, c:c + cols]
+                taps = raised_cosine(tau, spec.beta)
+                taps[np.abs(tau) > half] = 0.0
+            amps = padded.take(rows[r:r + step] - offsets, mode="clip")
+            block = out[r:r + step, c:c + cols]
+            if block.size == 1:  # not einsum's dot-product loop
+                amps = np.repeat(amps, 2, axis=-1)
+            block[...] = np.einsum("i...,i...->...", amps, taps)[:, :block.shape[1]]
     return out
 
 
@@ -190,7 +219,7 @@ def sample_signal(train: PulseTrain, oversampling: float, num_samples: int) -> S
     if rate.is_integer() and rate <= num_samples:
         rate = int(rate)
         rows = np.arange(-(-num_samples // rate))[:, None]
-        samples = _tap_sum(train, rows, np.arange(rate) / rate).ravel()[:num_samples]
+        samples = _tap_sum(train, rows, np.arange(rate)[None] / rate).ravel()[:num_samples]
     else:
         sample_period = 2.0 * np.pi / (oversampling * train.bandwidth)
         samples = train.evaluate(np.arange(num_samples) * sample_period)
@@ -221,7 +250,7 @@ def estimate_inf_norm(train: PulseTrain) -> float:
     lo, hi = train.support
     rate = math.ceil(_GRID_OVERSAMPLE * (1.0 + train.spec.beta))
     rows = np.arange(int(lo), int(hi) + 1)[:, None]
-    phases = np.arange(rate) / rate
+    phases = np.arange(rate)[None] / rate
     step = max(1, _CHUNK // rate)
     return max(float(np.abs(_tap_sum(train, rows[q:q + step], phases)).max())
                for q in range(0, rows.size, step))

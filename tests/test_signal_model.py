@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from modunfold import signal_model
 from modunfold.dsp import tukey_window
 from modunfold.errors import ConfigurationError
 from modunfold.signal_model import (PulseTrain, PulseTrainSpec,
@@ -210,12 +211,91 @@ class TestGridPath:
         assert estimate_inf_norm(train) == np.abs(train.evaluate(grid)).max()
 
     def test_peak_memory_stays_bounded_by_the_block(self):
-        # 20,000 pulses put 2.56M points on the peak grid, 41 MB for one
-        # full-grid sum and its term buffer; blocks of rows keep it to 4.3 MB.
+        # 20,000 pulses put 2.56M points on the peak grid, 20 MB for one
+        # full-grid sum; blocks of rows keep it to 0.7 MB.
         train = generate_pulse_train(PulseTrainSpec(num_pulses=20000, seed=1))
         peak_value, peak = traced_peak(estimate_inf_norm, train)
         assert peak_value == 1.0240204201256768
         assert peak <= 5e6
+
+
+def per_offset_sum(train, rows, phases):
+    """The tap sum as a loop over the offsets: one product and one add each."""
+    half = train.spec.span // 2
+    padded = np.concatenate(([0.0], train.amplitudes, [0.0]))
+    out = np.zeros(np.broadcast_shapes(rows.shape, phases.shape))
+    for j in range(half, -half - 1, -1):
+        tau = j + phases
+        taps = raised_cosine(tau, train.spec.beta)
+        taps[np.abs(tau) > half] = 0.0
+        out += padded.take(rows - j, mode="clip") * taps
+    return out
+
+
+class TestTapSum:
+    # The contraction must sum in the per-offset loop's order, bit for bit;
+    # a numpy whose einsum reorders or fuses the sum fails here first.
+    # Chunks of 64, 100 and 257 put block edges and a lone last output
+    # everywhere; the last is the module's own.
+    CHUNKS = [64, 100, 257, signal_model._CHUNK]
+
+    @staticmethod
+    def _split(times):
+        rows = np.rint(times)[:, None]
+        return rows.astype(int), times[:, None] - rows
+
+    @pytest.mark.parametrize("span", [2, 4, 10, 20, 40])
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_the_per_offset_loop(self, monkeypatch, beta, span):
+        spec = PulseTrainSpec(num_pulses=60, beta=beta, span=span, seed=span)
+        train = generate_pulse_train(spec)
+        rng = np.random.default_rng(span)
+        grids = [(1, 1), (1, 130), (40, 1), (40, 130), (3, 2)]
+        grids += [tuple(rng.integers(1, (41, 131))) for _ in range(4)]
+        counts = [1, 2, 3, 1000, *rng.integers(1, 1001, 3)]
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(signal_model, "_CHUNK", chunk)
+            for count, rate in grids:
+                rows = np.arange(count)[:, None] + int(rng.integers(-span, 60 + span))
+                phases = np.arange(rate)[None] / rate
+                assert (signal_model._tap_sum(train, rows, phases).tobytes()
+                        == per_offset_sum(train, rows, phases).tobytes()), (chunk, count, rate)
+            for count in counts:
+                rows, phases = self._split(rng.uniform(-span, 60 + span, count))
+                assert (signal_model._tap_sum(train, rows, phases).tobytes()
+                        == per_offset_sum(train, rows, phases).tobytes()), (chunk, count)
+
+    def test_evaluate_across_chunks_matches_the_per_offset_loop(self):
+        # A whole chunk, then 781 times: at span 20 a block of 780 and a lone time.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=2000, seed=1))
+        times = np.linspace(-12.0, 2005.1, signal_model._CHUNK + 781)
+        expected = per_offset_sum(train, *self._split(times))
+        assert train.evaluate(times).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", CHUNKS[:3])
+    def test_evaluate_is_chunk_invariant(self, monkeypatch, chunk):
+        monkeypatch.setattr(signal_model, "_CHUNK", chunk)
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=40, beta=0.5, seed=3))
+        times = np.random.default_rng(chunk).uniform(-11.0, 51.0, 300)
+        together = train.evaluate(times)
+        for i, t in enumerate(times):
+            assert train.evaluate([t]).tobytes() == together[i:i + 1].tobytes(), i
+
+    def test_peak_memory_at_the_span_cap(self):
+        # The gather holds span + 1 amplitudes a row: summed whole, the two
+        # sample_signal calls peaked at 48 and 52 MB, where the per-offset
+        # loop took 0.6 and 5.0 MB (and 4.4 MB for estimate_inf_norm).
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=2000, span=1000, seed=1))
+        for oversampling in (4.0, 50.0):
+            count = nominal_sample_count(train.spec, oversampling)
+            assert traced_peak(sample_signal, train, oversampling, count)[1] <= 10e6
+        assert traced_peak(estimate_inf_norm, train)[1] <= 10e6
+
+    def test_non_integer_rate_peaks_no_higher_than_the_per_offset_loop(self):
+        # Per-time taps: span + 1 a time.  The loop peaked at 1,984,890 bytes.
+        train = generate_pulse_train(PulseTrainSpec(num_pulses=2000, seed=1))
+        count = nominal_sample_count(train.spec, 4.3)
+        assert traced_peak(sample_signal, train, 4.3, count)[1] <= 1_984_890
 
 
 def sha256(values):
