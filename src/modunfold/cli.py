@@ -20,16 +20,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="modunfold",
         description="Modulo-ADC simulation and sliding-DFT unfolding experiments",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--config", required=True,
-                         help="JSON config file ({} for defaults)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="experiment seed (required unless theory-only)")
-        cmd.add_argument("--out", default=None, help="CSV output path")
-        cmd.add_argument("--preset", choices=("desk", "paper"), default="desk",
-                         help="parameter scale preset")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="JSON config file ({} for defaults)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="experiment seed (required unless theory-only)")
+    parser.add_argument("--out", default=None, help="CSV output path")
+    parser.add_argument("--preset", choices=("desk", "paper"), default="desk",
+                        help="parameter scale preset")
     return parser
 
 

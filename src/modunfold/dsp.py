@@ -96,8 +96,17 @@ def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndar
     """Sorted DFT bin indices strictly inside the out-of-band interval.
 
     Each bin is tested by its distance from DC, min(k, n - k), so k and n - k
-    are kept or dropped together even where rounding lands on an edge.
+    are kept or dropped together even where rounding lands on an edge.  The
+    window length n must be an integer in [1, _MAX_LENGTH], band_fraction
+    > 0 and guard_width >= 0.
     """
+    if not 1 <= check_number("n", n, integer=True) <= _MAX_LENGTH:
+        raise ConfigurationError(f"window length must be in [1, {_MAX_LENGTH}], got {n}")
+    if not (check_number("band_fraction", band_fraction) > 0.0
+            and check_number("guard_width", guard_width) >= 0.0):
+        raise ConfigurationError(
+            f"need band_fraction > 0 and guard_width >= 0, got "
+            f"{band_fraction:.6g} and {guard_width:.6g}")
     k = np.arange(n)
     return k[2.0 * np.pi * np.minimum(k, n - k) / n > band_fraction * np.pi + guard_width]
 
@@ -107,15 +116,9 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
 
     band_fraction is the occupied fraction of the sampling bandwidth
     (1/oversampling); guard_width widens the excluded band on both sides to
-    absorb spectral leakage.  No bin left out of band is an InfeasibleError.
+    absorb spectral leakage.  oob_bin_indices checks the three; no bin left
+    out of band is an InfeasibleError.
     """
-    if not 1 <= check_number("n", n, integer=True) <= _MAX_LENGTH:
-        raise ConfigurationError(f"window length must be in [1, {_MAX_LENGTH}], got {n}")
-    if not (check_number("band_fraction", band_fraction) > 0.0
-            and check_number("guard_width", guard_width) >= 0.0):
-        raise ConfigurationError(
-            f"need band_fraction > 0 and guard_width >= 0, got "
-            f"{band_fraction:.6g} and {guard_width:.6g}")
     bins = oob_bin_indices(n, band_fraction, guard_width)
     if bins.size == 0:
         raise InfeasibleError(

@@ -8,10 +8,10 @@ grid point, and a point whose measurement is infeasible (InfeasibleError)
 becomes a row marked skipped that holds only the point's own fields.  The
 two MSE experiments average each point's MSE columns over trials (signal
 realizations) and keep the last trial's threshold and sample count,
-looping oversampling factor, then trial, then the factor's points, so one
-realization's record is alive at a time.  Every experiment is a
-deterministic function of (config, seed); rows serialize to CSV that
-hashes identically across reruns.
+looping trial, then oversampling factor, then the factor's points, so one
+trial's pulse train and one realization's record are alive at a time.
+Every experiment is a deterministic function of (config, seed); rows
+serialize to CSV that hashes identically across reruns.
 """
 
 from __future__ import annotations
@@ -309,22 +309,21 @@ def _adc_points(cfg: ExperimentConfig) -> list[dict]:
 def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     """Rows of the (oversampling, bits, guard width) grid, averaged over trials.
 
-    Trial t draws its signal with seed `seed + 1000 t` and spawns dither
-    seeds from its own entropy in the order it measures, so this loop order
-    fixes the CSV bytes.  A trial samples its signal once per factor, after
-    the first feasible threshold.  `measure(trial, peak, entropy, sampled,
-    threshold, **point)` returns one trial's row fields: the `mse_*` ones
-    are averaged, the others kept from the last trial.  A repeated point is
-    measured once; one infeasible in a trial is skipped by later trials and
-    becomes a skipped row in `_grid`.
+    Trial t draws its signal with seed `seed + 1000 t` when it starts and
+    spawns dither seeds from its own entropy in the order it measures its
+    points, factor by factor, so that order, not the order of the trials
+    against the factors, fixes the CSV bytes.  A trial samples its signal
+    once per factor, after the first feasible threshold.  `measure(trial,
+    peak, entropy, sampled, threshold, **point)` returns one trial's row
+    fields: the `mse_*` ones are averaged, the others kept from the last
+    trial.  A repeated point is measured once; one infeasible in a trial is
+    skipped by later trials and becomes a skipped row in `_grid`.
     """
-    trials = []
+    measured = {}  # (oversampling, bits, guard width) -> each trial's fields, or the error
     for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
         train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000 * t))
-        trials.append((train, PEAK_MARGIN * estimate_inf_norm(train), entropy))
-    measured = {}  # (oversampling, bits, guard width) -> each trial's fields, or the error
-    for oversampling in dict.fromkeys(cfg.oversampling_list):
-        for t, (train, peak, entropy) in enumerate(trials):
+        peak = PEAK_MARGIN * estimate_inf_norm(train)
+        for oversampling in dict.fromkeys(cfg.oversampling_list):
             sampled = None  # the last record is freed before the next is sampled
             for bits, guard_width in itertools.product(dict.fromkeys(cfg.bits_list),
                                                        dict.fromkeys(cfg.guard_width_list)):

@@ -6,43 +6,19 @@ threshold that realizes it, the bit-depth margin driven by the off-support
 interference norm, and the predicted mean-squared error of the folded and
 conventional pipelines.  The norm is a max over random fold sets, not a
 worst case (see required_bits), computed by Monte Carlo on the out-of-band
-projector P = V^H V that recovery solves with: for each random fold set
-S, inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows with the S columns
-zeroed are pinv(V_S) V_Sc.  The rows P[S, :] are
-gathered from the projector's O(n) view, so no n x n matrix is built.  The
-Gram blocks P[S, S] of each batch go through `dsp.check_gram`, the one
-singularity check of `dsp`, which recovery runs too: blocks that its
-diagonal-dominance margins certify pass, and eigvalsh decides the rest.
-
-The Monte Carlo draws its fold sets on the calling thread in stream order
-and maps them, batch by batch, on one thread per CPU the process may use;
-neither its result nor its errors depend on the thread count.  Its result
-is a max, so a set is mapped only while an upper bound on its computed
-norm reaches the largest norm mapped so far, the floor; a set whose bound
-is below the floor cannot raise the max, as the floor only grows.  Two
-bounds cut the work, each an upper bound on the norm as computed in
-floating point, not only on the exact norm:
-- before any inverse, a bound read from the margins of the set's Gram
-  block (_norm_bounds): Varah's bound for every certified block, refined
-  only where it reaches the floor;
-- after the inverse X of the block, max_i (|X| b)_i with b the abs row
-  sums of P[S, Sc], read from the margins too, times a rounding factor
-  (_inverse_bounds): the k x n product X P[S, :] runs only where it
-  reaches the floor.  By Higham's bounds for dot products and sums, the
-  computed product's abs row sums exceed |X| b by a factor of about
-  1 + (n + k) eps/2 at most, for any X, so uncertified blocks are
-  covered too.
-Each batch is mapped in chunks, largest margin bound first, and stops at
-the first chunk whose largest bound is below the floor; a batch that
-starts with no norm known maps its top set alone first.  The sets skipped
-could not have changed a bit of the result.
+projector P = V^H V that recovery solves with, with no n x n matrix built.
+Its Gram blocks go through `dsp.check_gram`, the singularity check that
+recovery runs too.  The sets are drawn on the calling thread in stream
+order and mapped batch by batch on a thread pool, and a set is mapped only
+while an upper bound on its computed norm reaches the largest norm mapped
+so far, so the sets skipped could not have changed a bit of the result:
+estimate_interference_norm gives the account.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -56,15 +32,13 @@ from .modulo_adc import AdcConfig
 # estimate_interference_norm.  A batch is drawn and checked whole, and its
 # Gram blocks and draws hold set size^2 + length elements per set.  Its sets
 # are mapped chunk by chunk, set size x length elements per set: 1 MiB of
-# float64 for a chunk's gathered rows and as much for the worker's output
-# buffer.  At least one set runs per batch and per chunk, so a larger set
-# goes past it.  perfbench mgrid on a 2-core VM (seeds 1 and 2, 8 s runs):
-# 2**16 read 0.84-0.91 s wall and a 55.5-55.9 MB peak, 2**17 0.72-0.82 s
-# and 60.6-61.1 MB, 2**18 0.78-0.82 s and 69.4-71.7 MB, as every worker
-# holds a batch's blocks, a chunk's rows and its buffer.  Each worker
-# writes into its one buffer: fresh arrays per batch cost 0.3-0.5M minor
-# page faults and 1.6-1.9 times the CPU time per (256, OF 12, k 32) cell,
-# against about 1.2k faults.
+# float64 for a chunk's gathered rows and as much for their product.  At
+# least one set runs per batch and per chunk, so a larger set goes past it.
+# perfbench mgrid on 2 cores (seeds 1 and 2, 8 s runs, sizes alternated):
+# 2**16 read 0.84-0.93 s wall and a 55.6-56.2 MB peak, 2**17 0.74-0.90 s
+# (median 0.78 s) and 60.2-60.9 MB, 2**18 0.68-0.91 s (median 0.76 s) and
+# 67.6-68.0 MB, as every worker holds a batch's blocks and a chunk's rows
+# and product.  Mapping each batch as one chunk peaked at 83.7-90.8 MB.
 _BATCH_ELEMENTS = 2 ** 17
 
 # Largest fold set accepted, as elements of its rows P[S, :] (set size x
@@ -77,15 +51,16 @@ _MAX_SET_ELEMENTS = 2 ** 22
 # minute, where 10^12 trials would run for days in some 10^9 batches.
 _MAX_TRIALS = 10 ** 7
 
-# Steps refining the bound on each fold set's norm in _norm_bounds.  Over
-# the desk m-grid cells at seed 1 (N 256, k 32), 0 / 2 / 4 / 6 steps left
-# 26 / 21 / 15 / 12 % of the sets mapped at OF 4 and 52 / 40 / 32 / 31 % at
-# OF 12.  At N 256, k 32 a step costs under a fifth of mapping one more set
-# of a batch.
+# Steps refining the bound on each fold set's norm in _norm_bounds, each one
+# k x k product per set against the k x k inverse it may save.  On the desk
+# m-grid at seed 1 with one worker, 0 / 2 / 4 / 6 steps inverted 21,839 /
+# 15,620 / 11,665 / 10,489 of its 270,000 sets: at N 256, k 32, 37 / 28 /
+# 18 / 13 % of the sets at OF 4 and 53 / 40 / 34 / 33 % at OF 12.
 _BOUND_STEPS = 4
 
 # Threads running batches in estimate_interference_norm: the CPUs this
-# process may run on.
+# process may run on.  A serial loop ran perfbench mgrid at a median 0.92 s
+# against 0.82 s on 2 cores, slower in 4 of 4 pairs.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -267,40 +242,49 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
     The largest leak, over the sets drawn, of quantization noise at
     unflagged samples into the solved residue values.  It is no bound over
     all fold sets: adjacent folds, which the draws seldom hit, leak far
-    more (see required_bits).  Each fold set is the first `set_size`
-    entries of a random permutation, drawn batch by batch from one stream
-    on the calling thread, so the result is deterministic under the seed,
-    independent of the batch size, and nondecreasing in `trials`.  Batches
-    are mapped on _WORKERS threads, at most _WORKERS + 1 of them in flight,
-    so memory is O(batch) whatever `trials`; their results are read in draw
-    order and max is exact, so neither the result nor the trial an error
-    names depends on the thread count or on timing.  With P the out-of-band
-    projector, the map is inv(P[S, S]) @ P[S, :] with the S columns zeroed;
-    it agrees with the explicit pseudoinverse whenever the fold columns are
-    full rank.
+    more (see required_bits).  With P the out-of-band projector, the map
+    inv(P[S, S]) @ P[S, :] is pinv(V_S) V, and its rows with the S columns
+    zeroed are pinv(V_S) V_Sc, whenever the fold columns are full rank.  The
+    rows P[S, :] are gathered from the projector's O(n) view.
+
+    Each fold set is the first `set_size` entries of a random permutation,
+    drawn batch by batch from one stream on the calling thread, so the
+    result is deterministic under the seed, independent of the batch size,
+    and nondecreasing in `trials`.  A batch is _BATCH_ELEMENTS //
+    (set_size**2 + length) sets, sized by the Gram blocks and draws its
+    check holds.  Batches are mapped on _WORKERS threads, at most
+    _WORKERS + 1 of them in flight, so memory is O(batch) whatever
+    `trials`; their results are read in draw order and max is exact, so
+    neither the result nor the trial an error names depends on the thread
+    count or on timing.
 
     Each batch's Gram blocks P[S, S] are gathered once and checked whole by
     dsp.check_gram before any set is skipped.  A set is then skipped once
-    an upper bound on its computed norm is below the floor, the largest
-    norm the workers have computed so far: first the bound read from the
-    margins (_norm_bounds, refined only for the sets whose Varah bound
-    reaches the floor), then, for the sets left, the bound read from the
-    inverse X of their Gram block (_inverse_bounds: max_i (|X| b)_i with
-    allowances for the rounding of b, of the product and of its row sums),
-    which skips the gather, the k x n product and its row sums.  A batch is
-    _BATCH_ELEMENTS // (set_size**2 + length) sets, sized by the Gram blocks
-    and draws its check holds, and is mapped in chunks of
-    _BATCH_ELEMENTS // (set_size * length) sets, sized by the rows the map
-    gathers, in decreasing order of their margin bounds, uncertified sets
-    (+inf) first.  A batch that starts with no norm known maps its top set
-    alone, so the rest is pruned against that set's norm.  Each chunk
-    drops the sets whose bound is below the floor as it then stands, and
-    the first chunk whose largest bound is below it ends the batch, as no
-    set after it can raise the max.  So every set that could raise the max
-    is computed as it would be without skipping, each by its own LAPACK
-    inverse and matrix product, and the result is bit-identical whichever
-    sets are skipped.  The floor is shared by the workers without a lock:
-    a stale or lost update leaves it lower, which only skips fewer sets.
+    an upper bound on its computed norm, in floating point and not only
+    exact, is below the floor, the largest norm the workers have computed
+    so far: as the floor only grows, such a set cannot raise the max.  Two
+    bounds apply in turn:
+    - before any inverse, the bound read from the margins of the set's
+      Gram block (_norm_bounds): Varah's bound for every certified block,
+      refined only where it reaches the floor, and +inf for the others;
+    - after the inverse X of the block, max_i (|X| b)_i, with b the abs row
+      sums of P[S, Sc] read from the margins too, times allowances for the
+      rounding of b, of the product and of its row sums (_inverse_bounds,
+      by Higham's bounds, for any X): a set below the floor skips the
+      gather, the k x n product and its row sums.
+    A batch is mapped in chunks of _BATCH_ELEMENTS // (set_size * length)
+    sets, sized by the rows the map gathers, in decreasing order of their
+    margin bounds, uncertified sets first.  A batch that starts with no
+    norm known maps its top set alone, so the rest is pruned against that
+    set's norm.  Each chunk drops the sets whose bound is below the floor
+    as it then stands, and the first chunk whose largest bound is below it
+    ends the batch, as no set after it can raise the max.  So every set
+    that could raise the max is computed as it would be without skipping,
+    each by its own LAPACK inverse and matrix product, and the result is
+    bit-identical whichever sets are skipped.  Each chunk's product is a
+    fresh array, so a worker keeps nothing from one batch to the next.  The
+    floor is shared by the workers without a lock: a stale or lost update
+    leaves it lower, which only skips fewer sets.
 
     A draw whose Gram dsp.check_gram finds singular, by the check recovery
     also runs, raises InfeasibleError naming the earliest such trial, as an
@@ -328,7 +312,6 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             "equations; the least-squares systems cannot be full rank")
     batch = min(trials, max(1, _BATCH_ELEMENTS // (set_size ** 2 + length)))
     chunk = max(1, _BATCH_ELEMENTS // (set_size * length))
-    local = threading.local()
     running = [0.0]  # the floor: the largest norm any worker has computed
 
     def batch_norm(done, sets):
@@ -345,9 +328,9 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
         # Reversing an ascending argsort would put a NaN bound first too.
         order = np.argsort(bounds)[::-1]
         bounds = bounds[order]
-        if not hasattr(local, "out"):
-            local.out = np.empty((chunk, set_size, length))
-        # With no norm known yet, the top set goes alone, to set the floor.
+        # With no norm known yet, the top set goes alone, to set the floor:
+        # this halves the k x n products of the one-worker desk m-grid at
+        # seed 1, 5,333 against 11,264.
         prime = int(floor == 0.0)
         edges = [0] * prime + list(range(prime, len(order), chunk)) + [len(order)]
         largest = 0.0
@@ -366,7 +349,7 @@ def estimate_interference_norm(length: int, oversampling: float, guard_width: fl
             kept = sets[keep]
             # Gathered here, not by a helper: see unfold.residue_pre_estimate.
             rows = system.projector[kept]
-            mapped = np.matmul(inverse, rows, out=local.out[:len(keep)])
+            mapped = np.matmul(inverse, rows)
             np.put_along_axis(mapped, kept[:, None, :], 0.0, axis=2)
             norm = float(np.abs(mapped, out=mapped).sum(axis=2).max())
             running[0] = max(running[0], norm)

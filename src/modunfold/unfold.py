@@ -41,11 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, OobSystem, TukeyWindow, blocks, build_oob_system,
-                  check_gram, design_lowpass, filter_zero_delay, fold_gram, tukey_window)
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, _MAX_LENGTH, OobSystem, TukeyWindow, blocks,
+                  build_oob_system, check_gram, design_lowpass, filter_zero_delay, fold_gram,
+                  tukey_window)
 from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 from .modulo_adc import AdcOutput
-from .signal_model import SampledSignal
+from .signal_model import _MAX_SAMPLES, SampledSignal
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,13 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     Starts advance by hop = length * (1 - alpha/2) while they stay below
     num_samples, so every sample index lands in some [start, start + hop);
     the caller zero-pads the buffer to the end of the last segment.
+    num_samples must be an integer from 1 to the longest record
+    signal_model.sample_signal makes plus the longest window
+    (dsp._MAX_LENGTH), so any such record passes after unfold's padding.
     """
+    cap = _MAX_SAMPLES + _MAX_LENGTH
+    if not 1 <= check_number("num_samples", num_samples, integer=True) <= cap:
+        raise ConfigurationError(f"need 1 <= num_samples <= {cap}, got {num_samples}")
     return np.arange(0, num_samples, tukey_window(length, alpha).hop)
 
 
@@ -191,7 +198,8 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     would otherwise attenuate them below the rounding threshold).  The
     residue is 2*threshold times the running sum of the rounded lattice
     counts, so where every rounding is right it equals residue_truth
-    exactly.
+    exactly.  A record too long for segment_starts once padded, longer than
+    any sample_signal makes, raises ConfigurationError.
     """
     quantized = check_record("quantized", adc.quantized)
     if np.shape(adc.folding_bits) != quantized.shape:

@@ -213,6 +213,24 @@ class TestRunners:
         record = 8 * nominal_sample_count(fast_config(num_pulses=2000).signal_spec(0), 16.0)
         assert peak(6) - peak(1) < record
 
+    def test_each_trial_is_synthesized_once_in_trial_order(self, monkeypatch):
+        # Trial by trial, then factor by factor: synthesis inside the factor
+        # loop would draw each train once per factor.
+        calls = []
+
+        def generate(spec):
+            calls.append(("train", spec.seed))
+            return generate_pulse_train(spec)
+
+        def peak(train):
+            calls.append(("peak", train.spec.seed))
+            return estimate_inf_norm(train)
+
+        monkeypatch.setattr(experiments, "generate_pulse_train", generate)
+        monkeypatch.setattr(experiments, "estimate_inf_norm", peak)
+        run_mse_sweep(fast_config(oversampling_list=(4.0, 6.0), bits_list=(3, 4), trials=3))
+        assert calls == [(kind, 5 + 1000 * t) for t in range(3) for kind in ("train", "peak")]
+
     # CSV digests from the loop that ran each point over every trial before
     # the next point: the per-trial dither seed order must not change.
     @pytest.mark.parametrize("experiment, digest", [

@@ -195,8 +195,9 @@ class TestInterferenceNorm:
     def test_bit_identical_across_worker_counts(self, monkeypatch, workers, per_batch):
         # 400 trials: one set per batch, or eight batches of 48 and one of 16
         # mapped in chunks of 9.
-        # A short switch interval interleaves the workers as often as it can;
-        # workers sharing one output buffer failed here most of the time.
+        # A short switch interval interleaves the workers as often as it can,
+        # so a worker that read another's chunk or floor update in the wrong
+        # order would show here.
         default = estimate_interference_norm(128, 8, 0.0, 16, 400, 3)
         monkeypatch.setattr(guarantees, "_WORKERS", workers)
         monkeypatch.setattr(guarantees, "_BATCH_ELEMENTS", per_batch * (16 ** 2 + 128))
@@ -451,8 +452,9 @@ class TestInterferenceNorm:
     def test_peak_memory_bounded_in_trials(self, monkeypatch):
         # 102 sets per batch, mapped in chunks of 16: 1 batch or 41.  Two
         # workers hold a batch's Gram blocks and their abs copy, 0.8 MB each,
-        # and a 1 MiB gather and a 1 MiB output buffer; the keys and argsort
-        # of all 4096 draws at once would take 16.8 MB.
+        # and a chunk's 1 MiB gather and its 1 MiB product, freed after the
+        # chunk; the keys and argsort of all 4096 draws at once would take
+        # 16.8 MB.
         monkeypatch.setattr(guarantees, "_WORKERS", 2)
         for trials in (64, 4096):
             _, peak = traced_peak(estimate_interference_norm, 256, 4.0, 0.0, 32, trials, 0)

@@ -26,7 +26,8 @@ import pytest
 
 import modunfold
 from modunfold.baselines import HodConfig, conventional_adc, hod_recover
-from modunfold.dsp import build_oob_system, design_lowpass, filter_zero_delay, tukey_window
+from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
+                           oob_bin_indices, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, extra_bits,
                                   guard_bin_count, min_oversampling,
@@ -36,7 +37,7 @@ from modunfold.modulo_adc import AdcConfig, AdcOutput, acquire
 from modunfold.signal_model import (PulseTrainSpec, SampledSignal,
                                     generate_pulse_train, nominal_sample_count,
                                     sample_signal)
-from modunfold.unfold import RecoveryConfig, unfold
+from modunfold.unfold import RecoveryConfig, segment_starts, unfold
 
 SPEC = PulseTrainSpec(num_pulses=20)
 TRAIN = generate_pulse_train(SPEC)
@@ -56,6 +57,8 @@ CALLS = {
     "conventional_adc": (conventional_adc, dict(signal=SIGNAL, bits=4, peak=1.0, seed=0, **LPF)),
     "build_oob_system": (build_oob_system, dict(n=64, band_fraction=0.25,
                                                 guard_width=np.pi / 32)),
+    "oob_bin_indices": (oob_bin_indices, dict(n=64, band_fraction=0.25,
+                                              guard_width=np.pi / 32)),
     "tukey_window": (tukey_window, dict(n=64, alpha=0.5)),
     "design_lowpass": (design_lowpass, dict(cutoff=np.pi / 4, transition=np.pi / 16,
                                             length=257)),
@@ -75,6 +78,7 @@ CALLS = {
     # The empty fold set returns 0.0 early, so its arguments are checked first.
     "estimate_interference_norm-empty": (estimate_interference_norm, dict(
         length=32, oversampling=4.0, guard_width=0.0, set_size=0, trials=10, seed=0)),
+    "segment_starts": (segment_starts, dict(num_samples=400, length=64, alpha=0.5)),
     "RecoveryConfig": (RecoveryConfig, dict(length=64, alpha=0.5, guard_width=np.pi / 32,
                                             threshold=0.5, band_fraction=0.25, **LPF)),
 }
