@@ -168,7 +168,8 @@ def check_gram(gram, n: int):
     # einsum sums short rows several times faster than sum(axis=2).
     margins = 2.0 * np.diagonal(gram, axis1=1, axis2=2) - np.einsum("bij->bi", np.abs(gram))
     floor = (n + k * (k + 3) + 1) * np.finfo(float).eps
-    certified = margins.min(axis=1) > floor
+    # numpy takes a min along short rows row by row, but down columns at once.
+    certified = np.ascontiguousarray(margins.T).min(axis=0) > floor
     unsure = np.flatnonzero(~certified)
     if unsure.size == 0:
         return margins, certified, []

@@ -313,11 +313,13 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     spawns dither seeds from its own entropy in the order it measures its
     points, factor by factor, so that order, not the order of the trials
     against the factors, fixes the CSV bytes.  A trial samples its signal
-    once per factor, after the first feasible threshold.  `measure(trial,
-    peak, entropy, sampled, threshold, **point)` returns one trial's row
-    fields: the `mse_*` ones are averaged, the others kept from the last
-    trial.  A repeated point is measured once; one infeasible in a trial is
-    skipped by later trials and becomes a skipped row in `_grid`.
+    once per factor, after the first feasible threshold.  The grid acquires
+    each point's realization, unfolds it and sets `threshold`,
+    `mse_simulated_db` and `samples_used`; `measure(trial, peak, entropy,
+    sampled, adc, recovery, **point)` returns the experiment's own columns.
+    The `mse_*` fields are averaged, the others kept from the last trial.
+    A repeated point is measured once; one infeasible in a trial is skipped
+    by later trials and becomes a skipped row in `_grid`.
     """
     measured = {}  # (oversampling, bits, guard width) -> each trial's fields, or the error
     for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
@@ -337,9 +339,19 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
                     if sampled is None:
                         count = nominal_sample_count(train.spec, oversampling)
                         sampled = sample_signal(train, oversampling, count)
-                    fields = measure(trial=t, peak=peak, entropy=entropy, sampled=sampled,
-                                     threshold=threshold, oversampling=oversampling,
-                                     bits=bits, guard_width=guard_width, guard_bins=guard_bins)
+                    adc = acquire(sampled, AdcConfig(bits=bits, threshold=threshold,
+                                                     seed=entropy.spawn(1)[0]))
+                    recovery = RecoveryConfig(
+                        length=cfg.window_length, alpha=cfg.window_alpha,
+                        guard_width=guard_width, threshold=threshold,
+                        band_fraction=1.0 / oversampling, lpf_length=cfg.lpf_length,
+                        lpf_transition=cfg.lpf_transition)
+                    mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
+                    fields = dict(threshold=threshold, mse_simulated_db=mse, samples_used=used,
+                                  **measure(trial=t, peak=peak, entropy=entropy,
+                                            sampled=sampled, adc=adc, recovery=recovery,
+                                            oversampling=oversampling, bits=bits,
+                                            guard_width=guard_width, guard_bins=guard_bins))
                 except InfeasibleError as err:
                     measured[key] = err
                     continue
@@ -369,39 +381,21 @@ def _mse(estimate: np.ndarray, sampled, cfg: ExperimentConfig) -> tuple[float, i
     return float(np.mean(np.square(err, out=err))), err.size
 
 
-def _modulo_point(cfg: ExperimentConfig, entropy, sampled, threshold: float,
-                  oversampling: float, bits: int, guard_width: float):
-    """Acquire and unfold one realization: (adc, recovery, mse, samples used)."""
-    adc = acquire(sampled, AdcConfig(bits=bits, threshold=threshold,
-                                     seed=entropy.spawn(1)[0]))
-    recovery = RecoveryConfig(length=cfg.window_length, alpha=cfg.window_alpha,
-                              guard_width=guard_width, threshold=threshold,
-                              band_fraction=1.0 / oversampling,
-                              lpf_length=cfg.lpf_length,
-                              lpf_transition=cfg.lpf_transition)
-    mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
-    return adc, recovery, mse, used
-
-
 def run_mse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Theory-vs-simulation sweep with the conventional pipeline alongside."""
     conventional = {}  # (trial, oversampling, bits) -> its MSE, computed once
 
-    def measure(trial, peak, entropy, sampled, threshold, oversampling, bits,
-                guard_width, guard_bins, **_):
-        _, _, mse, used = _modulo_point(cfg, entropy, sampled, threshold,
-                                        oversampling, bits, guard_width)
+    def measure(trial, peak, entropy, sampled, oversampling, bits, guard_width,
+                guard_bins, **_):
         key = (trial, oversampling, bits)
         if key not in conventional:
             estimate = baselines.conventional_adc(
                 sampled, bits, peak, entropy.spawn(1)[0], lpf_length=cfg.lpf_length,
                 lpf_transition=cfg.lpf_transition)
-            conventional[key], _ = _mse(estimate, sampled, cfg)
-        return dict(threshold=threshold, mse_simulated_db=mse,
-                    mse_theory_db=guarantees.predict_mse_modulo(
-                        peak, oversampling, bits, guard_bins, guard_width,
-                        cfg.window_length),
-                    mse_conventional_db=conventional[key], samples_used=used)
+            conventional[key] = _mse(estimate, sampled, cfg)[0]
+        theory = guarantees.predict_mse_modulo(peak, oversampling, bits, guard_bins,
+                                               guard_width, cfg.window_length)
+        return dict(mse_theory_db=theory, mse_conventional_db=conventional[key])
 
     return _trial_grid(cfg, measure)
 
@@ -412,16 +406,13 @@ def run_compare_hod(cfg: ExperimentConfig) -> list[ResultRow]:
     Both recoveries see the identical quantized modulo stream and threshold;
     only the sliding method uses the fold flags.  Reported MSEs average over
     the configured number of signal+dither realizations, at every guard
-    width; the regimes of interest sit below OF = 16 (see ExperimentConfig).
+    width.
     """
-    def measure(entropy, sampled, threshold, oversampling, bits, guard_width, **_):
-        adc, recovery, mse, used = _modulo_point(cfg, entropy, sampled, threshold,
-                                                 oversampling, bits, guard_width)
+    def measure(sampled, adc, recovery, **_):
         unfolded = baselines.hod_recover(adc.quantized, baselines.HodConfig(
-            threshold=threshold, order=cfg.hod_order))
-        mse_hod, _ = _mse(filter_zero_delay(unfolded, recovery.lowpass), sampled, cfg)
-        return dict(threshold=threshold, mse_simulated_db=mse, mse_hod_db=mse_hod,
-                    samples_used=used)
+            threshold=adc.config.threshold, order=cfg.hod_order))
+        return dict(mse_hod_db=_mse(filter_zero_delay(unfolded, recovery.lowpass),
+                                    sampled, cfg)[0])
 
     return _trial_grid(cfg, measure)
 

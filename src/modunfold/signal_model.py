@@ -42,10 +42,15 @@ _CHUNK = 1 << 14
 # scans; it rounds the points per symbol up to an integer.
 _GRID_OVERSAMPLE = 64
 
-# Largest accepted |amplitude|.  Squared errors must stay finite, and a
-# failed recovery errs by far more than the peak: HoD at 2 bits on a
-# 150-pulse train erred by about 1e9 amplitudes (an MSE near 1e217 at this
-# bound), which still leaves some 90 orders below the float maximum 1.8e308.
+# Largest accepted |amplitude|; an interval's largest |amplitude| must also
+# reach its inverse, 1e-100.  Squared errors must stay finite, and a failed
+# recovery errs by far more than the peak: HoD at 2 bits on a 150-pulse
+# train erred by about 1e9 amplitudes (an MSE near 1e217 at this bound),
+# which still leaves some 90 orders below the float maximum 1.8e308.  They
+# must stay normal floats too: at amplitudes near 1e-160 the MSE underflowed
+# to 0, whose dB value log10 cannot take.  At 1e-100 the desk MSEs at 4 bits
+# read 1e-203 to 1e-207, and 53 bits (modulo_adc._MAX_BITS) would lower them
+# by some 2^98 to near 1e-237, still above the least normal float 2.2e-308.
 _MAX_AMPLITUDE = 1e100
 
 # Largest sample count nominal_sample_count grants and sample_signal takes:
@@ -85,10 +90,10 @@ class PulseTrainSpec:
                 f"got {self.span}")
         if not check_number("amp_low", self.amp_low) < check_number("amp_high", self.amp_high):
             raise ConfigurationError("amplitude interval must be nonempty")
-        if max(abs(self.amp_low), abs(self.amp_high)) > _MAX_AMPLITUDE:
+        if not 1 / _MAX_AMPLITUDE <= max(abs(self.amp_low), abs(self.amp_high)) <= _MAX_AMPLITUDE:
             raise ConfigurationError(
-                f"amplitudes must lie within +-{_MAX_AMPLITUDE:g}, "
-                f"got [{self.amp_low}, {self.amp_high}]")
+                f"the largest |amplitude| must lie within [{1 / _MAX_AMPLITUDE:g}, "
+                f"{_MAX_AMPLITUDE:g}], got [{self.amp_low}, {self.amp_high}]")
         check_seed("seed", self.seed)
 
 

@@ -4,17 +4,23 @@ from conftest import load_tool
 
 desk_hashes = load_tool("desk_hashes")
 
-# The desk theory-only CSV, the one experiment that runs no simulation.
-THEORY_ONLY = "6e68d11649246662d111f054aa4ca17df2ef72dbe20a70cfe871972539c1fbcf"
+# The SHA-256 of each experiment's desk CSV at seed 1.
+DESK = {
+    "mse-sweep": "3c22cdce1a16bf52aa5ecc1f509f75cdcb467e1816c18c7049d69badabb7d332",
+    "compare-hod": "534a73f4b0dd969f429825994b03e14acf1648ff53a405c672b26bdc04c69f9f",
+    "m-grid": "b8aa468a638196ae07a0c8b20a6b6d3140ac02788b09fb4157ba5384ad1fa1b2",
+    "theory-only": "6e68d11649246662d111f054aa4ca17df2ef72dbe20a70cfe871972539c1fbcf",
+}
 
 
-def test_desk_theory_only_hash():
-    assert desk_hashes.csv_hash("theory-only") == THEORY_ONLY
+@pytest.mark.parametrize("experiment", DESK)
+def test_desk_hash(experiment):
+    assert desk_hashes.csv_hash(experiment) == DESK[experiment]
 
 
 def test_named_experiments_run_alone(capsys):
     assert desk_hashes.main(["--preset", "desk", "theory-only"]) == 0
-    assert capsys.readouterr().out == f"{THEORY_ONLY}  theory-only\n"
+    assert capsys.readouterr().out == f"{DESK['theory-only']}  theory-only\n"
 
 
 def test_unknown_experiment_rejected_before_any_run(monkeypatch):

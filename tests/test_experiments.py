@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modunfold
-from modunfold import experiments
+from modunfold import baselines, experiments
 from modunfold.cli import main
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.experiments import (EXPERIMENTS, PEAK_MARGIN, ExperimentConfig,
@@ -162,6 +162,34 @@ class TestRunners:
         for row in rows:
             assert np.isfinite(row.mse_simulated_db)
             assert np.isfinite(row.mse_hod_db)
+
+    def test_compare_hod_recoveries_see_one_stream(self, monkeypatch):
+        # HoD unfolds the very stream the sliding DFT unfolded, at its
+        # threshold, and shares its lowpass.
+        unfolded, hod, filtered = [], [], []
+        hod_recover, filter_zero_delay = baselines.hod_recover, experiments.filter_zero_delay
+
+        def unfold(adc, sampled, recovery):
+            unfolded.append((adc, recovery))
+            return modunfold.unfold(adc, sampled, recovery)
+
+        def recover(quantized, config):
+            hod.append((quantized, config))
+            return hod_recover(quantized, config)
+
+        def lowpass(signal, taps):
+            filtered.append(taps)
+            return filter_zero_delay(signal, taps)
+
+        monkeypatch.setattr(experiments, "unfold", unfold)
+        monkeypatch.setattr(baselines, "hod_recover", recover)
+        monkeypatch.setattr(experiments, "filter_zero_delay", lowpass)
+        run_compare_hod(fast_config(experiment="compare-hod", trials=2))
+        assert len(unfolded) == len(hod) == len(filtered) == 4
+        for (adc, recovery), (quantized, config), taps in zip(unfolded, hod, filtered):
+            assert quantized is adc.quantized
+            assert config.threshold == adc.config.threshold
+            assert taps is recovery.lowpass
 
     def test_m_grid_rows(self):
         cfg = ExperimentConfig(experiment="m-grid", m_trials=200,
@@ -457,6 +485,13 @@ class TestBadInput:
         for experiment in experiments:
             assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_tiny_amplitudes_exit_2_before_any_work(self, tmp_path, capsys, no_work):
+        # The MSE underflowed to 0 and its dB value ended in a traceback.
+        payload = {**TINY, "amp_low": -1e-160, "amp_high": 1e-160}
+        for experiment in EXPERIMENTS:
+            assert run_cli(tmp_path, experiment, payload) == 2
+            assert "amplitude" in capsys.readouterr().err
 
     def test_huge_span_rejected_at_construction(self):
         # It used to construct, and bounding its train's peak ran past 20 s.

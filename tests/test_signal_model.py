@@ -116,8 +116,10 @@ class TestPulseTrain:
         PulseTrainSpec(num_pulses=10, span=1000)
         with pytest.raises(ConfigurationError, match="cap"):
             PulseTrainSpec(num_pulses=10, span=1002)
-        # An empty interval, then amplitudes whose squared errors overflowed.
-        for low, high in ((1.0, 0.5), (-0.5, 1.41e169), (-1e300, 1.0), (-2e100, -1.5e100)):
+        # An empty interval, amplitudes whose squared errors overflowed, then
+        # ones whose squared errors underflowed to 0.
+        for low, high in ((1.0, 0.5), (-0.5, 1.41e169), (-1e300, 1.0), (-2e100, -1.5e100),
+                          (-1e-160, 1e-160)):
             with pytest.raises(ConfigurationError):
                 PulseTrainSpec(num_pulses=10, amp_low=low, amp_high=high)
 
