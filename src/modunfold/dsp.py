@@ -1,9 +1,10 @@
 """Shared numeric primitives.
 
-The out-of-band system of an N-point window is held as its projector
-P = V^H V, where V holds the normalized DFT rows of the out-of-band bins.
-P is real and circulant, so it is stored as a read-only (N, N) strided view
-over 2N floats: O(N) memory at any window length.  Every least-squares map
+The out-of-band system of an N-point window is held as two facts: its bin
+count, the number of out-of-band equations, and its projector P = V^H V,
+where V holds the normalized DFT rows of the out-of-band bins.  P is real
+and circulant, so it is stored as a read-only (N, N) strided view over 2N
+floats: O(N) memory at any window length.  Every least-squares map
 over fold positions S is then built from the projector rows P[S, :]: the
 Gram block P[S, S], read from the first row as P is circulant, and the
 right-hand side (P d)[S] = P[S, :] d.  One check, check_gram, finds the
@@ -45,51 +46,45 @@ _MAX_LENGTH = 2 ** 20
 class TukeyWindow:
     """Tapered-cosine window whose overlapped edge samples sum to one.
 
-    `alpha * n` must be an even integer so that the taper pairs up exactly:
-    coefficients[i] + coefficients[i + n*(1 - alpha/2)] == 1 for every i in
-    the leading taper.
+    `coefficients` holds the n window samples and `edge` the length of each
+    taper, alpha*n/2, which is also the number of samples consecutive
+    segments share.  The tapers pair up exactly:
+    coefficients[i] + coefficients[hop + i] == 1 for every i < edge.
     """
 
-    n: int
-    alpha: float
     coefficients: np.ndarray
-
-    @property
-    def edge(self) -> int:
-        """Samples shared by consecutive segments (one window taper)."""
-        return int(round(self.alpha * self.n / 2))
+    edge: int
 
     @property
     def hop(self) -> int:
         """Segment advance that keeps exactly one taper of overlap."""
-        return self.n - self.edge
+        return self.coefficients.size - self.edge
 
 
 @dataclass(frozen=True)
 class OobSystem:
-    """Out-of-band projector of an n-point window.
+    """Out-of-band system of an n-point window: its bin count and projector.
 
-    oob_bins are the bins k whose frequency 2*pi*k/n lies strictly inside
-    (band_fraction*pi + guard_width, 2*pi - band_fraction*pi - guard_width)
-    for the band and guard passed to build_oob_system.  With V the
-    normalized DFT rows of those bins,
-    V[k', m] = exp(-2j*pi*m*oob_bins[k']/n)/sqrt(n), `projector` is V^H V.
+    The out-of-band bins are the bins k whose frequency 2*pi*k/n lies
+    strictly inside (band_fraction*pi + guard_width,
+    2*pi - band_fraction*pi - guard_width) for the band and guard passed to
+    build_oob_system (see oob_bin_indices); `num_bins` counts them, the
+    number of out-of-band equations a window's fold count is held against.
+    With V the normalized DFT rows of those bins,
+    V[k', m] = exp(-2j*pi*m*bins[k']/n)/sqrt(n), `projector` is V^H V.
     It is real because the bin set is conjugate-symmetric, and circulant, so
     it is held as a read-only (n, n) view whose rows are windows of one
-    buffer of 2n floats: O(n) memory.  Callers gather the rows they need,
+    buffer of 2n floats: O(n) memory.  The bins themselves are the support
+    of the DFT of its first column.  Callers gather the rows they need,
     projector[S], themselves; see unfold.residue_pre_estimate for why.
     """
 
-    oob_bins: np.ndarray
+    num_bins: int
     projector: np.ndarray
 
     @property
     def n(self) -> int:
         return self.projector.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return len(self.oob_bins)
 
 
 def oob_bin_indices(n: int, band_fraction: float, guard_width: float) -> np.ndarray:
@@ -132,7 +127,7 @@ def build_oob_system(n: int, band_fraction: float, guard_width: float) -> OobSys
     kernel = np.fft.ifft(indicator).real
     row = kernel[-np.arange(n)]
     projector = sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
-    return OobSystem(oob_bins=bins, projector=projector)
+    return OobSystem(num_bins=bins.size, projector=projector)
 
 
 def fold_gram(system: OobSystem, positions) -> np.ndarray:
@@ -198,7 +193,7 @@ def tukey_window(n: int, alpha: float) -> TukeyWindow:
     tail = i >= n - edge
     w[head] = (1.0 + np.cos(2.0 * np.pi / alpha * (i[head] / n - alpha / 2.0))) / 2.0
     w[tail] = (1.0 + np.cos(2.0 * np.pi / alpha * (i[tail] / n - 1.0 + alpha / 2.0))) / 2.0
-    return TukeyWindow(n=n, alpha=alpha, coefficients=w)
+    return TukeyWindow(coefficients=w, edge=edge)
 
 
 # Empirical transition width of the Blackman window, radians * taps.
@@ -210,22 +205,16 @@ _LPF_LENGTH = 1025
 _LPF_TRANSITION = np.pi / 64
 
 
-def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
-    """Windowed-sinc lowpass: flat to `cutoff`, >= 60 dB down past `cutoff + transition`.
+def check_lowpass(length: int, transition: float) -> None:
+    """Raise ConfigurationError unless `length` taps can realize a `transition` rad band.
 
-    Returns the `length` taps, exactly symmetric (linear phase) with unit DC
-    gain.  The ideal edge is placed mid-transition; the response is
-    validated on a dense frequency grid (passband ripple <= 0.01 dB,
-    stopband >= 60 dB).
+    These are design_lowpass's rules that hold whatever the cutoff: the
+    transition is > 0, the tap count odd and in [3, _MAX_LENGTH], and the
+    taps times the transition at least the Blackman window's
+    _TAPER_TRANSITION.
     """
-    if not 0.0 < check_number("cutoff", cutoff) < np.pi:
-        raise ConfigurationError(f"cutoff must be in (0, pi), got {cutoff}")
     if not check_number("transition", transition) > 0.0:
         raise ConfigurationError(f"transition must be > 0, got {transition}")
-    if cutoff + transition > np.pi:
-        raise ConfigurationError(
-            f"transition band ({cutoff:.4g}, {cutoff + transition:.4g}) must stay below pi"
-        )
     if not 3 <= check_number("length", length, integer=True) <= _MAX_LENGTH or length % 2 == 0:
         raise ConfigurationError(f"tap count must be odd and in [3, {_MAX_LENGTH}], got {length}")
     # Compared as a product: the tap count a tiny transition needs overflows.
@@ -233,6 +222,24 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
         raise ConfigurationError(
             f"{length} taps cannot realize a {transition:.4g} rad transition; "
             f"need at least {_TAPER_TRANSITION / transition:.6g}"
+        )
+
+
+def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
+    """Windowed-sinc lowpass: flat to `cutoff`, >= 60 dB down past `cutoff + transition`.
+
+    Returns the `length` taps, exactly symmetric (linear phase) with unit DC
+    gain.  The ideal edge is placed mid-transition; the response is
+    validated on a dense frequency grid (passband ripple <= 0.01 dB,
+    stopband >= 60 dB).  Besides check_lowpass, the cutoff must lie in
+    (0, pi) and the transition band end at or below pi.
+    """
+    if not 0.0 < check_number("cutoff", cutoff) < np.pi:
+        raise ConfigurationError(f"cutoff must be in (0, pi), got {cutoff}")
+    check_lowpass(length, transition)
+    if cutoff + transition > np.pi:
+        raise ConfigurationError(
+            f"transition band ({cutoff:.4g}, {cutoff + transition:.4g}) must stay below pi"
         )
     ideal = cutoff + transition / 2.0
     m = np.arange(length) - (length - 1) // 2

@@ -34,7 +34,7 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, unfold
-from .dsp import _LPF_LENGTH, _LPF_TRANSITION, filter_zero_delay, tukey_window
+from .dsp import _LPF_LENGTH, _LPF_TRANSITION, check_lowpass, filter_zero_delay, tukey_window
 
 # Safety margin on the grid-based peak estimate before sizing the threshold;
 # grid maxima slightly undershoot the continuous maximum.
@@ -58,14 +58,14 @@ class ExperimentConfig:
     runners read them as they are and a bad value fails before any work.
     Each is checked once, by the owner of its rule: the signal spec
     (PulseTrainSpec) and each factor's sample count, the window
-    (tukey_window), each bit depth (AdcConfig), each guard width
+    (tukey_window), the lowpass tap count and transition
+    (dsp.check_lowpass), each bit depth (AdcConfig), each guard width
     (guarantees.guard_bin_count) and the HoD order (HodConfig).  This
     config applies errors.check_number to the fields no owner reads here,
     and checks the list shapes, the m-grid fold sets and factors, the
     trial count, the seed and `out`, which must name a file in an existing
-    directory.  The ranges of lpf_length and lpf_transition are checked
-    when the first point's lowpass is designed (dsp.design_lowpass), as
-    their rules depend on each point's cutoff.
+    directory.  Only the lowpass rules that depend on a point's cutoff
+    wait until that point's lowpass is designed (dsp.design_lowpass).
     """
 
     experiment: str = "mse-sweep"
@@ -118,8 +118,6 @@ class ExperimentConfig:
         if self.out and os.path.isdir(self.out):
             raise ConfigurationError(f"cannot write {self.out}: it is a directory")
         # The fields no owner reads at construction.
-        check_number("lpf_length", self.lpf_length, integer=True)
-        check_number("lpf_transition", self.lpf_transition)
         check_number("m_trials", self.m_trials, integer=True)
         if check_number("trials", self.trials, integer=True) < 1:
             raise ConfigurationError("trials must be positive")
@@ -138,6 +136,7 @@ class ExperimentConfig:
             if sampled and oversampling > 0.0:
                 nominal_sample_count(spec, oversampling)
         tukey_window(self.window_length, self.window_alpha)
+        check_lowpass(self.lpf_length, self.lpf_transition)
         for bits in self.bits_list:
             AdcConfig(bits=bits, threshold=1.0)
         for guard_width in self.guard_width_list:
@@ -313,8 +312,10 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     spawns dither seeds from its own entropy in the order it measures its
     points, factor by factor, so that order, not the order of the trials
     against the factors, fixes the CSV bytes.  A trial samples its signal
-    once per factor, after the first feasible threshold.  The grid acquires
-    each point's realization, unfolds it and sets `threshold`,
+    once per factor, after the first feasible threshold, and builds one
+    RecoveryConfig per factor and guard width, at its first bit depth, as
+    the threshold does not depend on the bits.  The grid acquires each
+    point's realization, unfolds it and sets `threshold`,
     `mse_simulated_db` and `samples_used`; `measure(trial, peak, entropy,
     sampled, adc, recovery, **point)` returns the experiment's own columns.
     The `mse_*` fields are averaged, the others kept from the last trial.
@@ -327,6 +328,7 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
         peak = PEAK_MARGIN * estimate_inf_norm(train)
         for oversampling in dict.fromkeys(cfg.oversampling_list):
             sampled = None  # the last record is freed before the next is sampled
+            recoveries = {}  # guard width -> its RecoveryConfig, shared by the bit depths
             for bits, guard_width in itertools.product(dict.fromkeys(cfg.bits_list),
                                                        dict.fromkeys(cfg.guard_width_list)):
                 key = (oversampling, bits, guard_width)
@@ -341,11 +343,13 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
                         sampled = sample_signal(train, oversampling, count)
                     adc = acquire(sampled, AdcConfig(bits=bits, threshold=threshold,
                                                      seed=entropy.spawn(1)[0]))
-                    recovery = RecoveryConfig(
-                        length=cfg.window_length, alpha=cfg.window_alpha,
-                        guard_width=guard_width, threshold=threshold,
-                        band_fraction=1.0 / oversampling, lpf_length=cfg.lpf_length,
-                        lpf_transition=cfg.lpf_transition)
+                    if guard_width not in recoveries:
+                        recoveries[guard_width] = RecoveryConfig(
+                            length=cfg.window_length, alpha=cfg.window_alpha,
+                            guard_width=guard_width, threshold=threshold,
+                            band_fraction=1.0 / oversampling, lpf_length=cfg.lpf_length,
+                            lpf_transition=cfg.lpf_transition)
+                    recovery = recoveries[guard_width]
                     mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
                     fields = dict(threshold=threshold, mse_simulated_db=mse, samples_used=used,
                                   **measure(trial=t, peak=peak, entropy=entropy,

@@ -139,10 +139,11 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     they are gathered, so no windowed copy of the batch is made.  Returns
     one value per flagged sample, in that order.
 
-    A segment with more folds than out-of-band equations raises
-    InfeasibleError; one whose Gram has smallest eigenvalue at most n*eps
-    times its largest (dsp.check_gram) raises ConfigurationError.  Both
-    name the first such segment by its row.
+    A segment with more folds than out-of-band equations, or one whose Gram
+    has smallest eigenvalue at most n*eps times its largest
+    (dsp.check_gram), raises InfeasibleError: its jumps are not
+    identifiable at this oversampling.  Both name the first such segment by
+    its row.
     """
     folds = np.bincount(rows, minlength=differences.shape[0])
     values = np.zeros(cols.size)
@@ -171,7 +172,7 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
         values[entries] = np.linalg.solve(gram, rhs)[..., 0]
     if singular:
         row, low, high = min(singular)
-        raise ConfigurationError(
+        raise InfeasibleError(
             f"segment {row}: fold-position Gram is singular (eigenvalues "
             f"{low:.3e} to {high:.3e}); residues are not identifiable")
     return values
@@ -198,8 +199,11 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     would otherwise attenuate them below the rounding threshold).  The
     residue is 2*threshold times the running sum of the rounded lattice
     counts, so where every rounding is right it equals residue_truth
-    exactly.  A record too long for segment_starts once padded, longer than
-    any sample_signal makes, raises ConfigurationError.
+    exactly.  A segment whose jumps are not identifiable (too many folds,
+    or a singular Gram; see residue_pre_estimate) raises InfeasibleError,
+    so an experiment grid marks its point skipped.  A record too long for
+    segment_starts once padded, longer than any sample_signal makes, raises
+    ConfigurationError.
     """
     quantized = check_record("quantized", adc.quantized)
     if np.shape(adc.folding_bits) != quantized.shape:

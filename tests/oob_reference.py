@@ -12,10 +12,19 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 
+def oob_bins(system) -> np.ndarray:
+    """The out-of-band bins, read from the projector, not from dsp's bin rule.
+
+    P[m, 0] is the inverse DFT of the bins' indicator, so the DFT of the
+    first column is that indicator up to rounding.
+    """
+    return np.flatnonzero(np.fft.fft(system.projector[:, 0]).real > 0.5)
+
+
 def oob_matrix(system) -> np.ndarray:
-    """V[k', m] = exp(-2j*pi*m*oob_bins[k']/n) / sqrt(n)."""
+    """V[k', m] = exp(-2j*pi*m*bins[k']/n) / sqrt(n)."""
     n = system.n
-    return np.exp(-2j * np.pi * np.outer(system.oob_bins, np.arange(n)) / n) / np.sqrt(n)
+    return np.exp(-2j * np.pi * np.outer(oob_bins(system), np.arange(n)) / n) / np.sqrt(n)
 
 
 def pre_estimate(diffed, fold_indices, system) -> np.ndarray:
@@ -28,7 +37,7 @@ def pre_estimate(diffed, fold_indices, system) -> np.ndarray:
     rows = columns.shape[0]
     if np.linalg.svd(columns, compute_uv=False)[-1] <= rows * _EPS * np.linalg.norm(columns, 2):
         raise ValueError("fold-position columns are rank deficient")
-    spectrum = (np.fft.fft(diffed) / np.sqrt(diffed.size))[system.oob_bins]
+    spectrum = (np.fft.fft(diffed) / np.sqrt(diffed.size))[oob_bins(system)]
     out[idx] = np.linalg.lstsq(columns, spectrum, rcond=rows * _EPS)[0].real
     return out
 

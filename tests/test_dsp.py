@@ -6,25 +6,27 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
 from modunfold.dsp import (blocks, build_oob_system, check_gram, design_lowpass,
-                           filter_zero_delay, fold_gram, tukey_window)
+                           filter_zero_delay, fold_gram, oob_bin_indices, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from conftest import traced_peak
-from oob_reference import oob_matrix
+from oob_reference import oob_bins, oob_matrix
 
 
 class TestOobSystem:
     def test_example_64_quarter_band(self):
         sys = build_oob_system(64, 0.25, np.pi / 32)
-        assert_array_equal(sys.oob_bins, np.arange(10, 55))
-        assert sys.num_bins == 45
+        assert_array_equal(oob_bins(sys), np.arange(10, 55))
+        assert sys.num_bins == 45 == oob_bin_indices(64, 0.25, np.pi / 32).size
 
     def test_example_8_half_band(self):
         sys = build_oob_system(8, 0.5, 0.0)
-        assert_array_equal(sys.oob_bins, [3, 4, 5])
+        assert_array_equal(oob_bins(sys), [3, 4, 5])
+        assert sys.num_bins == 3 == oob_bin_indices(8, 0.5, 0.0).size
 
     def test_near_nyquist_single_bin(self):
         sys = build_oob_system(8, 7 / 8, 0.0)
-        assert_array_equal(sys.oob_bins, [4])
+        assert_array_equal(oob_bins(sys), [4])
+        assert sys.num_bins == 1 == oob_bin_indices(8, 7 / 8, 0.0).size
 
     def test_bin_count_matches_direct_inequality(self):
         for n, rho, guard in [(64, 0.25, np.pi / 32), (128, 0.125, np.pi / 16),
@@ -33,7 +35,8 @@ class TestOobSystem:
             lo = n * (rho + guard / np.pi) / 2
             hi = n * (2 - rho - guard / np.pi) / 2
             expected = [k for k in range(n) if lo < k < hi]
-            assert_array_equal(sys.oob_bins, expected)
+            assert_array_equal(oob_bins(sys), expected)
+            assert sys.num_bins == len(expected) == oob_bin_indices(n, rho, guard).size
 
     def test_rows_are_unit_norm(self):
         sys = build_oob_system(64, 0.25, np.pi / 32)
@@ -42,7 +45,7 @@ class TestOobSystem:
     def test_entries_match_formula(self):
         sys = build_oob_system(16, 0.5, 0.0)
         v = oob_matrix(sys)
-        for row, k in enumerate(sys.oob_bins):
+        for row, k in enumerate(oob_bins(sys)):
             for m in range(16):
                 expected = np.exp(-2j * np.pi * m * k / 16) / 4.0
                 assert abs(v[row, m] - expected) < 1e-14
@@ -76,7 +79,7 @@ class TestOobSystem:
                                              (8, 1 / 2.0000000000000004, 0.0),
                                              (13, 1 / 3.25, 0.0)])
     def test_bins_conjugate_symmetric(self, n, rho, guard):
-        bins = set(build_oob_system(n, rho, guard).oob_bins.tolist())
+        bins = set(oob_bins(build_oob_system(n, rho, guard)).tolist())
         assert {(n - k) % n for k in bins} == bins
 
     def test_empty_interval_rejected(self):
@@ -199,6 +202,7 @@ class TestTukeyWindow:
     def test_edge_symmetry(self, n, alpha):
         win = tukey_window(n, alpha)
         w, edge, hop = win.coefficients, win.edge, win.hop
+        assert edge == alpha * n / 2 and hop == n - edge
         sums = w[:edge] + w[hop:]
         assert np.abs(sums - 1.0).max() <= 1e-12
 

@@ -23,6 +23,7 @@ from modunfold.guarantees import (predict_mse_conventional, predict_mse_modulo,
                                   required_threshold)
 from modunfold.signal_model import (estimate_inf_norm, generate_pulse_train,
                                     nominal_sample_count)
+from modunfold.unfold import RecoveryConfig
 from conftest import traced_peak
 
 FAST_SWEEP = dict(num_pulses=150, oversampling_list=(4.0, 6.0), bits_list=(4,),
@@ -258,6 +259,21 @@ class TestRunners:
         monkeypatch.setattr(experiments, "estimate_inf_norm", peak)
         run_mse_sweep(fast_config(oversampling_list=(4.0, 6.0), bits_list=(3, 4), trials=3))
         assert calls == [(kind, 5 + 1000 * t) for t in range(3) for kind in ("train", "peak")]
+
+    @pytest.mark.parametrize("experiment, builds", [("mse-sweep", 5), ("compare-hod", 6)])
+    def test_one_recovery_config_per_trial_factor_and_guard(self, monkeypatch, experiment,
+                                                            builds):
+        # A trial's bit depths share each (factor, guard)'s threshold, so its
+        # config too; one per bit depth made 10 and 12 on this grid.
+        built = []
+
+        def build(**fields):
+            built.append((fields["threshold"], fields["band_fraction"], fields["guard_width"]))
+            return RecoveryConfig(**fields)
+
+        monkeypatch.setattr(experiments, "RecoveryConfig", build)
+        run_experiment(ExperimentConfig(experiment=experiment, **GOLDEN))
+        assert len(built) == len(set(built)) == builds
 
     # CSV digests from the loop that ran each point over every trial before
     # the next point: the per-trial dither seed order must not change.
@@ -530,7 +546,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("field, value", [
         ("bits_list", [1]), ("bits_list", [54]), ("guard_width_list", [-0.1]),
-        ("guard_width_list", [1e308]), ("hod_order", 0), ("hod_order", 17)])
+        ("guard_width_list", [1e308]), ("hod_order", 0), ("hod_order", 17),
+        ("lpf_length", 4), ("lpf_length", 101), ("lpf_transition", 1e-4)])
     def test_bad_value_fails_before_any_work(self, tmp_path, capsys, no_work, field, value):
         # Each used to fail only where a runner first used it, after every
         # trial's synthesis, or never where no runner reads it (m-grid).

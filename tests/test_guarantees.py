@@ -15,6 +15,7 @@ from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   predict_mse_modulo, required_bits,
                                   required_threshold)
 from conftest import traced_peak
+from oob_reference import oob_bins
 
 
 class TestGuardBinCount:
@@ -161,7 +162,7 @@ class TestInterferenceNorm:
                                             seed, data):
         system = build_oob_system(length, 1.0 / oversampling, guard)
         set_size = data.draw(st.integers(1, system.num_bins))
-        bins = system.oob_bins
+        bins = oob_bins(system)
         v = np.exp(-2j * np.pi * np.outer(bins, np.arange(length)) / length) / np.sqrt(length)
         draws = np.random.default_rng(seed).random((trials, length)).argsort(axis=1)
         # Both maps lose about cond(Gram) * eps; past 1e6 they drift apart

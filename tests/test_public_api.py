@@ -26,8 +26,8 @@ import pytest
 
 import modunfold
 from modunfold.baselines import HodConfig, conventional_adc, hod_recover
-from modunfold.dsp import (build_oob_system, design_lowpass, filter_zero_delay,
-                           oob_bin_indices, tukey_window)
+from modunfold.dsp import (build_oob_system, check_lowpass, design_lowpass,
+                           filter_zero_delay, oob_bin_indices, tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, extra_bits,
                                   guard_bin_count, min_oversampling,
@@ -62,6 +62,7 @@ CALLS = {
     "tukey_window": (tukey_window, dict(n=64, alpha=0.5)),
     "design_lowpass": (design_lowpass, dict(cutoff=np.pi / 4, transition=np.pi / 16,
                                             length=257)),
+    "check_lowpass": (check_lowpass, dict(length=257, transition=np.pi / 16)),
     "guard_bin_count": (guard_bin_count, dict(guard_width=np.pi / 32, length=64)),
     "min_oversampling": (min_oversampling, dict(length=64, guard_bins=4)),
     "required_threshold": (required_threshold, dict(peak=1.0, oversampling=8.0,
