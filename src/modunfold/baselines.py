@@ -13,7 +13,7 @@ import numpy as np
 
 from .dsp import _LPF_LENGTH, _LPF_TRANSITION, blocks, design_lowpass, filter_zero_delay
 from .errors import ConfigurationError, check_number, check_record
-from .modulo_adc import _MAX_RANGE, AdcConfig, fold, quantize_uniform, triangle_dither
+from .modulo_adc import _MAX_RANGE, AdcConfig, check_peak, fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
 
 
@@ -56,8 +56,7 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     only full-length arrays.
     """
     AdcConfig(bits=bits, threshold=1.0, seed=seed)  # the bit and seed rules
-    if not 0.0 < check_number("peak", peak) <= _MAX_RANGE:
-        raise ConfigurationError(f"need 0 < peak <= {_MAX_RANGE:g}, got {peak}")
+    check_peak(peak)
     lowpass = design_lowpass(signal.band_fraction * np.pi, lpf_transition, lpf_length)
     f = check_record("signal", signal.samples)
     full_scale = conventional_full_scale(bits, peak)

@@ -9,6 +9,7 @@ raises ConfigurationError), 3 when every grid point was infeasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigurationError
@@ -30,16 +31,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Row fields the summary leaves out: the status and reason go in the tag,
+# and the experiment and seed are the same on every row.
+_UNSHOWN = ("experiment", "seed", "status", "reason")
+
+
 def _summarize(rows, elapsed_ms: float) -> None:
+    """One line per row of its set fields, then the ok and skipped counts."""
     ok = [r for r in rows if r.status == "ok"]
     skipped = [r for r in rows if r.status != "ok"]
     for row in rows:
         fields = ", ".join(
-            f"{name}={getattr(row, name)}"
-            for name in ("oversampling", "bits", "length", "set_size",
-                         "mse_simulated_db", "mse_theory_db",
-                         "mse_conventional_db", "mse_hod_db", "extra_bits")
-            if hasattr(row, name) and getattr(row, name) is not None)
+            f"{f.name}={getattr(row, f.name)}" for f in dataclasses.fields(row)
+            if f.name not in _UNSHOWN and getattr(row, f.name) is not None)
         tag = "" if row.status == "ok" else f"  [skipped: {row.reason}]"
         print(f"  {fields}{tag}")
     print(f"{len(ok)} point(s), {len(skipped)} skipped, {elapsed_ms:.0f} ms total")

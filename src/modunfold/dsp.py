@@ -254,9 +254,10 @@ def design_lowpass(cutoff: float, transition: float, length: int) -> np.ndarray:
     stop = response[omega >= cutoff + transition].max()
     if ripple > 10 ** (0.01 / 20.0) - 1.0 or stop > 1e-3:
         required = int(np.ceil(_TAPER_TRANSITION / transition)) | 1
+        # Half as many taps again, rounded up to the odd count check_lowpass asks.
         raise ConfigurationError(
             f"design misses spec (ripple {ripple:.2e}, stopband {stop:.2e}); "
-            f"try at least {required + (required - 1) // 2 + 1} taps"
+            f"try at least {(required + (required - 1) // 2 + 1) | 1} taps"
         )
     return taps
 

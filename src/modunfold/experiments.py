@@ -230,7 +230,12 @@ class MGridRow:
 
 @dataclass(frozen=True, kw_only=True)
 class TheoryRow:
-    """Pure-formula predictions for one operating point."""
+    """Pure-formula predictions for one operating point, at unit peak.
+
+    `status` is "ok" where the point's factor meets the sufficiency bound
+    (min_oversampling) and so supports a threshold; a point below it is a
+    skipped row with the point's fields and its reason alone.
+    """
 
     experiment: str
     oversampling: float
@@ -240,7 +245,6 @@ class TheoryRow:
     threshold: float | None = None
     full_scale: float | None = None
     min_oversampling: float | None = None
-    oversampling_ok: bool = False
     mse_theory_db: float | None = None
     mse_conventional_db: float | None = None
     seed: int
@@ -314,34 +318,37 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     against the factors, fixes the CSV bytes.  A trial samples its signal
     once per factor, after the first feasible threshold, and builds one
     RecoveryConfig per factor and guard width, at its first bit depth, as
-    the threshold does not depend on the bits.  The grid acquires each
-    point's realization, unfolds it and sets `threshold`,
-    `mse_simulated_db` and `samples_used`; `measure(trial, peak, entropy,
-    sampled, adc, recovery, **point)` returns the experiment's own columns.
-    The `mse_*` fields are averaged, the others kept from the last trial.
-    A repeated point is measured once; one infeasible in a trial is skipped
-    by later trials and becomes a skipped row in `_grid`.
+    the threshold does not depend on the bits.  The grid walks the points
+    of `_adc_points`, acquires each one's realization, unfolds it and sets
+    `threshold`, `mse_simulated_db` and `samples_used`; `measure(trial,
+    peak, entropy, sampled, adc, recovery, **point)` returns the
+    experiment's own columns.  The `mse_*` fields are averaged, the others
+    kept from the last trial.  A repeated point is measured once; one
+    infeasible in a trial is skipped by later trials and becomes a skipped
+    row in `_grid`.
     """
-    measured = {}  # (oversampling, bits, guard width) -> each trial's fields, or the error
+    points = _adc_points(cfg)
+    factors = {}  # oversampling -> {a point's values: its first point}, in row order
+    for point in points:
+        factors.setdefault(point["oversampling"], {}).setdefault(tuple(point.values()), point)
+    measured = {}  # a point's values -> each trial's fields, or the error
     for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
         train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000 * t))
         peak = PEAK_MARGIN * estimate_inf_norm(train)
-        for oversampling in dict.fromkeys(cfg.oversampling_list):
+        for factor in factors.values():
             sampled = None  # the last record is freed before the next is sampled
             recoveries = {}  # guard width -> its RecoveryConfig, shared by the bit depths
-            for bits, guard_width in itertools.product(dict.fromkeys(cfg.bits_list),
-                                                       dict.fromkeys(cfg.guard_width_list)):
-                key = (oversampling, bits, guard_width)
+            for key, point in factor.items():
                 if isinstance(measured.get(key), InfeasibleError):
                     continue
-                guard_bins = guarantees.guard_bin_count(guard_width, cfg.window_length)
+                oversampling, guard_width = point["oversampling"], point["guard_width"]
                 try:
                     threshold = guarantees.required_threshold(
-                        peak, oversampling, guard_bins, cfg.window_length)
+                        peak, oversampling, point["guard_bins"], cfg.window_length)
                     if sampled is None:
                         count = nominal_sample_count(train.spec, oversampling)
                         sampled = sample_signal(train, oversampling, count)
-                    adc = acquire(sampled, AdcConfig(bits=bits, threshold=threshold,
+                    adc = acquire(sampled, AdcConfig(bits=point["bits"], threshold=threshold,
                                                      seed=entropy.spawn(1)[0]))
                     if guard_width not in recoveries:
                         recoveries[guard_width] = RecoveryConfig(
@@ -354,21 +361,20 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
                     fields = dict(threshold=threshold, mse_simulated_db=mse, samples_used=used,
                                   **measure(trial=t, peak=peak, entropy=entropy,
                                             sampled=sampled, adc=adc, recovery=recovery,
-                                            oversampling=oversampling, bits=bits,
-                                            guard_width=guard_width, guard_bins=guard_bins))
+                                            **point))
                 except InfeasibleError as err:
                     measured[key] = err
                     continue
                 measured.setdefault(key, []).append(fields)
 
-    def averaged(oversampling, bits, guard_width, **_):
-        runs = measured[oversampling, bits, guard_width]
+    def averaged(**point):
+        runs = measured[tuple(point.values())]
         if isinstance(runs, InfeasibleError):
             raise runs
         return {name: _db(sum(fields[name] for fields in runs) / len(runs))
                 if name.startswith("mse_") else value for name, value in runs[-1].items()}
 
-    return _grid(ResultRow, _adc_points(cfg), averaged)
+    return _grid(ResultRow, points, averaged)
 
 
 def _mse(estimate: np.ndarray, sampled, cfg: ExperimentConfig) -> tuple[float, int]:
@@ -449,14 +455,12 @@ def run_theory_only(cfg: ExperimentConfig) -> list[TheoryRow]:
             threshold=threshold,
             full_scale=AdcConfig(bits=bits, threshold=threshold).full_scale,
             min_oversampling=guarantees.min_oversampling(length, guard_bins),
-            oversampling_ok=True,
             mse_theory_db=_db(guarantees.predict_mse_modulo(
                 1.0, oversampling, bits, guard_bins, guard_width, length)),
             mse_conventional_db=_db(guarantees.predict_mse_conventional(
                 1.0, oversampling, bits)))
 
-    points = _adc_points(cfg)
-    return _grid(TheoryRow, points, measure)
+    return _grid(TheoryRow, _adc_points(cfg), measure)
 
 
 _DESK_OF_GRID = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dsp import build_oob_system, check_gram, fold_gram
 from .errors import ConfigurationError, InfeasibleError, check_number, check_seed
-from .modulo_adc import AdcConfig
+from .modulo_adc import AdcConfig, check_peak
 
 # Matrix elements per batch and per chunk of fold sets in
 # estimate_interference_norm.  A batch is drawn and checked whole, and its
@@ -87,19 +87,14 @@ def min_oversampling(length: int, guard_bins: int) -> float:
     return 3.0 / (1.0 - guard_bins / length)
 
 
-def _check_peak(peak: float) -> None:
-    """The peak rule of the threshold and the predictions: a finite real > 0."""
-    if not 0.0 < check_number("peak", peak):
-        raise ConfigurationError(f"need peak > 0, got {peak}")
-
-
 def required_threshold(peak: float, oversampling: float, guard_bins: int,
                        length: int) -> float:
     """Modulo threshold realizing the sufficiency condition:
 
-    peak / (oversampling * (1 - guard_bins/N) - 2).
+    peak / (oversampling * (1 - guard_bins/N) - 2).  A threshold that
+    overflows float64 is a ConfigurationError.
     """
-    _check_peak(peak)
+    check_peak(peak)
     check_number("oversampling", oversampling)
     min_oversampling(length, guard_bins)  # the window's rules
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
@@ -107,7 +102,7 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
         raise InfeasibleError(
             f"oversampling {oversampling:g} with {guard_bins} guard bins over "
             f"{length} samples cannot support any positive threshold")
-    return peak / denom
+    return _finite("the threshold", lambda: peak / denom)
 
 
 def extra_bits(interference_norm: float) -> float:
@@ -381,7 +376,7 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
     that overflows float64 is a ConfigurationError.
     """
     AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    _check_peak(peak)
+    check_peak(peak)
     check_number("oversampling", oversampling)
     if not check_number("guard_width", guard_width) >= 0.0:
         raise ConfigurationError(f"need guard_width >= 0, got {guard_width}")
@@ -391,7 +386,8 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
             f"oversampling {oversampling:g} is below the sufficiency bound "
             f"{floor_of:.4g} for {guard_bins} guard bins over {length} samples")
     threshold_denom = oversampling * (1.0 - guard_bins / length) - 2.0
-    return _finite(lambda: peak ** 2 * (1.0 + guard_width / np.pi * oversampling)
+    return _finite("the predicted MSE",
+                   lambda: peak ** 2 * (1.0 + guard_width / np.pi * oversampling)
                    / (oversampling * (2 ** bits - 2) ** 2 * threshold_denom ** 2))
 
 
@@ -401,21 +397,22 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
     A prediction that overflows float64 is a ConfigurationError.
     """
     AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    _check_peak(peak)
+    check_peak(peak)
     if not 1.0 <= check_number("oversampling", oversampling):
         raise ConfigurationError(f"need an oversampling factor >= 1, got {oversampling}")
-    return _finite(lambda: peak ** 2 / (oversampling * (2 ** bits - 2) ** 2))
+    return _finite("the predicted MSE",
+                   lambda: peak ** 2 / (oversampling * (2 ** bits - 2) ** 2))
 
 
-def _finite(prediction) -> float:
-    """prediction(), or a ConfigurationError where it overflows float64.
+def _finite(name: str, formula) -> float:
+    """formula(), or a ConfigurationError naming it where it overflows float64.
 
     A float ** raises OverflowError; * and / return inf or NaN.
     """
     try:
-        mse = prediction()
+        value = formula()
     except OverflowError:
-        mse = math.inf
-    if not mse < math.inf:
-        raise ConfigurationError(f"the predicted MSE overflows float64 ({mse})")
-    return mse
+        value = math.inf
+    if not value < math.inf:
+        raise ConfigurationError(f"{name} overflows float64 ({value})")
+    return value

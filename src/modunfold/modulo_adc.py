@@ -34,10 +34,19 @@ _OVERLOAD_SLACK = 1e-12
 # below float64's resolution, and 2^bits sizes the integers formed from it.
 _MAX_BITS = 53
 
-# Largest modulo threshold, or peak of the conventional ADC (baselines): the
-# quantizer's full scale, its step 2 * full_scale / 2^bits and the sums of
-# the lowpass's FFT blocks (up to 2^21 samples) stay finite below about 1e302.
+# Largest modulo threshold, or signal peak (check_peak): the quantizer's
+# full scale, its step 2 * full_scale / 2^bits and the sums of the
+# lowpass's FFT blocks (up to 2^21 samples) stay finite below about 1e302.
 _MAX_RANGE = 1e300
+
+
+def check_peak(peak: float) -> None:
+    """The peak rule of the threshold, the predictions and the conventional ADC:
+
+    a finite real in (0, _MAX_RANGE].
+    """
+    if not 0.0 < check_number("peak", peak) <= _MAX_RANGE:
+        raise ConfigurationError(f"need peak > 0 and at most {_MAX_RANGE:g}, got {peak}")
 
 
 @dataclass(frozen=True)

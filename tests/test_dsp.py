@@ -259,6 +259,16 @@ class TestDesignLowpass:
         with pytest.raises(ConfigurationError):
             design_lowpass(np.pi / 4, np.pi / 16, 256)
 
+    @pytest.mark.parametrize("cutoff, transition, length, hint", [
+        (0.45, 2.66, 13, 21), (1.1, 2.04, 17, 27)])
+    def test_missed_spec_hints_an_odd_count_that_designs(self, cutoff, transition, length,
+                                                         hint):
+        # The hint read 20 and 26 taps, which the odd-count rule rejects.
+        with pytest.raises(ConfigurationError, match=f"try at least {hint} taps"):
+            design_lowpass(cutoff, transition, length)
+        taps = design_lowpass(cutoff, transition, hint)
+        assert taps.size == hint
+
     @pytest.mark.parametrize("transition", [np.nan, 0.0, -0.1])
     def test_nonpositive_transition_rejected(self, transition):
         # NaN fails the number rule, the others the range.

@@ -89,6 +89,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(str(path), "mse-sweep")
 
+    def test_non_object_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            load_config(str(path), "mse-sweep")
+
+    def test_unknown_preset_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        with pytest.raises(ConfigurationError, match="unknown preset 'huge'"):
+            load_config(str(path), "mse-sweep", preset="huge", seed=1)
+
 
 class TestEmitCsv:
     def test_round_trips_through_csv_reader(self, tmp_path):
@@ -120,6 +132,14 @@ class TestEmitCsv:
             parsed = list(csv.DictReader(handle))
         assert [p["reason"] for p in parsed] == [r.reason for r in rows]
         assert all(None not in p for p in parsed)
+
+    def test_unopenable_path_is_config_error(self, tmp_path):
+        # A path under a regular file names no directory that can be opened.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ConfigurationError, match="cannot write"):
+            emit_csv([MGridRow(experiment="m-grid", length=64, oversampling=4.0,
+                               set_size=2, trials=10, seed=1)], str(blocker / "rows.csv"))
 
     def test_newline_terminated(self, tmp_path):
         path = str(tmp_path / "rows.csv")
@@ -391,6 +411,13 @@ class TestCli:
         assert body.count("\n") == 2
         assert "mse_simulated_db" in body
 
+    def test_summary_lists_every_set_field(self, tmp_path, capsys):
+        # The summary named its own columns and left out interference_norm.
+        assert run_cli(tmp_path, "m-grid", TINY) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("  length=16, oversampling=6.0, set_size=2, interference_norm=")
+        assert ", extra_bits=" in line and line.endswith(", trials=10")
+
     def test_package_loads_no_scipy(self):
         # A fresh interpreter: this one may have imported scipy already.
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -520,7 +547,8 @@ class TestBadInput:
         ("oversampling_list", [1e12], SIMULATED),
         ("oversampling_list", [1e300], SIMULATED),
         ("m_lengths", [4194304], EXPERIMENTS),
-    ])
+    ], ids=["oversampling_list-1e6", "oversampling_list-1e12", "oversampling_list-1e300",
+            "m_lengths-4194304"])
     def test_unallocatable_size_exits_2_before_allocation(self, tmp_path, capsys, field,
                                                           value, experiments):
         # These used to need 5.4 GB, 14.6 TiB, an overflowing sample count

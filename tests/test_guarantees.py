@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modunfold import guarantees
+from modunfold.baselines import conventional_adc
 from modunfold.dsp import build_oob_system, check_gram, fold_gram
 from modunfold.errors import ConfigurationError, InfeasibleError
 from modunfold.guarantees import (estimate_interference_norm, guard_bin_count,
                                   min_oversampling, predict_mse_conventional,
                                   predict_mse_modulo, required_bits,
                                   required_threshold)
+from modunfold.signal_model import PulseTrainSpec, generate_pulse_train, sample_signal
 from conftest import traced_peak
 from oob_reference import oob_bins
 
@@ -79,6 +81,22 @@ class TestRequiredThreshold:
     def test_infeasible_denominator(self):
         with pytest.raises(InfeasibleError):
             required_threshold(1.0, 2, 0, 64)
+
+    def test_overflowing_threshold_rejected(self):
+        # A capped peak over a denominator of 4.4e-16 used to return inf.
+        with pytest.raises(ConfigurationError, match="threshold overflows"):
+            required_threshold(1e300, math.nextafter(2.0, 3.0), 0, 64)
+
+    def test_peak_above_the_range_cap_rejected(self):
+        # The threshold and the predictions took any finite peak, while
+        # conventional_adc capped it: required_threshold(1e308, ...) gave inf.
+        signal = sample_signal(generate_pulse_train(PulseTrainSpec(num_pulses=20)), 4.0, 400)
+        for call in (lambda: required_threshold(1e308, 2.2, 0, 64),
+                     lambda: predict_mse_modulo(1e301, 8.0, 4, 4, np.pi / 32, 64),
+                     lambda: predict_mse_conventional(1e301, 8.0, 4),
+                     lambda: conventional_adc(signal, 4, 1e301, 0)):
+            with pytest.raises(ConfigurationError, match=r"peak > 0 and at most 1e\+300"):
+                call()
 
 
 class TestRequiredBits:
@@ -491,7 +509,8 @@ class TestInterferenceNorm:
         assert peak < 1e6
         guarantees.check_fold_set(2 ** 21, 2)
 
-    @pytest.mark.parametrize("args", [(64, -1.0, 0.0, 0, 0, None), (64, 4, -5.0, 0, 1, 0)])
+    @pytest.mark.parametrize("args", [(64, -1.0, 0.0, 0, 0, None), (64, 4, -5.0, 0, 1, 0)],
+                             ids=["oversampling--1.0", "guard_width--5.0"])
     def test_bad_args_rejected_before_empty_set(self, args):
         # Both used to return 0.0 from the empty-set shortcut.
         with pytest.raises(ConfigurationError):
