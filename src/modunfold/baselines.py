@@ -13,7 +13,7 @@ import numpy as np
 
 from .dsp import _LPF_LENGTH, _LPF_TRANSITION, blocks, design_lowpass, filter_zero_delay
 from .errors import ConfigurationError, check_number, check_record
-from .modulo_adc import _MAX_RANGE, AdcConfig, check_peak, fold, quantize_uniform, triangle_dither
+from .modulo_adc import AdcConfig, check_scale, fold, quantize_uniform, triangle_dither
 from .signal_model import SampledSignal
 
 
@@ -34,8 +34,7 @@ class HodConfig:
         # overflow float64 past order 16 on a billion samples.
         if not 1 <= check_number("order", self.order, integer=True) <= 16:
             raise ConfigurationError(f"difference order must be in [1, 16], got {self.order}")
-        if not 0.0 < check_number("threshold", self.threshold) <= _MAX_RANGE:
-            raise ConfigurationError(f"need 0 < threshold <= {_MAX_RANGE:g}, got {self.threshold}")
+        check_scale("threshold", self.threshold)
 
 
 def conventional_full_scale(bits: int, peak: float) -> float:
@@ -56,7 +55,7 @@ def conventional_adc(signal: SampledSignal, bits: int, peak: float, seed,
     only full-length arrays.
     """
     AdcConfig(bits=bits, threshold=1.0, seed=seed)  # the bit and seed rules
-    check_peak(peak)
+    check_scale("peak", peak)
     lowpass = design_lowpass(signal.band_fraction * np.pi, lpf_transition, lpf_length)
     f = check_record("signal", signal.samples)
     full_scale = conventional_full_scale(bits, peak)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dsp import build_oob_system, check_gram, fold_gram
 from .errors import ConfigurationError, InfeasibleError, check_number, check_seed
-from .modulo_adc import AdcConfig, check_peak
+from .modulo_adc import AdcConfig, check_scale
 
 # Matrix elements per batch and per chunk of fold sets in
 # estimate_interference_norm.  A batch is drawn and checked whole, and its
@@ -94,7 +94,7 @@ def required_threshold(peak: float, oversampling: float, guard_bins: int,
     peak / (oversampling * (1 - guard_bins/N) - 2).  A threshold that
     overflows float64 is a ConfigurationError.
     """
-    check_peak(peak)
+    check_scale("peak", peak)
     check_number("oversampling", oversampling)
     min_oversampling(length, guard_bins)  # the window's rules
     denom = oversampling * (1.0 - guard_bins / length) - 2.0
@@ -370,25 +370,26 @@ def predict_mse_modulo(peak: float, oversampling: float, bits: int,
                        guard_bins: int, guard_width: float, length: int) -> float:
     """Predicted MSE of the folded pipeline at its matched threshold.
 
-    peak^2 * (1 + guard_width/pi * OF)
-    / (OF * (2^b - 2)^2 * (OF * (1 - guard_bins/N) - 2)^2),
-    valid once the oversampling sufficiency condition holds.  A prediction
-    that overflows float64 is a ConfigurationError.
+    The conventional MSE at full scale required_threshold(peak, OF, G, N)
+    in place of the peak, widened by the guard band's share of the
+    passband: predict_mse_conventional(threshold, OF, b) * (1 + guard_width
+    / pi * OF), that is peak^2 * (1 + guard_width/pi * OF) / (OF * (2^b -
+    2)^2 * (OF * (1 - G/N) - 2)^2).  Valid once the oversampling
+    sufficiency condition holds, below which it raises InfeasibleError; the
+    two laws it calls apply the peak, bit and oversampling rules.  A
+    prediction that overflows float64 is a ConfigurationError.
     """
-    AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    check_peak(peak)
-    check_number("oversampling", oversampling)
     if not check_number("guard_width", guard_width) >= 0.0:
         raise ConfigurationError(f"need guard_width >= 0, got {guard_width}")
     floor_of = min_oversampling(length, guard_bins)
-    if oversampling < floor_of:
+    if check_number("oversampling", oversampling) < floor_of:
         raise InfeasibleError(
             f"oversampling {oversampling:g} is below the sufficiency bound "
             f"{floor_of:.4g} for {guard_bins} guard bins over {length} samples")
-    threshold_denom = oversampling * (1.0 - guard_bins / length) - 2.0
+    conventional = predict_mse_conventional(
+        required_threshold(peak, oversampling, guard_bins, length), oversampling, bits)
     return _finite("the predicted MSE",
-                   lambda: peak ** 2 * (1.0 + guard_width / np.pi * oversampling)
-                   / (oversampling * (2 ** bits - 2) ** 2 * threshold_denom ** 2))
+                   lambda: conventional * (1.0 + guard_width / np.pi * oversampling))
 
 
 def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> float:
@@ -397,7 +398,7 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
     A prediction that overflows float64 is a ConfigurationError.
     """
     AdcConfig(bits=bits, threshold=1.0)  # the bit rule
-    check_peak(peak)
+    check_scale("peak", peak)
     if not 1.0 <= check_number("oversampling", oversampling):
         raise ConfigurationError(f"need an oversampling factor >= 1, got {oversampling}")
     return _finite("the predicted MSE",
@@ -407,10 +408,12 @@ def predict_mse_conventional(peak: float, oversampling: float, bits: int) -> flo
 def _finite(name: str, formula) -> float:
     """formula(), or a ConfigurationError naming it where it overflows float64.
 
-    A float ** raises OverflowError; * and / return inf or NaN.
+    A float ** raises OverflowError; * and / return inf or NaN, as numpy
+    scalars do too, with their warnings silenced here.
     """
     try:
-        value = formula()
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = formula()
     except OverflowError:
         value = math.inf
     if not value < math.inf:

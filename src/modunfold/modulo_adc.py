@@ -34,19 +34,22 @@ _OVERLOAD_SLACK = 1e-12
 # below float64's resolution, and 2^bits sizes the integers formed from it.
 _MAX_BITS = 53
 
-# Largest modulo threshold, or signal peak (check_peak): the quantizer's
-# full scale, its step 2 * full_scale / 2^bits and the sums of the
-# lowpass's FFT blocks (up to 2^21 samples) stay finite below about 1e302.
+# Largest scale, a modulo threshold or a signal peak, that check_scale
+# accepts: the quantizer's full scale, its step 2 * full_scale / 2^bits and
+# the sums of the lowpass's FFT blocks (up to 2^21 samples) stay finite
+# below about 1e302.
 _MAX_RANGE = 1e300
 
 
-def check_peak(peak: float) -> None:
-    """The peak rule of the threshold, the predictions and the conventional ADC:
+def check_scale(name: str, value: float) -> None:
+    """The one range rule for a scale, a finite real in (0, _MAX_RANGE]:
 
-    a finite real in (0, _MAX_RANGE].
+    the modulo threshold of AdcConfig and baselines.HodConfig, and the peak
+    of the threshold law, the conventional prediction and the conventional
+    ADC.
     """
-    if not 0.0 < check_number("peak", peak) <= _MAX_RANGE:
-        raise ConfigurationError(f"need peak > 0 and at most {_MAX_RANGE:g}, got {peak}")
+    if not 0.0 < check_number(name, value) <= _MAX_RANGE:
+        raise ConfigurationError(f"need {name} > 0 and at most {_MAX_RANGE:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ class AdcConfig:
         # Two bits give a positive full scale.
         if not 2 <= check_number("bits", self.bits, integer=True) <= _MAX_BITS:
             raise ConfigurationError(f"need 2 <= bits <= {_MAX_BITS}, got {self.bits}")
-        if not 0.0 < check_number("threshold", self.threshold) <= _MAX_RANGE:
-            raise ConfigurationError(f"need 0 < threshold <= {_MAX_RANGE:g}, got {self.threshold}")
+        check_scale("threshold", self.threshold)
         check_seed("seed", self.seed)
 
     @property

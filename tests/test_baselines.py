@@ -212,7 +212,7 @@ class TestHodRecover:
             HodConfig(threshold=1.0, order=2.5)
         assert HodConfig(threshold=1.0, order=np.int64(2)).order == 2
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan, 1.01e300])
     def test_threshold_outside_zero_to_inf_rejected(self, threshold):
         # NaN used to pass and hod_recover then returned an all-NaN record.
         with pytest.raises(ConfigurationError, match="threshold"):

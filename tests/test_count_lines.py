@@ -91,7 +91,8 @@ def test_rev_from_a_subdirectory(repo, monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, reason", [
     (["--rev", "nosuch", "pkg"], "nosuch"),
-    (["--rev", "HEAD", "missing"], "no *.py files at HEAD: missing")])
+    (["--rev", "HEAD", "missing"], "no *.py files at HEAD: missing")],
+    ids=["unknown-rev", "missing-path"])
 def test_bad_rev_or_path_exits_two(repo, capsys, args, reason):
     with pytest.raises(SystemExit) as exited:
         count_lines.main(args)

@@ -6,7 +6,7 @@ desk_hashes = load_tool("desk_hashes")
 
 # The SHA-256 of each experiment's desk CSV at seed 1.
 DESK = {
-    "mse-sweep": "3c22cdce1a16bf52aa5ecc1f509f75cdcb467e1816c18c7049d69badabb7d332",
+    "mse-sweep": "aae249f345422f55136d66a87802fa370d84ae3376bfdbb1cd5e70a25b6cafd3",
     "compare-hod": "534a73f4b0dd969f429825994b03e14acf1648ff53a405c672b26bdc04c69f9f",
     "m-grid": "b8aa468a638196ae07a0c8b20a6b6d3140ac02788b09fb4157ba5384ad1fa1b2",
     "theory-only": "c9cd4cc351077685df80130a88ac9409787f4f387f382f36eaaedc8e8845b006",

@@ -240,7 +240,8 @@ class TestRunners:
     # experiment's own grid.
     @pytest.mark.parametrize("experiment, grid, rows", [
         ("compare-hod", DESK_GRID, 9), ("m-grid", DESK_GRID, 9),
-        ("compare-hod", None, 5), ("m-grid", None, 3)])
+        ("compare-hod", None, 5), ("m-grid", None, 3)],
+        ids=["compare-hod-desk", "m-grid-desk", "compare-hod-None-5", "m-grid-None-3"])
     def test_grid_runs_as_given_or_the_experiments_own(self, tmp_path, experiment,
                                                         grid, rows):
         out = tmp_path / "rows.csv"
@@ -564,7 +565,8 @@ class TestBadInput:
         {"bits_list": [True]}, {"bits_list": 4}, {"seed": "1"}, {"num_pulses": None},
         {"out": 5}, {"beta": float("nan")},
         {"oversampling_list": [float("inf")]}, {"trials": 1.0},
-    ])
+    ], ids=["bits_list-bool", "bits_list-not-a-list", "seed-string", "num_pulses-null",
+            "out-number", "beta-nan", "oversampling_list-inf", "trials-float"])
     def test_wrong_json_types_rejected_at_load(self, payload):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**{**TINY, **payload})
@@ -575,7 +577,10 @@ class TestBadInput:
     @pytest.mark.parametrize("field, value", [
         ("bits_list", [1]), ("bits_list", [54]), ("guard_width_list", [-0.1]),
         ("guard_width_list", [1e308]), ("hod_order", 0), ("hod_order", 17),
-        ("lpf_length", 4), ("lpf_length", 101), ("lpf_transition", 1e-4)])
+        ("lpf_length", 4), ("lpf_length", 101), ("lpf_transition", 1e-4)],
+        ids=["bits_list-1", "bits_list-54", "guard_width_list--0.1", "guard_width_list-1e308",
+             "hod_order-0", "hod_order-17", "lpf_length-4", "lpf_length-101",
+             "lpf_transition-0.0001"])
     def test_bad_value_fails_before_any_work(self, tmp_path, capsys, no_work, field, value):
         # Each used to fail only where a runner first used it, after every
         # trial's synthesis, or never where no runner reads it (m-grid).

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -160,6 +161,36 @@ class TestPredictedMse:
         products = [predict_mse_modulo(1.0, of, 4, 0, 0.0, 64) * of * (of - 2) ** 2
                     for of in (4, 10, 25, 100, 1000)]
         assert max(products) - min(products) < 1e-15
+
+    @pytest.mark.parametrize("guard_width", [0.0, np.pi / 32], ids=["no-guard", "guard-pi-32"])
+    def test_conventional_law_at_the_threshold_widened_by_the_guard(self, guard_width):
+        # The folded MSE is the conventional one at full scale lambda in
+        # place of the peak, times the guard band's share of the passband,
+        # and agrees with the law's closed form to rounding.
+        guard_bins = guard_bin_count(guard_width, 64)
+        for peak, oversampling, bits in itertools.product(
+                (0.3, 1.0, 1.7, 250.0), (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0),
+                range(3, 7)):
+            value = predict_mse_modulo(peak, oversampling, bits, guard_bins, guard_width, 64)
+            widening = 1.0 + guard_width / np.pi * oversampling
+            threshold = required_threshold(peak, oversampling, guard_bins, 64)
+            assert value == predict_mse_conventional(threshold, oversampling, bits) * widening
+            closed = peak ** 2 * widening / (
+                oversampling * (2 ** bits - 2) ** 2
+                * (oversampling * (1.0 - guard_bins / 64) - 2.0) ** 2)
+            assert value == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: required_threshold(np.float64(1e300), np.nextafter(2.0, 3.0), 0, 64),
+        lambda: predict_mse_conventional(np.float64(1e300), np.float64(1.0), 53),
+        lambda: predict_mse_modulo(np.float64(1e300), np.float64(3.0), 2, 0,
+                                   np.float64(1e300), 64),
+    ], ids=["required_threshold", "predict_mse_conventional", "predict_mse_modulo"])
+    def test_numpy_scalar_overflow_rejected(self, call):
+        # numpy scalars warned before overflowing to inf, so under the
+        # suite's error::RuntimeWarning filter these raised the warning.
+        with pytest.raises(ConfigurationError, match="overflows"):
+            call()
 
     def test_conventional_examples(self):
         assert predict_mse_conventional(1.0, 4, 4) == pytest.approx(1 / 784)

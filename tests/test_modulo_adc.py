@@ -124,7 +124,7 @@ class TestAdcConfig:
             with pytest.raises(ConfigurationError, match="bits"):
                 AdcConfig(bits=bits, threshold=1.0)
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan, 1.01e300])
     def test_threshold_outside_zero_to_inf_rejected(self, threshold):
         # NaN and inf used to pass, and acquire then ended in numpy's
         # OverflowError from the dither's uniform draw.

@@ -258,9 +258,8 @@ class TestUnfold:
         assert_matches_reference(adc, desk_recovery(threshold, 0.25), result)
 
     def test_quantized_acquisition_still_exact_and_near_theory(self):
-        peak, threshold, sig, adc, result = paper_point(300, 4.0, 4, seed=5)
-        assert_array_equal(np.round(result.residue / (2 * threshold)),
-                           np.round(adc.residue_truth / (2 * threshold)))
+        peak, _, sig, adc, result = paper_point(300, 4.0, 4, seed=5)
+        assert_array_equal(result.residue, adc.residue_truth)
         mse = np.mean((result.recovered - sig.samples) ** 2)
         theory = predict_mse_modulo(peak, 4.0, 4, guard_bin_count(GUARD, 64),
                                     GUARD, 64)
@@ -278,8 +277,8 @@ class TestUnfold:
 
     def test_residue_stays_on_lattice(self):
         _, threshold, _, _, result = paper_point(300, 4.0, 4, seed=9)
-        multiples = result.residue / (2 * threshold)
-        assert np.abs(multiples - np.round(multiples)).max() < 1e-9
+        spacing = 2 * threshold
+        assert_array_equal(result.residue, spacing * np.round(result.residue / spacing))
 
     def test_quiet_gap_segments_are_skipped_without_damage(self):
         # Folds early and late with a long quiet stretch in between: the
@@ -287,7 +286,6 @@ class TestUnfold:
         spec = PulseTrainSpec(num_pulses=400, seed=10)
         amplitudes = generate_pulse_train(spec).amplitudes.copy()
         amplitudes[150:250] *= 0.02  # quiet middle
-        from modunfold.signal_model import PulseTrain
         train = PulseTrain(spec=spec, amplitudes=amplitudes)
         peak = 1.001 * estimate_inf_norm(train)
         threshold = required_threshold(peak, 4.0, guard_bin_count(GUARD, 64), 64)
@@ -295,8 +293,7 @@ class TestUnfold:
         adc = acquire(sig, AdcConfig(bits=4, threshold=threshold, seed=11))
         result = unfold(adc, sig, desk_recovery(threshold, 0.25))
         assert result.segments_skipped > 0
-        assert_array_equal(np.round(result.residue / (2 * threshold)),
-                           np.round(adc.residue_truth / (2 * threshold)))
+        assert_array_equal(result.residue, adc.residue_truth)
 
     def test_infeasible_segment_error_names_segment(self):
         config = AdcConfig(bits=4, threshold=1.0)
@@ -326,7 +323,7 @@ class TestUnfold:
 
     # Non-finite, 2-D and empty records: test_public_api.test_bad_record_rejected.
     @pytest.mark.parametrize("quantized, flags", [
-        (np.zeros(256), np.zeros(255, dtype=bool))])
+        (np.zeros(256), np.zeros(255, dtype=bool))], ids=["flags-one-short"])
     def test_malformed_buffers_rejected(self, quantized, flags):
         # Flags shorter than the samples used to end in numpy's broadcast error.
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
