@@ -20,8 +20,8 @@ whose size follows from the tap count alone, so its cost is linear in the
 record; it reads its reflect-padded edges in place rather than from a padded
 copy, so its temporaries stay block-sized however long the record grows.
 `blocks` is the one block rule of the package's record-length loops
-(acquisition, the conventional baseline, the lattice integration of
-unfolding).  The module needs numpy only.  Everything is a pure function of
+(acquisition, the conventional baseline, higher-order-difference
+recovery).  The module needs numpy only.  Everything is a pure function of
 its inputs.
 """
 

@@ -97,9 +97,12 @@ def fold(x: np.ndarray, threshold: float) -> np.ndarray:
     multiple of 2*threshold.  The threshold must be positive and finite, as
     AdcConfig and baselines.HodConfig check.
     """
-    r = np.mod(x + threshold, 2.0 * threshold) - threshold
+    r = np.add(x, threshold)
+    np.mod(r, 2.0 * threshold, out=r)
+    r -= threshold
     # np.mod can return the modulus itself for tiny negative inputs.
-    return np.where(r >= threshold, r - 2.0 * threshold, r)
+    np.subtract(r, 2.0 * threshold, out=r, where=r >= threshold)
+    return r
 
 
 def triangle_dither(count: int, bits: int, full_scale: float, seed):

@@ -20,17 +20,19 @@ into the residue, and the unfolded signal is the quantized stream minus
 the residue, lowpassed back to the signal band.
 
 Besides its two outputs, a call holds one more record-length float array
-at a time: the first difference while the solve runs, then the summed
-jumps, then the quantized stream minus the residue that the lowpass reads.
-Other temporaries are per fold-count group or per block.  The windowed
-difference is never stored: each fold-count group windows its own rows as
-it gathers them, the same products a windowed copy of every segment would
-hold.  Rounding, the integer running sum (carried across blocks) and the
-scaling run in `dsp.blocks`.  The solve batches stay whole, one per fold
-count over the whole record: cutting the record into blocks of segments
-would split them and multiply the checks and solves (26 groups in a
-desk OF-50 call), and the largest group's projector rows there take 0.75
-of a record length.
+at a time: the first difference while the solve runs, then the quantized
+stream minus the residue that the lowpass reads.  The books are kept per
+flagged sample, not per sample: the sorted flag positions locate each
+segment's entries, the jumps are summed one per flag, and only those sums
+are rounded and integrated before the running counts are spread over the
+samples into the residue.  Other temporaries are per flag, per segment, per
+fold-count group or per filter block.  The windowed difference is never
+stored: each fold-count group windows its own rows as it gathers them, the
+same products a windowed copy of every segment would hold.  The solve
+batches stay whole, one per fold count over the whole record: cutting the
+record into blocks of segments would split them and multiply the checks
+and solves (26 groups in a desk OF-50 call), and the largest group's
+projector rows there take 0.75 of a record length.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, _MAX_LENGTH, OobSystem, TukeyWindow, blocks,
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, _MAX_LENGTH, OobSystem, TukeyWindow,
                   build_oob_system, check_gram, design_lowpass, filter_zero_delay, fold_gram,
                   tukey_window)
 from .errors import ConfigurationError, InfeasibleError, check_number, check_record
@@ -131,13 +133,16 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
 
     differences[i] is the (unwindowed) first difference of segment i, shape
     (segments, n), and may be a strided view; window holds the n taper
-    coefficients; (rows, cols) = np.nonzero(flags) locate the flagged
-    samples in row-major order.  With d the windowed difference of a
-    segment, the values at its flagged positions S solve
+    coefficients; (rows, cols) locate the flagged samples by segment and
+    position in row-major order: the arrays np.nonzero returns for the
+    segments' (segments, n) fold flags, which unfold derives from the sorted
+    flag positions without building that flag array.  With d the windowed
+    difference of a segment, the values at its flagged positions S solve
     P[S, S] x = (P d)[S]; segments with equal fold counts are solved as one
-    batch, and (P d)[S] = P[S, :] d.  Each group's rows are windowed as
-    they are gathered, so no windowed copy of the batch is made.  Returns
-    one value per flagged sample, in that order.
+    batch, found by one stable sort of the counts, and (P d)[S] = P[S, :] d.
+    Each group's rows are windowed as they are gathered, so no windowed copy
+    of the batch is made.  Returns one value per flagged sample, in that
+    order.
 
     A segment with more folds than out-of-band equations, or one whose Gram
     has smallest eigenvalue at most n*eps times its largest
@@ -147,24 +152,30 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     """
     folds = np.bincount(rows, minlength=differences.shape[0])
     values = np.zeros(cols.size)
-    if folds.max(initial=0) > system.num_bins:
+    most = folds.max(initial=0)
+    if most > system.num_bins:
         row = int(np.argmax(folds > system.num_bins))
         raise InfeasibleError(
             f"segment {row}: {folds[row]} folds exceed the {system.num_bins} "
             "out-of-band equations; the oversampling factor is too low for "
             "this fold density")
     first = np.cumsum(folds) - folds
+    # The segments in increasing fold count, each count's run in increasing
+    # row order (a stable sort); order[bounds[k - 1]:bounds[k]] has count k.
+    order = np.argsort(folds, kind="stable")
+    bounds = np.searchsorted(folds[order], np.arange(1, most + 2))
     singular = []
-    for k in np.unique(folds[folds > 0]):
-        segs = np.flatnonzero(folds == k)
+    for k in np.flatnonzero(np.diff(bounds)) + 1:
+        segs = order[bounds[k - 1]:bounds[k]]
         entries = first[segs, None] + np.arange(k)
         positions = cols[entries]
-        # Gathered here, not in a helper that returns them: such a helper
-        # kept the previous group's arrays alive through the next gather,
-        # which raised minor page faults tenfold and cost about 20 % at n 256.
-        p_rows = system.projector[positions]
-        diffed = window * differences[segs]
-        rhs = p_rows @ diffed[..., None]
+        diffed = differences[segs]
+        diffed *= window
+        # The projector rows P[S, :] are gathered here and dropped by the
+        # product, not returned by a helper: such a helper kept the previous
+        # group's arrays alive through the next gather, which raised minor
+        # page faults tenfold and cost about 20 % at n 256.
+        rhs = system.projector[positions] @ diffed[..., None]
         gram = fold_gram(system, positions)
         # Checked before the solve: solving first raised the median peak resident
         # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
@@ -227,34 +238,46 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
 def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, int]:
     """unfold's residue, segment count and skipped-segment count.
 
-    A function of its own so that its temporaries are freed before the
-    lowpass runs.
+    The books are kept over the flagged samples alone, in padded
+    coordinates: segment s holds flags lo[s] to lo[s] + per[s] - 1 of the
+    sorted flag positions, so its entries are the (row, column) pairs that
+    np.nonzero of the segments' flag windows lists, in the same row-major
+    order, without a flag buffer.  An entry's solved value is summed onto its
+    flag, the one or two entries of a flag in that order, and the rounded
+    counts are integrated over the flags; the residue holds each running
+    count from its flag up to the next.  A function of its own so that its
+    temporaries are freed before the lowpass runs.
     """
-    n, overlap, hop = config.length, config.overlap, config.hop
-    num_real = adc.quantized.size
-    end = overlap + num_real
+    n, overlap = config.length, config.overlap
+    quantized = adc.quantized
+    end = overlap + quantized.size
     starts = segment_starts(max(end, n), n, config.alpha)
     extent = starts[-1] + n
-    # First difference of the zero-padded stream, taken in place; the spare
-    # slot past the last segment keeps the step back to zero in range.
-    diff = np.zeros(extent + 1)
-    diff[overlap:end] = adc.quantized
-    diff[overlap + 1:end + 1] -= adc.quantized
-    flags = np.zeros(extent, dtype=bool)
-    flags[overlap:end] = adc.folding_bits
-
-    flag_view = sliding_window_view(flags, n)[::hop]
-    rows, cols = np.nonzero(flag_view)
-    values = residue_pre_estimate(sliding_window_view(diff[:extent], n)[::hop],
+    # First difference of the zero-padded stream; the step back to zero at
+    # `end` lies inside the last segment.
+    diff = np.empty(extent)
+    diff[:overlap] = 0.0
+    diff[overlap] = quantized[0]
+    np.subtract(quantized[1:], quantized[:-1], out=diff[overlap + 1:end])
+    diff[end:] = 0.0
+    diff[end] -= quantized[-1]
+    padded = np.flatnonzero(adc.folding_bits)
+    padded += overlap
+    lo = np.searchsorted(padded, starts)
+    per = np.searchsorted(padded, starts + n) - lo
+    skipped = int(np.count_nonzero(per == 0))
+    rows = np.repeat(np.arange(starts.size), per)
+    # Entry e of segment s is flag e + shift[s]; only this per-segment shift
+    # is held through the solve, not a flag id per entry.
+    shift = lo - (np.cumsum(per) - per)
+    del lo, per
+    cols = padded[np.arange(rows.size) + shift[rows]] - starts[rows]
+    values = residue_pre_estimate(sliding_window_view(diff, n)[::config.hop],
                                   config.window.coefficients, rows, cols, config.system)
-    del diff  # freed before the full-length bincount
-    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=end)[overlap:]
-    residue = np.empty(num_real)
-    spacing = 2.0 * config.threshold
-    carry = 0
-    for block in blocks(num_real):
-        counts = np.cumsum(round_to_lattice(jumps[block], config.threshold))
-        counts += carry
-        carry = counts[-1]
-        np.multiply(spacing, counts, out=residue[block])
-    return residue, starts.size, int(np.count_nonzero(~flag_view.any(axis=1)))
+    del diff  # freed before the residue is allocated
+    jumps = np.bincount(np.arange(rows.size) + shift[rows], weights=values,
+                        minlength=padded.size)
+    counts = np.cumsum(round_to_lattice(jumps, config.threshold))
+    levels = 2.0 * config.threshold * np.concatenate(([0], counts))
+    residue = np.repeat(levels, np.diff(padded, prepend=overlap, append=end))
+    return residue, starts.size, skipped

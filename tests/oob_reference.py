@@ -1,13 +1,17 @@
-"""Per-segment complex least-squares unfolding, kept as a test reference.
+"""Earlier forms of unfolding, kept as test references.
 
-This is the recovery `unfold` used before the batched Gram-kernel solve: an
-explicit normalized out-of-band DFT matrix V, one complex minimum-norm
-least-squares solve of V_S x = V d per segment, and a sequential overlap-add
-that hands each segment's windowed tail to the next.  Tests check the
-batched path against it.
+`lattice_counts` is the recovery `unfold` used before the batched Gram-kernel
+solve: an explicit normalized out-of-band DFT matrix V, one complex
+minimum-norm least-squares solve of V_S x = V d per segment, and a sequential
+overlap-add that hands each segment's windowed tail to the next.  Tests check
+the batched path against it.  `sample_bookkeeping` is the batched solve with
+the per-sample books `unfold` kept before it indexed them by flagged sample.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from modunfold.unfold import residue_pre_estimate, round_to_lattice, segment_starts
 
 _EPS = np.finfo(float).eps
 
@@ -66,3 +70,37 @@ def lattice_counts(adc, config, system, window) -> np.ndarray:
         jumps[start:start + hop] = np.sign(corrected) * np.floor(
             np.abs(corrected) / spacing + 0.5)
     return np.cumsum(jumps)[overlap:overlap + adc.quantized.size].astype(np.int64)
+
+
+def sample_bookkeeping(adc, config):
+    """(residue, segments_total, segments_skipped) with per-sample books.
+
+    A record-length flag buffer, np.nonzero over its overlapped segment view,
+    the solved values summed onto a record-length jumps array by one
+    bincount, and rounding and integration in blocks of 4,096 samples with the
+    running count carried from block to block.  The solve is unfold's own
+    residue_pre_estimate.
+    """
+    n, overlap, hop = config.length, config.overlap, config.hop
+    num_real = adc.quantized.size
+    end = overlap + num_real
+    starts = segment_starts(max(end, n), n, config.alpha)
+    extent = starts[-1] + n
+    diff = np.zeros(extent + 1)
+    diff[overlap:end] = adc.quantized
+    diff[overlap + 1:end + 1] -= adc.quantized
+    flags = np.zeros(extent, dtype=bool)
+    flags[overlap:end] = adc.folding_bits
+    flag_view = sliding_window_view(flags, n)[::hop]
+    rows, cols = np.nonzero(flag_view)
+    values = residue_pre_estimate(sliding_window_view(diff[:extent], n)[::hop],
+                                  config.window.coefficients, rows, cols, config.system)
+    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=end)[overlap:]
+    residue = np.empty(num_real)
+    carry = 0
+    for start in range(0, num_real, 4096):
+        block = slice(start, start + 4096)
+        counts = np.cumsum(round_to_lattice(jumps[block], config.threshold)) + carry
+        carry = counts[-1]
+        residue[block] = 2.0 * config.threshold * counts
+    return residue, starts.size, int(np.count_nonzero(~flag_view.any(axis=1)))

@@ -52,6 +52,21 @@ class TestFold:
         x = np.array([0.3, 2.5, -1.2])
         assert_allclose(fold(x, 1.0), [0.3, 0.5, 0.8])
 
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, 0.3, 7.3e-3])
+    def test_in_place_gives_the_bits_of_the_expression(self, threshold):
+        # fold works in place; it must return the bits of the plain expression.
+        # Past -1.5 by one ulp, x + threshold is so small a negative number
+        # that np.mod returns the modulus itself.
+        edges = [threshold, -threshold, 0.0, -0.0, np.nextafter(-threshold, -np.inf),
+                 np.nextafter(-threshold, 0.0), np.nextafter(threshold, 0.0), 3 * threshold,
+                 -3 * threshold, np.nextafter(-3 * threshold, -np.inf)]
+        x = np.concatenate([
+            edges, np.random.default_rng(0).normal(scale=50 * threshold, size=100_000)])
+        r = np.mod(x + threshold, 2.0 * threshold) - threshold
+        assert_array_equal(fold(x, threshold), np.where(r >= threshold, r - 2.0 * threshold, r))
+        if threshold == 1.5:
+            assert (r[:len(edges)] == threshold).any()
+
 
 class TestTriangleDither:
     def setup_method(self):

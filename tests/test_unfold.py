@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -11,16 +11,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from modunfold.dsp import build_oob_system, oob_bin_indices, tukey_window
 from modunfold.errors import ConfigurationError, InfeasibleError
+from modunfold.experiments import PEAK_MARGIN, ExperimentConfig
 from modunfold.guarantees import (guard_bin_count, predict_mse_modulo,
                                   required_threshold)
 from modunfold.modulo_adc import AdcConfig, AdcOutput, acquire, fold
-from modunfold.signal_model import (PulseTrain, PulseTrainSpec, estimate_inf_norm,
-                                    generate_pulse_train, nominal_sample_count,
-                                    sample_signal)
+from modunfold.signal_model import (PulseTrain, PulseTrainSpec, SampledSignal,
+                                    estimate_inf_norm, generate_pulse_train,
+                                    nominal_sample_count, sample_signal)
 from modunfold.unfold import (RecoveryConfig, residue_pre_estimate,
                               round_to_lattice, segment_starts, unfold)
 from conftest import GUARD, desk_recovery, traced_peak
-from oob_reference import lattice_counts, oob_bins, oob_matrix, pre_estimate
+from oob_reference import (lattice_counts, oob_bins, oob_matrix, pre_estimate,
+                           sample_bookkeeping)
 
 
 def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
@@ -198,11 +200,12 @@ class TestRoundToLattice:
 class TestUnfold:
     def test_peak_memory_above_inputs(self):
         # Desk train at OF 50 and 4 bits: 202,000 samples, 11 % flagged.
-        # Measured 3.28 record lengths above the inputs: the outputs, the
-        # quantized-minus-residue record the lowpass reads, and the
-        # difference buffer while the solve runs.  The dense windowed
-        # difference (4/3 record lengths) and full-length lattice temporaries
-        # it replaced peaked at 9.0.
+        # Measured 3.10 record lengths above the inputs, while the lowpass
+        # runs: the residue, the quantized-minus-residue record it reads and
+        # its output.  The solve peaks at 2.61: the difference buffer, the
+        # per-flag books and the largest fold-count group's projector rows.
+        # Per-sample books with a record-length flag buffer read 3.29, and a
+        # dense windowed difference with full-length lattice temporaries 9.0.
         _, threshold, sig, adc, _ = paper_point(2000, 50.0, 4, seed=1)
         _, peak = traced_peak(unfold, adc, sig, desk_recovery(threshold, 1 / 50.0))
         assert peak <= 3.5 * sig.samples.nbytes
@@ -341,6 +344,88 @@ class TestUnfold:
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
         with pytest.raises(ConfigurationError, match="band fraction"):
             unfold(adc, sig, desk_recovery(threshold, 0.125))
+
+
+def assert_books_match(adc, sig, config):
+    """unfold's residue and segment counts equal the per-sample books', or both
+    raise the same InfeasibleError.  Returns unfold's result, if any."""
+    try:
+        residue, total, skipped = sample_bookkeeping(adc, config)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as raised:
+            unfold(adc, sig, config)
+        assert str(raised.value) == str(err)
+        return None
+    result = unfold(adc, sig, config)
+    assert_array_equal(result.residue, residue)
+    assert (result.segments_total, result.segments_skipped) == (total, skipped)
+    return result
+
+
+# A 33-tap lowpass, so that records shorter than one 64-sample window unfold.
+SHORT_LOWPASS = {"lpf_length": 33, "lpf_transition": np.pi / 3}
+
+
+class TestFlagBookkeeping:
+    """unfold keeps its books per flagged sample; per sample they read the same."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recover_legs(self, seed):
+        # The legs of perfbench's recover workload, built as it builds them.
+        # The 2-bit leg at OF 4 slips at every seed.
+        spec = ExperimentConfig(experiment="mse-sweep", seed=seed).signal_spec(seed)
+        train = generate_pulse_train(spec)
+        peak = PEAK_MARGIN * estimate_inf_norm(train)
+        legs = ((4, 4.0), (4, 16.0), (4, 50.0), (2, 4.0), (3, 6.0))
+        slipped = []
+        for (bits, of), dither in zip(legs, np.random.SeedSequence(seed).spawn(len(legs))):
+            sig = sample_signal(train, of, nominal_sample_count(spec, of))
+            threshold = required_threshold(peak, of, guard_bin_count(GUARD, 64), 64)
+            adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=dither))
+            result = assert_books_match(adc, sig, desk_recovery(threshold, 1 / of))
+            slipped.append(bool((result.residue != adc.residue_truth).any()))
+        assert slipped[3]
+
+    @given(size=st.integers(33, 300), picks=st.lists(st.integers(0, 299), max_size=12),
+           ends=st.sampled_from([(), (0,), (-1,), (0, -1)]), tapers_only=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(size=40, picks=[], ends=(0, -1), tapers_only=False, seed=0)  # under a window
+    @example(size=300, picks=[], ends=(), tapers_only=False, seed=1)  # no flags
+    @example(size=300, picks=[32, 33, 47, 80, 95, 130], ends=(), tapers_only=True, seed=2)
+    @example(size=33, picks=[5, 6, 7], ends=(-1,), tapers_only=False, seed=3)
+    @settings(deadline=None, max_examples=40)
+    def test_hand_built_flags(self, size, picks, ends, tapers_only, seed):
+        # tapers_only keeps the samples two segments share, padded index
+        # p = i + 16 with p % 48 < 16, whose jumps sum two segments' values.
+        indices = np.array(picks, dtype=int) % size
+        if tapers_only:
+            indices = indices[(indices + 16) % 48 < 16]
+        flagged = np.zeros(size, dtype=bool)
+        flagged[indices] = True
+        flagged[list(ends)] = True
+        # Samples 20 lattice steps wide, so that a changed value anywhere in
+        # the books changes some rounded count.
+        rng = np.random.default_rng(seed)
+        adc = AdcOutput(quantized=rng.uniform(-1.0, 1.0, size), folding_bits=flagged,
+                        residue_truth=np.zeros(size), config=AdcConfig(bits=4, threshold=0.05))
+        sig = SampledSignal(samples=np.zeros(size), band_fraction=0.25)
+        assert_books_match(adc, sig, desk_recovery(0.05, 0.25, **SHORT_LOWPASS))
+
+    @pytest.mark.parametrize("band_fraction, guard, first, count, message", [
+        (0.25, GUARD, 180, 101, "segment 4: 60 folds exceed"),
+        (0.5, 0.0, 150, 20, "segment 3: fold-position Gram is singular")],
+        ids=["too-many-folds", "singular-gram"])
+    def test_infeasible_segment_named_as_before(self, band_fraction, guard, first, count,
+                                                message):
+        flagged = np.zeros(400, dtype=bool)
+        flagged[first:first + count] = True
+        adc = AdcOutput(quantized=np.zeros(400), folding_bits=flagged,
+                        residue_truth=np.zeros(400), config=AdcConfig(bits=4, threshold=1.0))
+        sig = SampledSignal(samples=np.zeros(400), band_fraction=band_fraction)
+        config = desk_recovery(1.0, band_fraction, guard, **SHORT_LOWPASS)
+        with pytest.raises(InfeasibleError, match=message):
+            unfold(adc, sig, config)
+        assert_books_match(adc, sig, config)
 
 
 class TestRecoveryConfig:
