@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 
-# Longest window or lowpass accepted (tukey_window, build_oob_system,
+# Longest window or lowpass accepted (tukey_edge, build_oob_system,
 # design_lowpass).  Their memory is linear in the length: traced peaks of
 # 3.5 MB for a window and its system and 13.7 MB for a lowpass at 2^16, so
 # about 60 and 220 MB at the cap.  Both presets' windows are 64 to 256
@@ -173,8 +173,8 @@ def check_gram(gram, n: int):
     return margins, certified, [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
 
 
-def tukey_window(n: int, alpha: float) -> TukeyWindow:
-    """Tapered-cosine window of length n with roll-off alpha in (0, 1].
+def tukey_edge(n: int, alpha: float) -> int:
+    """Taper length alpha*n/2 of an n-point Tukey window with roll-off alpha in (0, 1].
 
     Rejects (n, alpha) pairs where alpha*n is not an even integer >= 2, since
     the overlap-add correction relies on exact pairing of the two tapers.
@@ -186,7 +186,12 @@ def tukey_window(n: int, alpha: float) -> TukeyWindow:
     prod = alpha * n
     if abs(prod - round(prod)) > 1e-9 or round(prod) % 2 != 0 or round(prod) < 2:
         raise ConfigurationError(f"alpha*n must be an even integer >= 2, got {prod!r}")
-    edge = int(round(prod / 2))
+    return int(round(prod / 2))
+
+
+def tukey_window(n: int, alpha: float) -> TukeyWindow:
+    """Tapered-cosine window of length n with roll-off alpha; tukey_edge checks the pair."""
+    edge = tukey_edge(n, alpha)
     i = np.arange(n)
     w = np.ones(n)
     head = i < edge

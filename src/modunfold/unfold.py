@@ -12,27 +12,27 @@ gathered from the O(n) projector view: the Gram block is their S columns and
 fold count are checked as one batch by `dsp.check_gram`, which finds the
 segments whose jumps are not identifiable, and solved as one batch by
 np.linalg.solve, which forms no inverse.  A value solved at position p of
-the segment that starts at `start` belongs to sample start + p; the two
-window tapers covering an overlapped sample sum to one, so adding every
-segment's values at their samples restores the unwindowed jumps.  Those
-are rounded to integer counts of the 2*threshold lattice and integrated
-into the residue, and the unfolded signal is the quantized stream minus
-the residue, lowpassed back to the signal band.
+the segment that starts at `start` belongs to the flag at sample
+start + p; the two window tapers covering an overlapped sample sum to one,
+so adding the one or two segments' values at each flag restores its
+unwindowed jump.  Those are rounded to integer counts of the 2*threshold
+lattice and integrated into the residue, and the unfolded signal is the
+quantized stream minus the residue, lowpassed back to the signal band.
 
 Besides its two outputs, a call holds one more record-length float array
 at a time: the first difference while the solve runs, then the quantized
 stream minus the residue that the lowpass reads.  The books are kept per
-flagged sample, not per sample: the sorted flag positions locate each
-segment's entries, the jumps are summed one per flag, and only those sums
-are rounded and integrated before the running counts are spread over the
-samples into the residue.  Other temporaries are per flag, per segment, per
-fold-count group or per filter block.  The windowed difference is never
-stored: each fold-count group windows its own rows as it gathers them, the
-same products a windowed copy of every segment would hold.  The solve
-batches stay whole, one per fold count over the whole record: cutting the
-record into blocks of segments would split them and multiply the checks
-and solves (26 groups in a desk OF-50 call), and the largest group's
-projector rows there take 0.75 of a record length.
+flagged sample, not per sample: the sorted flag positions give each
+segment's fold count and fold set, the solve returns one jump per flag,
+and only those are rounded and integrated before the running counts are
+spread over the samples into the residue.  Other temporaries are per flag,
+per segment, per fold-count group or per filter block.  The windowed
+difference is never stored: each fold-count group windows its own rows as
+it gathers them, the same products a windowed copy of every segment would
+hold.  The solve batches stay whole, one per fold count over the whole
+record: cutting the record into blocks of segments would split them and
+multiply the checks and solves (26 groups in a desk OF-50 call), and the
+largest group's projector rows there take 0.75 of a record length.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, _MAX_LENGTH, OobSystem, TukeyWindow,
                   build_oob_system, check_gram, design_lowpass, filter_zero_delay, fold_gram,
-                  tukey_window)
+                  tukey_edge, tukey_window)
 from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 from .modulo_adc import AdcOutput
 from .signal_model import _MAX_SAMPLES, SampledSignal
@@ -125,24 +125,24 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     cap = _MAX_SAMPLES + _MAX_LENGTH
     if not 1 <= check_number("num_samples", num_samples, integer=True) <= cap:
         raise ConfigurationError(f"need 1 <= num_samples <= {cap}, got {num_samples}")
-    return np.arange(0, num_samples, tukey_window(length, alpha).hop)
+    return np.arange(0, num_samples, length - tukey_edge(length, alpha))
 
 
-def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> np.ndarray:
-    """Windowed residue jumps at the flagged samples of a batch of segments.
+def residue_pre_estimate(differences, window, starts, flags,
+                         system: OobSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Residue jumps at the flagged samples and fold counts of a batch of segments.
 
-    differences[i] is the (unwindowed) first difference of segment i, shape
-    (segments, n), and may be a strided view; window holds the n taper
-    coefficients; (rows, cols) locate the flagged samples by segment and
-    position in row-major order: the arrays np.nonzero returns for the
-    segments' (segments, n) fold flags, which unfold derives from the sorted
-    flag positions without building that flag array.  With d the windowed
+    differences[i] is the (unwindowed) first difference of the segment that
+    starts at sample starts[i], shape (segments, n), and may be a strided
+    view; window holds the n taper coefficients; flags holds the sorted
+    flagged samples, in the coordinates of starts.  With d the windowed
     difference of a segment, the values at its flagged positions S solve
     P[S, S] x = (P d)[S]; segments with equal fold counts are solved as one
     batch, found by one stable sort of the counts, and (P d)[S] = P[S, :] d.
     Each group's rows are windowed as they are gathered, so no windowed copy
-    of the batch is made.  Returns one value per flagged sample, in that
-    order.
+    of the batch is made.  Returns (jumps, folds): jumps[j] sums the values
+    solved at flags[j] by the one or two segments that hold it, which is
+    its unwindowed jump, and folds[i] counts the flags of segment i.
 
     A segment with more folds than out-of-band equations, or one whose Gram
     has smallest eigenvalue at most n*eps times its largest
@@ -150,8 +150,9 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     identifiable at this oversampling.  Both name the first such segment by
     its row.
     """
-    folds = np.bincount(rows, minlength=differences.shape[0])
-    values = np.zeros(cols.size)
+    lo = np.searchsorted(flags, starts)
+    folds = np.searchsorted(flags, starts + system.n) - lo
+    jumps = np.zeros(flags.size)
     most = folds.max(initial=0)
     if most > system.num_bins:
         row = int(np.argmax(folds > system.num_bins))
@@ -159,7 +160,6 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
             f"segment {row}: {folds[row]} folds exceed the {system.num_bins} "
             "out-of-band equations; the oversampling factor is too low for "
             "this fold density")
-    first = np.cumsum(folds) - folds
     # The segments in increasing fold count, each count's run in increasing
     # row order (a stable sort); order[bounds[k - 1]:bounds[k]] has count k.
     order = np.argsort(folds, kind="stable")
@@ -167,8 +167,8 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
     singular = []
     for k in np.flatnonzero(np.diff(bounds)) + 1:
         segs = order[bounds[k - 1]:bounds[k]]
-        entries = first[segs, None] + np.arange(k)
-        positions = cols[entries]
+        ids = lo[segs, None] + np.arange(k)
+        positions = flags[ids] - starts[segs, None]
         diffed = differences[segs]
         diffed *= window
         # The projector rows P[S, :] are gathered here and dropped by the
@@ -180,13 +180,15 @@ def residue_pre_estimate(differences, window, rows, cols, system: OobSystem) -> 
         # Checked before the solve: solving first raised the median peak resident
         # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
         singular += [(segs[i], low, high) for i, low, high in check_gram(gram, system.n)[2]]
-        values[entries] = np.linalg.solve(gram, rhs)[..., 0]
+        # Two segments of one group can share a flag, so the sum is unbuffered;
+        # flat indices take numpy's fast path, 2-D ones were 6 times slower.
+        np.add.at(jumps, ids.ravel(), np.linalg.solve(gram, rhs).ravel())
     if singular:
         row, low, high = min(singular)
         raise InfeasibleError(
             f"segment {row}: fold-position Gram is singular (eigenvalues "
             f"{low:.3e} to {high:.3e}); residues are not identifiable")
-    return values
+    return jumps, folds
 
 
 def round_to_lattice(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -239,14 +241,11 @@ def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, i
     """unfold's residue, segment count and skipped-segment count.
 
     The books are kept over the flagged samples alone, in padded
-    coordinates: segment s holds flags lo[s] to lo[s] + per[s] - 1 of the
-    sorted flag positions, so its entries are the (row, column) pairs that
-    np.nonzero of the segments' flag windows lists, in the same row-major
-    order, without a flag buffer.  An entry's solved value is summed onto its
-    flag, the one or two entries of a flag in that order, and the rounded
-    counts are integrated over the flags; the residue holds each running
-    count from its flag up to the next.  A function of its own so that its
-    temporaries are freed before the lowpass runs.
+    coordinates: residue_pre_estimate returns one summed jump per flag and
+    one fold count per segment, the rounded counts are integrated over the
+    flags, and the residue holds each running count from its flag up to the
+    next.  A function of its own so that its temporaries are freed before
+    the lowpass runs.
     """
     n, overlap = config.length, config.overlap
     quantized = adc.quantized
@@ -263,21 +262,11 @@ def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, i
     diff[end] -= quantized[-1]
     padded = np.flatnonzero(adc.folding_bits)
     padded += overlap
-    lo = np.searchsorted(padded, starts)
-    per = np.searchsorted(padded, starts + n) - lo
-    skipped = int(np.count_nonzero(per == 0))
-    rows = np.repeat(np.arange(starts.size), per)
-    # Entry e of segment s is flag e + shift[s]; only this per-segment shift
-    # is held through the solve, not a flag id per entry.
-    shift = lo - (np.cumsum(per) - per)
-    del lo, per
-    cols = padded[np.arange(rows.size) + shift[rows]] - starts[rows]
-    values = residue_pre_estimate(sliding_window_view(diff, n)[::config.hop],
-                                  config.window.coefficients, rows, cols, config.system)
+    jumps, folds = residue_pre_estimate(sliding_window_view(diff, n)[::config.hop],
+                                        config.window.coefficients, starts, padded,
+                                        config.system)
     del diff  # freed before the residue is allocated
-    jumps = np.bincount(np.arange(rows.size) + shift[rows], weights=values,
-                        minlength=padded.size)
     counts = np.cumsum(round_to_lattice(jumps, config.threshold))
     levels = 2.0 * config.threshold * np.concatenate(([0], counts))
     residue = np.repeat(levels, np.diff(padded, prepend=overlap, append=end))
-    return residue, starts.size, skipped
+    return residue, starts.size, int(np.count_nonzero(folds == 0))

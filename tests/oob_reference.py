@@ -5,7 +5,8 @@ solve: an explicit normalized out-of-band DFT matrix V, one complex
 minimum-norm least-squares solve of V_S x = V d per segment, and a sequential
 overlap-add that hands each segment's windowed tail to the next.  Tests check
 the batched path against it.  `sample_bookkeeping` is the batched solve with
-the per-sample books `unfold` kept before it indexed them by flagged sample.
+the per-sample rounding and integration `unfold` kept before it indexed its
+books by flagged sample.
 """
 
 import numpy as np
@@ -75,11 +76,10 @@ def lattice_counts(adc, config, system, window) -> np.ndarray:
 def sample_bookkeeping(adc, config):
     """(residue, segments_total, segments_skipped) with per-sample books.
 
-    A record-length flag buffer, np.nonzero over its overlapped segment view,
-    the solved values summed onto a record-length jumps array by one
-    bincount, and rounding and integration in blocks of 4,096 samples with the
-    running count carried from block to block.  The solve is unfold's own
-    residue_pre_estimate.
+    The solve is unfold's own residue_pre_estimate.  Its per-flag jumps are
+    scattered onto a record-length array, then rounded and integrated in
+    blocks of 4,096 samples with the running count carried from block to
+    block; the skipped segments are read from a record-length flag buffer.
     """
     n, overlap, hop = config.length, config.overlap, config.hop
     num_real = adc.quantized.size
@@ -89,13 +89,12 @@ def sample_bookkeeping(adc, config):
     diff = np.zeros(extent + 1)
     diff[overlap:end] = adc.quantized
     diff[overlap + 1:end + 1] -= adc.quantized
-    flags = np.zeros(extent, dtype=bool)
-    flags[overlap:end] = adc.folding_bits
-    flag_view = sliding_window_view(flags, n)[::hop]
-    rows, cols = np.nonzero(flag_view)
-    values = residue_pre_estimate(sliding_window_view(diff[:extent], n)[::hop],
-                                  config.window.coefficients, rows, cols, config.system)
-    jumps = np.bincount(starts[rows] + cols, weights=values, minlength=end)[overlap:]
+    flagged = np.flatnonzero(adc.folding_bits)
+    values, _ = residue_pre_estimate(sliding_window_view(diff[:extent], n)[::hop],
+                                     config.window.coefficients, starts, flagged + overlap,
+                                     config.system)
+    jumps = np.zeros(num_real)
+    jumps[flagged] = values
     residue = np.empty(num_real)
     carry = 0
     for start in range(0, num_real, 4096):
@@ -103,4 +102,7 @@ def sample_bookkeeping(adc, config):
         counts = np.cumsum(round_to_lattice(jumps[block], config.threshold)) + carry
         carry = counts[-1]
         residue[block] = 2.0 * config.threshold * counts
-    return residue, starts.size, int(np.count_nonzero(~flag_view.any(axis=1)))
+    flags = np.zeros(extent, dtype=bool)
+    flags[overlap:end] = adc.folding_bits
+    skipped = ~sliding_window_view(flags, n)[::hop].any(axis=1)
+    return residue, starts.size, int(np.count_nonzero(skipped))

@@ -504,10 +504,7 @@ class TestBadInput:
     @pytest.mark.parametrize("field, value, experiments", [
         ("window_alpha", 0, EXPERIMENTS),
         ("window_alpha", 2, EXPERIMENTS),
-        ("bits_list", [1], SIMULATED + ("theory-only",)),
         ("num_pulses", 1, SIMULATED),
-        ("guard_width_list", [-0.1], SIMULATED + ("theory-only",)),
-        ("hod_order", 0, ("compare-hod",)),
         ("m_set_fractions", [0], EXPERIMENTS),
         ("oversampling_list", ["4"], EXPERIMENTS),
         ("window_length", 64.0, EXPERIMENTS),
@@ -524,7 +521,11 @@ class TestBadInput:
         ("seed", -1, EXPERIMENTS),
         ("amp_high", 1.41e169, EXPERIMENTS),
         ("amp_low", -1e300, EXPERIMENTS),
-    ])
+    ], ids=["window_alpha-0", "window_alpha-2", "num_pulses-1", "m_set_fractions-0",
+            "oversampling_list-string", "window_length-64.0", "num_pulses-2.5",
+            "oversampling_list-0.0", "m_lengths-0", "m_set_fractions-32", "bits_list-2.5",
+            "beta-1.5", "span-3", "trials-0", "m_trials-0", "window_length-10", "seed--1",
+            "amp_high-1.41e169", "amp_low--1e300"])
     def test_probe_exits_2(self, tmp_path, capsys, field, value, experiments):
         for experiment in experiments:
             assert run_cli(tmp_path, experiment, {**TINY, field: value}) == 2

@@ -68,30 +68,39 @@ class TestSegmentStarts:
 
 
 def segment_views(adc, config):
-    """Unwindowed differences and flags per segment, segmented as unfold does."""
+    """Unwindowed differences, starts and flagged samples, in unfold's padded coordinates."""
     n, overlap = config.length, config.overlap
     starts = segment_starts(overlap + adc.quantized.size, n, config.alpha)
-    extent = starts[-1] + n
-    samples = np.zeros(extent)
+    samples = np.zeros(starts[-1] + n)
     samples[overlap:overlap + adc.quantized.size] = adc.quantized
-    flags = np.zeros(extent, dtype=bool)
-    flags[overlap:overlap + adc.quantized.size] = adc.folding_bits
     diffs = sliding_window_view(np.diff(samples, prepend=0.0), n)[::config.hop]
-    return diffs, sliding_window_view(flags, n)[::config.hop]
+    return diffs, starts, np.flatnonzero(adc.folding_bits) + overlap
 
 
 def assert_matches_reference(adc, config, result):
-    """Same lattice and pre-estimates (within 1e-9 threshold) as the old solver."""
-    system = build_oob_system(config.length, config.band_fraction, config.guard_width)
-    window = tukey_window(config.length, config.alpha)
+    """Same lattice as the old solver, and jumps within 1e-9 threshold of its
+    per-segment pre-estimates summed over the segments at each flag."""
+    n = config.length
+    system = build_oob_system(n, config.band_fraction, config.guard_width)
+    window = tukey_window(n, config.alpha)
     assert_array_equal(result.residue,
                        2.0 * config.threshold * lattice_counts(adc, config, system, window))
-    diffs, flags = segment_views(adc, config)
-    batched = residue_pre_estimate(diffs, window.coefficients, *np.nonzero(flags), system)
-    reference = np.concatenate([
-        pre_estimate(window.coefficients * d, np.flatnonzero(f), system)[f]
-        for d, f in zip(diffs, flags)])
-    assert np.abs(batched - reference).max(initial=0.0) <= 1e-9 * config.threshold
+    diffs, starts, flags = segment_views(adc, config)
+    jumps, folds = residue_pre_estimate(diffs, window.coefficients, starts, flags, system)
+    summed = np.zeros(starts[-1] + n)
+    counts = []
+    for start, diffed in zip(starts, diffs):
+        fold_set = flags[(flags >= start) & (flags < start + n)] - start
+        summed[start:start + n] += pre_estimate(window.coefficients * diffed, fold_set, system)
+        counts.append(fold_set.size)
+    assert_array_equal(folds, counts)
+    assert np.abs(jumps - summed[flags]).max(initial=0.0) <= 1e-9 * config.threshold
+
+
+def own_segments(flags):
+    """Starts and flagged samples that give each row of a (segments, n) flag
+    array a segment of its own, so the jumps come back in row-major order."""
+    return np.arange(len(flags)) * flags.shape[1], np.flatnonzero(flags)
 
 
 class TestResiduePreEstimate:
@@ -114,17 +123,18 @@ class TestResiduePreEstimate:
         return flags
 
     def test_empty_fold_set_skips_solve(self):
-        out = residue_pre_estimate(np.ones((3, 64)), self.window.coefficients,
-                                   *np.nonzero(np.zeros((3, 64))), self.system)
-        assert out.shape == (0,)
+        jumps, folds = residue_pre_estimate(np.ones((3, 64)), self.window.coefficients,
+                                            *own_segments(np.zeros((3, 64))), self.system)
+        assert jumps.shape == (0,)
+        assert_array_equal(folds, [0, 0, 0])
 
     def test_noiseless_recovery_matches_windowed_jumps(self):
         threshold = 1.0
         fold_set = np.array([7, 20, 37, 55])
         jumps = 2 * threshold * np.array([1.0, -1.0, 2.0, -1.0])
         diffs = self._jumps(fold_set, jumps, slope=1e-4 * threshold)
-        out = residue_pre_estimate(diffs[None], self.window.coefficients,
-                                   *np.nonzero(self._flags(fold_set)), self.system)
+        out, _ = residue_pre_estimate(diffs[None], self.window.coefficients,
+                                      *own_segments(self._flags(fold_set)), self.system)
         expected = self.window.coefficients[fold_set] * jumps
         assert np.abs(out - expected).max() <= 1e-6 * threshold
 
@@ -143,11 +153,11 @@ class TestResiduePreEstimate:
         dense = np.arange(50)  # exceeds the 45 out-of-band bins
         with pytest.raises(InfeasibleError, match="oversampling"):
             residue_pre_estimate(np.zeros((1, 64)), self.window.coefficients,
-                                 *np.nonzero(self._flags(dense)), self.system)
+                                 *own_segments(self._flags(dense)), self.system)
 
     def test_rows_solved_in_groups_match_reference(self):
         # Rows with different fold counts land in different batches; each
-        # row's values must still come back in np.nonzero order.
+        # value must still come back at its own flag.
         rng = np.random.default_rng(3)
         diffed = rng.normal(size=(5, 64))
         flags = np.zeros((5, 64), dtype=bool)
@@ -156,9 +166,24 @@ class TestResiduePreEstimate:
         reference = np.concatenate([
             pre_estimate(self.window.coefficients * d, np.flatnonzero(f), self.system)[f]
             for d, f in zip(diffed, flags)])
-        assert_allclose(residue_pre_estimate(diffed, self.window.coefficients,
-                                             *np.nonzero(flags), self.system),
-                        reference, rtol=0, atol=1e-9)
+        jumps, folds = residue_pre_estimate(diffed, self.window.coefficients,
+                                            *own_segments(flags), self.system)
+        assert_allclose(jumps, reference, rtol=0, atol=1e-9)
+        assert_array_equal(folds, [3, 0, 6, 3, 1])
+
+    def test_shared_flags_sum_both_segments(self):
+        # Adjacent segments with equal fold counts share flags 50 and 60 in
+        # their overlap, so one batch adds two values at each of them.
+        rng = np.random.default_rng(5)
+        diffed = rng.normal(size=(2, 64))
+        starts, flags = np.array([0, 48]), np.array([50, 60])
+        jumps, folds = residue_pre_estimate(diffed, self.window.coefficients, starts, flags,
+                                            self.system)
+        assert_array_equal(folds, [2, 2])
+        reference = sum(pre_estimate(self.window.coefficients * d, flags - start,
+                                     self.system)[flags - start]
+                        for d, start in zip(diffed, starts))
+        assert_allclose(jumps, reference, rtol=0, atol=1e-9)
 
     def test_singular_gram_names_segment(self):
         system = build_oob_system(64, 0.5, 0.0)
@@ -167,7 +192,7 @@ class TestResiduePreEstimate:
         flags[2, 20:40] = True  # 20 adjacent folds: lambda_min/lambda_max ~ 2e-16
         with pytest.raises(InfeasibleError, match="segment 2: .*singular"):
             residue_pre_estimate(np.zeros((3, 64)), self.window.coefficients,
-                                 *np.nonzero(flags), system)
+                                 *own_segments(flags), system)
 
 
 class TestRoundToLattice:
