@@ -34,7 +34,7 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, unfold
-from .dsp import _LPF_LENGTH, _LPF_TRANSITION, check_lowpass, filter_zero_delay, tukey_window
+from .dsp import _LPF_LENGTH, _LPF_TRANSITION, check_lowpass, filter_zero_delay, tukey_edge
 
 # Safety margin on the grid-based peak estimate before sizing the threshold;
 # grid maxima slightly undershoot the continuous maximum.
@@ -51,14 +51,15 @@ class ExperimentConfig:
     None take the experiment's defaults from _TABLE, at the end of this
     module: mse-sweep runs the nine factors 4-50 once, compare-hod OF 4, 6,
     10, 12, 16 over 12 realizations and m-grid OF 4, 8, 12; a given list is
-    run as given.  Every experiment but theory-only needs a seed >= 0;
-    theory-only draws nothing and records seed 0 when given none.
+    run as given, and a repeated value is measured again as its own point.
+    Every experiment but theory-only needs a seed >= 0; theory-only draws
+    nothing and records seed 0 when given none.
 
     The fields are checked here, whichever experiment reads them, so
     runners read them as they are and a bad value fails before any work.
     Each is checked once, by the owner of its rule: the signal spec
     (PulseTrainSpec) and each factor's sample count, the window
-    (tukey_window), the lowpass tap count and transition
+    (dsp.tukey_edge), the lowpass tap count and transition
     (dsp.check_lowpass), each bit depth (AdcConfig), each guard width
     (guarantees.guard_bin_count) and the HoD order (HodConfig).  This
     config applies errors.check_number to the fields no owner reads here,
@@ -135,7 +136,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
             if sampled and oversampling > 0.0:
                 nominal_sample_count(spec, oversampling)
-        tukey_window(self.window_length, self.window_alpha)
+        tukey_edge(self.window_length, self.window_alpha)
         check_lowpass(self.lpf_length, self.lpf_transition)
         for bits in self.bits_list:
             AdcConfig(bits=bits, threshold=1.0)
@@ -313,68 +314,64 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     """Rows of the (oversampling, bits, guard width) grid, averaged over trials.
 
     Trial t draws its signal with seed `seed + 1000 t` when it starts and
-    spawns dither seeds from its own entropy in the order it measures its
-    points, factor by factor, so that order, not the order of the trials
-    against the factors, fixes the CSV bytes.  A trial samples its signal
-    once per factor, after the first feasible threshold, and builds one
-    RecoveryConfig per factor and guard width, at its first bit depth, as
-    the threshold does not depend on the bits.  The grid walks the points
-    of `_adc_points`, acquires each one's realization, unfolds it and sets
-    `threshold`, `mse_simulated_db` and `samples_used`; `measure(trial,
-    peak, entropy, sampled, adc, recovery, **point)` returns the
-    experiment's own columns.  The `mse_*` fields are averaged, the others
-    kept from the last trial.  A repeated point is measured once; one
-    infeasible in a trial is skipped by later trials and becomes a skipped
-    row in `_grid`.
+    walks the points of `_adc_points` in row order, spawning dither seeds
+    from its own entropy as it measures them, so that order, not the order
+    of the trials against the points, fixes the CSV bytes.  The points are
+    factor-major: a trial samples its signal once per run of one factor,
+    after the first feasible threshold, and builds one RecoveryConfig per
+    guard width there, at its first bit depth, as the threshold does not
+    depend on the bits.  Each point's realization is acquired and unfolded,
+    which sets `threshold`, `mse_simulated_db` and `samples_used`;
+    `measure(trial, peak, entropy, sampled, adc, recovery, **point)`
+    returns the experiment's own columns.  The `mse_*` fields are averaged,
+    the others kept from the last trial.  Repeated grid values are measured
+    as given, each point with its own dither.  A point infeasible in one
+    trial is skipped by later trials and becomes a skipped row holding the
+    point's fields alone.
     """
     points = _adc_points(cfg)
-    factors = {}  # oversampling -> {a point's values: its first point}, in row order
-    for point in points:
-        factors.setdefault(point["oversampling"], {}).setdefault(tuple(point.values()), point)
-    measured = {}  # a point's values -> each trial's fields, or the error
+    runs = [[] for _ in points]  # each point's per-trial fields, or its InfeasibleError
     for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
         train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000 * t))
         peak = PEAK_MARGIN * estimate_inf_norm(train)
-        for factor in factors.values():
-            sampled = None  # the last record is freed before the next is sampled
-            recoveries = {}  # guard width -> its RecoveryConfig, shared by the bit depths
-            for key, point in factor.items():
-                if isinstance(measured.get(key), InfeasibleError):
-                    continue
-                oversampling, guard_width = point["oversampling"], point["guard_width"]
-                try:
-                    threshold = guarantees.required_threshold(
-                        peak, oversampling, point["guard_bins"], cfg.window_length)
-                    if sampled is None:
-                        count = nominal_sample_count(train.spec, oversampling)
-                        sampled = sample_signal(train, oversampling, count)
-                    adc = acquire(sampled, AdcConfig(bits=point["bits"], threshold=threshold,
-                                                     seed=entropy.spawn(1)[0]))
-                    if guard_width not in recoveries:
-                        recoveries[guard_width] = RecoveryConfig(
-                            length=cfg.window_length, alpha=cfg.window_alpha,
-                            guard_width=guard_width, threshold=threshold,
-                            band_fraction=1.0 / oversampling, lpf_length=cfg.lpf_length,
-                            lpf_transition=cfg.lpf_transition)
-                    recovery = recoveries[guard_width]
-                    mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
-                    fields = dict(threshold=threshold, mse_simulated_db=mse, samples_used=used,
-                                  **measure(trial=t, peak=peak, entropy=entropy,
-                                            sampled=sampled, adc=adc, recovery=recovery,
-                                            **point))
-                except InfeasibleError as err:
-                    measured[key] = err
-                    continue
-                measured.setdefault(key, []).append(fields)
-
-    def averaged(**point):
-        runs = measured[tuple(point.values())]
-        if isinstance(runs, InfeasibleError):
-            raise runs
-        return {name: _db(sum(fields[name] for fields in runs) / len(runs))
-                if name.startswith("mse_") else value for name, value in runs[-1].items()}
-
-    return _grid(ResultRow, points, averaged)
+        oversampling = None
+        for i, point in enumerate(points):
+            if point["oversampling"] != oversampling:
+                # A new factor: the last record is freed before the next is sampled.
+                oversampling, sampled = point["oversampling"], None
+                recoveries = {}  # guard width -> its RecoveryConfig, shared by the bit depths
+            if isinstance(runs[i], InfeasibleError):
+                continue
+            guard_width = point["guard_width"]
+            try:
+                threshold = guarantees.required_threshold(
+                    peak, oversampling, point["guard_bins"], cfg.window_length)
+                if sampled is None:
+                    count = nominal_sample_count(train.spec, oversampling)
+                    sampled = sample_signal(train, oversampling, count)
+                adc = acquire(sampled, AdcConfig(bits=point["bits"], threshold=threshold,
+                                                 seed=entropy.spawn(1)[0]))
+                if guard_width not in recoveries:
+                    recoveries[guard_width] = RecoveryConfig(
+                        length=cfg.window_length, alpha=cfg.window_alpha,
+                        guard_width=guard_width, threshold=threshold,
+                        band_fraction=1.0 / oversampling, lpf_length=cfg.lpf_length,
+                        lpf_transition=cfg.lpf_transition)
+                recovery = recoveries[guard_width]
+                mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
+                runs[i].append(dict(threshold=threshold, mse_simulated_db=mse,
+                                    samples_used=used,
+                                    **measure(trial=t, peak=peak, entropy=entropy,
+                                              sampled=sampled, adc=adc, recovery=recovery,
+                                              **point)))
+            except InfeasibleError as err:
+                runs[i] = err
+    return [ResultRow(**point, status="skipped", reason=str(run))
+            if isinstance(run, InfeasibleError) else
+            ResultRow(**point, **{name: _db(sum(fields[name] for fields in run) / len(run))
+                                  if name.startswith("mse_") else value
+                                  for name, value in run[-1].items()})
+            for point, run in zip(points, runs)]
 
 
 def _mse(estimate: np.ndarray, sampled, cfg: ExperimentConfig) -> tuple[float, int]:

@@ -231,14 +231,14 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
             f"recovery band fraction {config.band_fraction:.6g} != "
             f"signal band fraction {signal_meta.band_fraction:.6g}")
 
-    residue, segments, skipped = _residue(adc, config)
+    residue, segments, skipped = _residue(quantized, adc.folding_bits, config)
     recovered = filter_zero_delay(quantized - residue, config.lowpass)
     return UnfoldResult(recovered=recovered, residue=residue,
                         segments_total=segments, segments_skipped=skipped)
 
 
-def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, int]:
-    """unfold's residue, segment count and skipped-segment count.
+def _residue(quantized: np.ndarray, flags, config: RecoveryConfig) -> tuple[np.ndarray, int, int]:
+    """unfold's residue, segment count and skipped-segment count, from the checked record.
 
     The books are kept over the flagged samples alone, in padded
     coordinates: residue_pre_estimate returns one summed jump per flag and
@@ -248,7 +248,6 @@ def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, i
     the lowpass runs.
     """
     n, overlap = config.length, config.overlap
-    quantized = adc.quantized
     end = overlap + quantized.size
     starts = segment_starts(max(end, n), n, config.alpha)
     extent = starts[-1] + n
@@ -260,7 +259,7 @@ def _residue(adc: AdcOutput, config: RecoveryConfig) -> tuple[np.ndarray, int, i
     np.subtract(quantized[1:], quantized[:-1], out=diff[overlap + 1:end])
     diff[end:] = 0.0
     diff[end] -= quantized[-1]
-    padded = np.flatnonzero(adc.folding_bits)
+    padded = np.flatnonzero(flags)
     padded += overlap
     jumps, folds = residue_pre_estimate(sliding_window_view(diff, n)[::config.hop],
                                         config.window.coefficients, starts, padded,

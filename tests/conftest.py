@@ -1,5 +1,6 @@
-"""Helpers the test modules share: peak memory, the desk recovery config, a
-fixture that forbids the expensive work, and a loader for tools/*.py."""
+"""Helpers the test modules share: peak memory, the desk recovery config, the
+count of wrong roundings, a fixture that forbids the expensive work, and a
+loader for tools/*.py."""
 
 import importlib.util
 import tracemalloc
@@ -30,6 +31,18 @@ def desk_recovery(threshold, band_fraction, guard=GUARD, **lowpass):
     """RecoveryConfig of the desk window, N 64 and alpha 0.5."""
     return RecoveryConfig(length=64, alpha=0.5, guard_width=guard, threshold=threshold,
                           band_fraction=band_fraction, **lowpass)
+
+
+def wrong_roundings(residue, truth, flags):
+    """Flagged samples whose step of `residue` differs from the step of `truth`.
+
+    Both residues are lattice multiples, so a wrong step is off by at least
+    one spacing; the comparison is relative so that two levels' last-bit
+    differences after an earlier wrong step are not counted again.
+    """
+    steps = np.diff(residue, prepend=0.0)[flags]
+    return int(np.count_nonzero(~np.isclose(steps, np.diff(truth, prepend=0.0)[flags],
+                                            rtol=1e-9, atol=0.0)))
 
 
 def load_tool(name):

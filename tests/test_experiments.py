@@ -175,6 +175,14 @@ class TestRunners:
         assert skipped[0].oversampling == 2.0
         assert skipped[0].reason
 
+    def test_repeated_factor_is_measured_as_its_own_point(self):
+        # Rows 0-1 are the unrepeated grid's; row 2 repeats row 0's factor,
+        # so its threshold, with a dither of its own, so its MSE.
+        rows = run_mse_sweep(fast_config(oversampling_list=(4.0, 6.0, 4.0)))
+        assert rows[:2] == run_mse_sweep(fast_config())
+        assert rows[2].threshold == rows[0].threshold
+        assert rows[2].mse_simulated_db != rows[0].mse_simulated_db
+
     def test_compare_rows_have_both_mses(self):
         cfg = fast_config(experiment="compare-hod", trials=2,
                           oversampling_list=(6.0,), bits_list=(4, 5))

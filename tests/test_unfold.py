@@ -1,3 +1,4 @@
+import functools
 import sys
 from dataclasses import replace
 
@@ -20,9 +21,16 @@ from modunfold.signal_model import (PulseTrain, PulseTrainSpec, SampledSignal,
                                     nominal_sample_count, sample_signal)
 from modunfold.unfold import (RecoveryConfig, residue_pre_estimate,
                               round_to_lattice, segment_starts, unfold)
-from conftest import GUARD, desk_recovery, traced_peak
+from conftest import GUARD, desk_recovery, traced_peak, wrong_roundings
 from oob_reference import (lattice_counts, oob_bins, oob_matrix, pre_estimate,
                            sample_bookkeeping)
+
+
+@functools.lru_cache(maxsize=8)
+def reference_train(num_pulses, seed):
+    """The reference setup's pulse train and its peak with margin, built once."""
+    train = generate_pulse_train(PulseTrainSpec(num_pulses=num_pulses, seed=seed))
+    return train, 1.001 * estimate_inf_norm(train)
 
 
 def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
@@ -31,9 +39,8 @@ def paper_point(num_pulses, oversampling, bits, seed, guard=GUARD, ideal=False):
     ideal=True recovers the exact folded samples instead of the quantized
     ones; the fold flags and residue_truth are the same either way.
     """
-    spec = PulseTrainSpec(num_pulses=num_pulses, seed=seed)
-    train = generate_pulse_train(spec)
-    peak = 1.001 * estimate_inf_norm(train)
+    train, peak = reference_train(num_pulses, seed)
+    spec = train.spec
     threshold = required_threshold(peak, oversampling, guard_bin_count(guard, 64), 64)
     sig = sample_signal(train, oversampling, nominal_sample_count(spec, oversampling))
     adc = acquire(sig, AdcConfig(bits=bits, threshold=threshold, seed=seed + 1))
@@ -360,6 +367,15 @@ class TestUnfold:
         with pytest.raises(ConfigurationError, match="shape"):
             unfold(bad, sig, desk_recovery(threshold, 0.25))
 
+    def test_list_record_unfolds_as_its_array(self):
+        # The checked record is the one unfolded: a list used to pass the
+        # check and then fail on the list itself.
+        _, threshold, sig, adc, result = paper_point(300, 4.0, 4, seed=12)
+        listed = unfold(replace(adc, quantized=adc.quantized.tolist()), sig,
+                        desk_recovery(threshold, 0.25))
+        assert_array_equal(listed.residue, result.residue)
+        assert_array_equal(listed.recovered, result.recovered)
+
     def test_threshold_mismatch_rejected(self):
         _, threshold, sig, adc, _ = paper_point(300, 4.0, 4, seed=12)
         with pytest.raises(ConfigurationError, match="threshold"):
@@ -523,3 +539,21 @@ class TestWindowTrade:
             counts.append(int(sliding_window_view(padded, n)[starts].sum(axis=1).max()))
         assert counts == largest
         assert [oob_bin_indices(n, 0.5, 0.0).size for n in (64, 256, 1024)] == [31, 127, 511]
+
+
+class TestBitBoundary:
+    # The (bits, OF) boundary of the desk train, counted in wrong roundings
+    # on seeds held out from the bounds.  On seeds 0-19, 2 bits rounded
+    # wrongly in every run at OF 4-50, 4 and 5 bits never did, and 3 bits
+    # did in 19 of 160 runs: 17 once and 2 twice.
+    @pytest.mark.parametrize("seed", range(20, 25))
+    def test_wrong_roundings_by_bits(self, seed):
+        wrong = {bits: [] for bits in (2, 3, 4, 5)}
+        for oversampling in (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 50.0):
+            for bits in wrong:
+                _, _, _, adc, result = paper_point(2000, oversampling, bits, seed)
+                wrong[bits].append(wrong_roundings(result.residue, adc.residue_truth,
+                                                   adc.folding_bits))
+        assert min(wrong[2]) >= 1
+        assert max(wrong[3]) <= 2
+        assert wrong[4] == wrong[5] == [0] * 8
