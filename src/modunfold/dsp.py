@@ -18,11 +18,11 @@ Also here: tapered-cosine (Tukey) windows and linear-phase FIR lowpass design
 with zero-delay filtering.  The filter convolves by overlap-save in FFT blocks
 whose size follows from the tap count alone, so its cost is linear in the
 record; it reads its reflect-padded edges in place rather than from a padded
-copy, so its temporaries stay block-sized however long the record grows.
-`blocks` is the one block rule of the package's record-length loops
-(acquisition, the conventional baseline, higher-order-difference
-recovery).  The module needs numpy only.  Everything is a pure function of
-its inputs.
+copy, so its temporaries stay block-sized however long the record grows,
+and takes no record shorter than itself (check_filter_length).  `blocks`
+is the one block rule of the package's record-length loops (acquisition,
+the conventional baseline, higher-order-difference recovery).  The module
+needs numpy only.  Everything is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -278,6 +278,16 @@ def blocks(count: int) -> list[slice]:
     return [slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
 
 
+def check_filter_length(samples: int, taps: int) -> None:
+    """Raise ConfigurationError if a record of `samples` is shorter than its `taps`-tap filter.
+
+    The record-length rule of filter_zero_delay, which an experiment config
+    applies to each record it will sample, before any work.
+    """
+    if samples < taps:
+        raise ConfigurationError(f"signal ({samples} samples) shorter than filter ({taps} taps)")
+
+
 def filter_zero_delay(x, taps: np.ndarray) -> np.ndarray:
     """Filter `x` by symmetric lowpass `taps`, delay-compensated (output aligned to input).
 
@@ -294,10 +304,7 @@ def filter_zero_delay(x, taps: np.ndarray) -> np.ndarray:
     and one output buffer.
     """
     x = check_record("filtered", x)
-    if x.size < taps.size:
-        raise ConfigurationError(
-            f"signal ({x.size} samples) shorter than filter ({taps.size} taps)"
-        )
+    check_filter_length(x.size, taps.size)
     half = taps.size // 2
     block = max(_BLOCK, 1 << (2 * taps.size - 1).bit_length())
     spectrum = np.fft.rfft(taps, block)

@@ -34,11 +34,18 @@ from .signal_model import (PulseTrainSpec, estimate_inf_norm,
                            generate_pulse_train, nominal_sample_count,
                            sample_signal)
 from .unfold import RecoveryConfig, unfold
-from .dsp import _LPF_LENGTH, _LPF_TRANSITION, check_lowpass, filter_zero_delay, tukey_edge
+from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, check_filter_length, check_lowpass,
+                  filter_zero_delay, tukey_edge)
 
 # Safety margin on the grid-based peak estimate before sizing the threshold;
 # grid maxima slightly undershoot the continuous maximum.
 PEAK_MARGIN = 1.001
+
+# Most trials one MSE experiment averages: about 100 times compare-hod's 12.
+# A paper-preset trial takes about 1.5 s of compare-hod (five factors) and
+# 6.4 s of mse-sweep (nine factors, with the conventional pipeline) on a
+# 2-core VM, so a run at the cap about 25 minutes and 2 hours.
+_MAX_TRIALS = 1_000
 
 
 @dataclass
@@ -51,9 +58,11 @@ class ExperimentConfig:
     None take the experiment's defaults from _TABLE, at the end of this
     module: mse-sweep runs the nine factors 4-50 once, compare-hod OF 4, 6,
     10, 12, 16 over 12 realizations and m-grid OF 4, 8, 12; a given list is
-    run as given, and a repeated value is measured again as its own point.
-    Every experiment but theory-only needs a seed >= 0; theory-only draws
-    nothing and records seed 0 when given none.
+    run as given, and a repeated value is measured again as its own point,
+    a repeated factor with its own record and its own conventional
+    baseline.  `trials` is at most _MAX_TRIALS.  Every experiment but
+    theory-only needs a seed >= 0; theory-only draws nothing and records
+    seed 0 when given none.
 
     The fields are checked here, whichever experiment reads them, so
     runners read them as they are and a bad value fails before any work.
@@ -61,12 +70,15 @@ class ExperimentConfig:
     (PulseTrainSpec) and each factor's sample count, the window
     (dsp.tukey_edge), the lowpass tap count and transition
     (dsp.check_lowpass), each bit depth (AdcConfig), each guard width
-    (guarantees.guard_bin_count) and the HoD order (HodConfig).  This
-    config applies errors.check_number to the fields no owner reads here,
-    and checks the list shapes, the m-grid fold sets and factors, the
-    trial count, the seed and `out`, which must name a file in an existing
-    directory.  Only the lowpass rules that depend on a point's cutoff
-    wait until that point's lowpass is designed (dsp.design_lowpass).
+    (guarantees.guard_bin_count), the HoD order (HodConfig) and, in the
+    experiments that sample, the length of each record they will sample,
+    those of the factors with a threshold at some guard width, against
+    the lowpass (dsp.check_filter_length).  This config applies
+    errors.check_number to the fields no owner reads here, and checks the
+    list shapes, the m-grid fold sets and factors, the trial count, the
+    seed and `out`, which must name a file in an existing directory.  Only
+    the lowpass rules that depend on a point's cutoff wait until that
+    point's lowpass is designed (dsp.design_lowpass).
     """
 
     experiment: str = "mse-sweep"
@@ -120,13 +132,17 @@ class ExperimentConfig:
             raise ConfigurationError(f"cannot write {self.out}: it is a directory")
         # The fields no owner reads at construction.
         check_number("m_trials", self.m_trials, integer=True)
-        if check_number("trials", self.trials, integer=True) < 1:
-            raise ConfigurationError("trials must be positive")
+        if not 1 <= check_number("trials", self.trials, integer=True) <= _MAX_TRIALS:
+            raise ConfigurationError(f"trials must be in [1, the cap {_MAX_TRIALS}]")
         for n, f in itertools.product(self.m_lengths, self.m_set_fractions):
             if (check_number("m_set_fractions", f, integer=True) < 1
                     or check_number("m_lengths", n, integer=True) // f < 1):
                 raise ConfigurationError("every m_length // m_set_fraction must be at least 1")
             guarantees.check_fold_set(n, n // f)
+        tukey_edge(self.window_length, self.window_alpha)
+        check_lowpass(self.lpf_length, self.lpf_transition)
+        bins = min(guarantees.guard_bin_count(guard_width, self.window_length)
+                   for guard_width in self.guard_width_list)
         spec = self.signal_spec(0)
         for oversampling in self.oversampling_list:
             # A factor <= 0 is an infeasible point of the other experiments
@@ -135,13 +151,14 @@ class ExperimentConfig:
                     and self.experiment == "m-grid"):
                 raise ConfigurationError(f"oversampling must be positive, got {oversampling}")
             if sampled and oversampling > 0.0:
-                nominal_sample_count(spec, oversampling)
-        tukey_edge(self.window_length, self.window_alpha)
-        check_lowpass(self.lpf_length, self.lpf_transition)
+                count = nominal_sample_count(spec, oversampling)
+                try:
+                    guarantees.required_threshold(1.0, oversampling, bins, self.window_length)
+                except InfeasibleError:
+                    continue  # no guard width has a threshold, so no record is sampled
+                check_filter_length(count, self.lpf_length)
         for bits in self.bits_list:
             AdcConfig(bits=bits, threshold=1.0)
-        for guard_width in self.guard_width_list:
-            guarantees.guard_bin_count(guard_width, self.window_length)
         baselines.HodConfig(threshold=1.0, order=self.hod_order)
         if self.seed is None or check_number("seed", self.seed, integer=True) < 0:
             raise ConfigurationError(
@@ -313,36 +330,43 @@ def _adc_points(cfg: ExperimentConfig) -> list[dict]:
 def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
     """Rows of the (oversampling, bits, guard width) grid, averaged over trials.
 
-    Trial t draws its signal with seed `seed + 1000 t` when it starts and
-    walks the points of `_adc_points` in row order, spawning dither seeds
-    from its own entropy as it measures them, so that order, not the order
-    of the trials against the points, fixes the CSV bytes.  The points are
-    factor-major: a trial samples its signal once per run of one factor,
-    after the first feasible threshold, and builds one RecoveryConfig per
-    guard width there, at its first bit depth, as the threshold does not
-    depend on the bits.  Each point's realization is acquired and unfolded,
-    which sets `threshold`, `mse_simulated_db` and `samples_used`;
-    `measure(trial, peak, entropy, sampled, adc, recovery, **point)`
-    returns the experiment's own columns.  The `mse_*` fields are averaged,
-    the others kept from the last trial.  Repeated grid values are measured
-    as given, each point with its own dither.  A point infeasible in one
-    trial is skipped by later trials and becomes a skipped row holding the
-    point's fields alone.
+    Trial t (at most _MAX_TRIALS) spawns its entropy from the seed's
+    SeedSequence as it starts, the child spawn(trials)[t] would be, draws
+    its signal with seed `seed + 1000 t`, and walks the points of
+    `_adc_points` in row order, spawning dither seeds from its entropy as
+    it measures them, so that order, not the order of the trials against
+    the points, fixes the CSV bytes.  The grid's structure, not its values,
+    scopes what a trial holds.  Each entry of `oversampling_list` samples
+    its own record, which ExperimentConfig has checked is no shorter than
+    the lowpass, after its first feasible threshold, and frees it where
+    the next entry starts; it builds one RecoveryConfig per guard width at
+    its first bit depth, as the threshold does not depend on the bits.
+    Each point's realization is acquired and unfolded, which sets
+    `threshold`, `mse_simulated_db` and `samples_used`; `measure(peak,
+    entropy, sampled, adc, recovery, shared, **point)` returns the
+    experiment's own columns, where `shared` is one dict per entry and bit
+    depth, empty when the first of its guard widths reaches `measure`.  The
+    `mse_*` fields are averaged, the others kept from the last trial.  A
+    repeated grid value is measured as given, each point with its own
+    dither.  A point infeasible in one trial is skipped by later trials
+    and becomes a skipped row holding the point's fields alone.
     """
     points = _adc_points(cfg)
     runs = [[] for _ in points]  # each point's per-trial fields, or its InfeasibleError
-    for t, entropy in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+    root = np.random.SeedSequence(cfg.seed)
+    for t, entropy in enumerate(root.spawn(1)[0] for _ in range(cfg.trials)):
         train = generate_pulse_train(cfg.signal_spec(cfg.seed + 1000 * t))
         peak = PEAK_MARGIN * estimate_inf_norm(train)
-        oversampling = None
         for i, point in enumerate(points):
-            if point["oversampling"] != oversampling:
-                # A new factor: the last record is freed before the next is sampled.
-                oversampling, sampled = point["oversampling"], None
+            if i % (len(cfg.bits_list) * len(cfg.guard_width_list)) == 0:
+                # A new factor entry: the last record is freed before the next is sampled.
+                sampled = None
                 recoveries = {}  # guard width -> its RecoveryConfig, shared by the bit depths
+            if i % len(cfg.guard_width_list) == 0:
+                shared = {}  # a new bit depth of the entry
             if isinstance(runs[i], InfeasibleError):
                 continue
-            guard_width = point["guard_width"]
+            oversampling, guard_width = point["oversampling"], point["guard_width"]
             try:
                 threshold = guarantees.required_threshold(
                     peak, oversampling, point["guard_bins"], cfg.window_length)
@@ -361,8 +385,8 @@ def _trial_grid(cfg: ExperimentConfig, measure) -> list[ResultRow]:
                 mse, used = _mse(unfold(adc, sampled, recovery).recovered, sampled, cfg)
                 runs[i].append(dict(threshold=threshold, mse_simulated_db=mse,
                                     samples_used=used,
-                                    **measure(trial=t, peak=peak, entropy=entropy,
-                                              sampled=sampled, adc=adc, recovery=recovery,
+                                    **measure(peak=peak, entropy=entropy, sampled=sampled,
+                                              adc=adc, recovery=recovery, shared=shared,
                                               **point)))
             except InfeasibleError as err:
                 runs[i] = err
@@ -389,20 +413,22 @@ def _mse(estimate: np.ndarray, sampled, cfg: ExperimentConfig) -> tuple[float, i
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Theory-vs-simulation sweep with the conventional pipeline alongside."""
-    conventional = {}  # (trial, oversampling, bits) -> its MSE, computed once
+    """Theory-vs-simulation sweep with the conventional pipeline alongside.
 
-    def measure(trial, peak, entropy, sampled, oversampling, bits, guard_width,
+    The conventional pipeline runs once per trial, factor entry and bit
+    depth, on the entry's record, at the first guard width that reaches it,
+    and that entry's guard widths share its MSE.
+    """
+    def measure(peak, entropy, sampled, shared, oversampling, bits, guard_width,
                 guard_bins, **_):
-        key = (trial, oversampling, bits)
-        if key not in conventional:
+        if not shared:
             estimate = baselines.conventional_adc(
                 sampled, bits, peak, entropy.spawn(1)[0], lpf_length=cfg.lpf_length,
                 lpf_transition=cfg.lpf_transition)
-            conventional[key] = _mse(estimate, sampled, cfg)[0]
+            shared["mse_conventional_db"] = _mse(estimate, sampled, cfg)[0]
         theory = guarantees.predict_mse_modulo(peak, oversampling, bits, guard_bins,
                                                guard_width, cfg.window_length)
-        return dict(mse_theory_db=theory, mse_conventional_db=conventional[key])
+        return dict(mse_theory_db=theory, **shared)
 
     return _trial_grid(cfg, measure)
 

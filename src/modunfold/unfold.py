@@ -212,11 +212,15 @@ def unfold(adc: AdcOutput, signal_meta: SampledSignal, config: RecoveryConfig) -
     would otherwise attenuate them below the rounding threshold).  The
     residue is 2*threshold times the running sum of the rounded lattice
     counts, so where every rounding is right it equals residue_truth
-    exactly.  A segment whose jumps are not identifiable (too many folds,
-    or a singular Gram; see residue_pre_estimate) raises InfeasibleError,
-    so an experiment grid marks its point skipped.  A record too long for
-    segment_starts once padded, longer than any sample_signal makes, raises
-    ConfigurationError.
+    exactly.  The record is at rest at both ends: its first sample lies
+    within the threshold (acquire checks this), and a sample_signal record
+    ends at 0, so the true counts sum to 0.  A residue[-1] != 0 thus means
+    wrong roundings, an odd number of them where each is one step off; an
+    even number can cancel, and end at 0 unseen.  A segment whose jumps
+    are not identifiable (too many folds, or a singular Gram; see
+    residue_pre_estimate) raises InfeasibleError, so an experiment grid
+    marks its point skipped.  A record too long for segment_starts once
+    padded, longer than any sample_signal makes, raises ConfigurationError.
     """
     quantized = check_record("quantized", adc.quantized)
     if np.shape(adc.folding_bits) != quantized.shape:

@@ -73,9 +73,9 @@ class TestConfig:
 
     def test_file_beats_preset(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"num_pulses": 42}))
+        path.write_text(json.dumps({"num_pulses": 420}))
         cfg = load_config(str(path), "mse-sweep", preset="paper", seed=1)
-        assert cfg.num_pulses == 42
+        assert cfg.num_pulses == 420
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -182,6 +182,19 @@ class TestRunners:
         assert rows[:2] == run_mse_sweep(fast_config())
         assert rows[2].threshold == rows[0].threshold
         assert rows[2].mse_simulated_db != rows[0].mse_simulated_db
+
+    def test_each_factor_entry_has_its_own_conventional_baseline(self):
+        # The baseline was kept by (trial, factor, bits) value, so a repeated
+        # factor copied the first entry's, -28.4443 dB on every OF-4 row.
+        for grid in ((4.0, 4.0), (4.0, 6.0, 4.0)):
+            rows = run_mse_sweep(fast_config(oversampling_list=grid))
+            assert rows[0] == run_mse_sweep(fast_config())[0]
+            assert rows[-1].mse_conventional_db != rows[0].mse_conventional_db
+        # An entry's guard widths share it at each bit depth.
+        rows = run_mse_sweep(fast_config(guard_width_list=(0.0, np.pi / 32)))
+        assert [r.mse_conventional_db for r in rows[::2]] == [
+            r.mse_conventional_db for r in rows[1::2]]
+        assert rows[0].mse_simulated_db != rows[1].mse_simulated_db
 
     def test_compare_rows_have_both_mses(self):
         cfg = fast_config(experiment="compare-hod", trials=2,
@@ -546,6 +559,18 @@ class TestBadInput:
             assert run_cli(tmp_path, experiment, payload) == 2
             assert "amplitude" in capsys.readouterr().err
 
+    def test_short_record_fails_before_any_work(self, tmp_path, capsys, no_work):
+        # One pulse at OF 4 samples 168 times, fewer than the lowpass's 1,025
+        # taps; it used to fail in filter_zero_delay, after synthesis,
+        # acquisition and the first unfold solve.
+        for experiment in SIMULATED:
+            with pytest.raises(ConfigurationError,
+                               match=r"signal \(168 samples\) shorter than filter \(1025 taps\)"):
+                ExperimentConfig(experiment=experiment, num_pulses=1,
+                                 oversampling_list=(4.0,), seed=1)
+            assert run_cli(tmp_path, experiment, {**TINY, "num_pulses": 1}) == 2
+            assert "shorter than filter" in capsys.readouterr().err
+
     def test_huge_span_rejected_at_construction(self):
         # It used to construct, and bounding its train's peak ran past 20 s.
         with pytest.raises(ConfigurationError, match="span"):
@@ -557,13 +582,15 @@ class TestBadInput:
         ("oversampling_list", [1e12], SIMULATED),
         ("oversampling_list", [1e300], SIMULATED),
         ("m_lengths", [4194304], EXPERIMENTS),
+        ("trials", experiments._MAX_TRIALS + 1, EXPERIMENTS),
     ], ids=["oversampling_list-1e6", "oversampling_list-1e12", "oversampling_list-1e300",
-            "m_lengths-4194304"])
-    def test_unallocatable_size_exits_2_before_allocation(self, tmp_path, capsys, field,
-                                                          value, experiments):
+            "m_lengths-4194304", "trials-above-cap"])
+    def test_unallocatable_size_exits_2_before_allocation(self, tmp_path, capsys, no_work,
+                                                          field, value, experiments):
         # These used to need 5.4 GB, 14.6 TiB, an overflowing sample count
         # and 16 TiB for one fold set's rows, and ended in a kill, a
-        # MemoryError or numpy's ValueError.
+        # MemoryError or numpy's ValueError.  trials had no cap, and the
+        # trial grid spawned every trial's SeedSequence before the first ran.
         for experiment in experiments:
             code, peak = traced_peak(run_cli, tmp_path, experiment, {**TINY, field: value})
             assert code == 2

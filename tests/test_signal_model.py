@@ -160,6 +160,17 @@ class TestSampleSignal:
             with pytest.raises(ConfigurationError, match="cap"):
                 nominal_sample_count(PulseTrainSpec(num_pulses=150), oversampling)
 
+    def test_record_ends_at_rest(self):
+        # unfold's premise at the record's end: the last sample is exactly
+        # 0, so the true lattice counts sum to 0.  The desk train at every
+        # desk factor (integer rates, the tap-sum path) and at OF 4.3 (the
+        # evaluator).
+        spec = PulseTrainSpec(num_pulses=2000, seed=1)
+        train = generate_pulse_train(spec)
+        for oversampling in (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0, 4.3):
+            count = nominal_sample_count(spec, oversampling)
+            assert sample_signal(train, oversampling, count).samples[-1] == 0.0
+
     def test_deterministic_bit_for_bit(self):
         spec = PulseTrainSpec(num_pulses=100, seed=5)
         a = sample_signal(generate_pulse_train(spec), 8.0, 512).samples
