@@ -7,8 +7,11 @@ and circulant, so it is stored as a read-only (N, N) strided view over 2N
 floats: O(N) memory at any window length.  Every least-squares map
 over fold positions S is then built from the projector rows P[S, :]: the
 Gram block P[S, S], read from the first row as P is circulant, and the
-right-hand side (P d)[S] = P[S, :] d.  One check, check_gram, finds the
-fold sets that are not identifiable: the blocks whose diagonal-dominance
+right-hand side (P d)[S] = P[S, :] d.  For a fold set of more than twice
+the r = N - num_bins bins left in band, recovery works in that r-dimensional
+complement instead: inband_basis derives, per call, the orthonormal W with
+P = I - W W^T from the projector's first row.  One check, check_gram, finds
+the fold sets that are not identifiable: the blocks whose diagonal-dominance
 margins certify them pass, and eigvalsh decides the rest by the eigenvalue
 rule.  It returns the margins too.  Each caller does its own linear
 algebra on the blocks: recovery solves its Gram systems, and the
@@ -140,7 +143,29 @@ def fold_gram(system: OobSystem, positions) -> np.ndarray:
     return system.projector[0][positions[:, None, :] - positions[:, :, None]]
 
 
-def check_gram(gram, n: int):
+def inband_basis(system: OobSystem) -> np.ndarray:
+    """Orthonormal basis W, shape (n, r), of the r = n - num_bins bins not out of band.
+
+    The projector removes exactly these bins, so P = I - W W^T and
+    W^T W = I_r, both to rounding.  The bins are read from the projector's
+    first row, whose real DFT is the out-of-band indicator over bins
+    0..n//2 up to rounding: the rest are DC and bins 1..m, so r = 2m + 1.
+    The columns are the real forms of those DFT rows: the constant
+    1/sqrt(n), then sqrt(2/n) cos(2*pi*j*t/n) and sqrt(2/n) sin(2*pi*j*t/n)
+    for j = 1..m.  The Nyquist bin, which has no sine, is never among them:
+    a system has an out-of-band bin, and the bins nearest n/2 are the
+    first to be.  The phase j*t is reduced mod n before it is scaled, so
+    every angle lies in [0, 2*pi).  A fresh array of n*r floats, built by
+    the caller that needs it; OobSystem does not hold it.
+    """
+    n = system.n
+    m = np.count_nonzero(np.fft.rfft(system.projector[0]).real < 0.5) - 1
+    angles = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(1, m + 1)) % n)
+    return np.hstack([np.full((n, 1), np.sqrt(1.0 / n)),
+                      np.sqrt(2.0 / n) * np.cos(angles), np.sqrt(2.0 / n) * np.sin(angles)])
+
+
+def check_gram(gram, n: int, top=None):
     """(margins, certified, singular) of Gram blocks of shape (b, k, k) over an n-point window.
 
     margins[a, i] = g - s_i is the diagonal of row i of block a less its
@@ -148,7 +173,10 @@ def check_gram(gram, n: int):
     singular lists (index, lambda_min, lambda_max), by index, for the blocks
     with lambda_min <= n*eps * lambda_max, both eigenvalues from eigvalsh:
     their fold values are not identifiable.  A caller's solve or inverse of
-    a singular block means nothing.
+    a singular block means nothing.  `top`, if given, is the lambda_max
+    that the rule and the singular list use in place of each block's own:
+    a block that stands for a larger Gram with the same other eigenvalues,
+    as unfold's complement blocks stand for Grams whose largest is 1.
 
     certified marks the blocks whose least margin exceeds (n + k(k+2))*eps
     plus the rounding of the margin itself, (k+1)*eps: an abs row sum of k
@@ -169,8 +197,10 @@ def check_gram(gram, n: int):
     if unsure.size == 0:
         return margins, certified, []
     eig = np.linalg.eigvalsh(gram[unsure])
-    bad = eig[:, 0] <= n * np.finfo(float).eps * eig[:, -1]
-    return margins, certified, [(int(i), e[0], e[-1]) for i, e in zip(unsure[bad], eig[bad])]
+    low, high = eig[:, 0], eig[:, -1] if top is None else np.full(unsure.size, top)
+    bad = low <= n * np.finfo(float).eps * high
+    return margins, certified, [(int(i), lo, hi)
+                                for i, lo, hi in zip(unsure[bad], low[bad], high[bad])]
 
 
 def tukey_edge(n: int, alpha: float) -> int:
@@ -301,9 +331,13 @@ def filter_zero_delay(x, taps: np.ndarray) -> np.ndarray:
     padding, gather their reflected samples.  So every temporary but the
     output is block-sized, whatever the signal length, and a long record
     holds no full-length copies or spectra; every block reuses one spectrum
-    and one output buffer.
+    and one output buffer.  The taps must be a finite record (check_record)
+    of odd count, so that the delay taps.size // 2 is a whole sample.
     """
     x = check_record("filtered", x)
+    taps = check_record("taps", taps)
+    if taps.size % 2 == 0:
+        raise ConfigurationError(f"need an odd tap count for zero delay, got {taps.size}")
     check_filter_length(x.size, taps.size)
     half = taps.size // 2
     block = max(_BLOCK, 1 << (2 * taps.size - 1).bit_length())

@@ -6,7 +6,7 @@ one handler turns any bad value into exit 2.  OverloadError is a data fault.
 The rules are applied once, by the public function or config that owns a
 parameter, which then checks only its own range:
 - check_number: a finite real, or an integer where one is asked for;
-- check_record: a 1-D, nonempty, finite sample record;
+- check_record: a 1-D, nonempty, finite record of real numbers;
 - check_seed: an integer >= 0 or a np.random.SeedSequence.
 """
 
@@ -49,8 +49,17 @@ def check_number(name: str, value, integer: bool = False):
 
 
 def check_record(name: str, samples) -> np.ndarray:
-    """samples as a float array, if it is 1-D, nonempty and finite."""
-    x = np.asarray(samples, dtype=float)
+    """samples as a float array, if it is 1-D, nonempty and finite.
+
+    Only integer and float dtypes are numbers here (numpy kinds i, u, f):
+    a bool, complex, str, object or timedelta record raises
+    ConfigurationError rather than being cast, which would drop a complex
+    record's imaginary part or parse strings.
+    """
+    x = np.asarray(samples)
+    if x.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} samples must be real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError(f"need 1-D, nonempty {name} samples, got shape {x.shape}")
     if not np.isfinite(x).all():

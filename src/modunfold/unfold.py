@@ -6,18 +6,38 @@ windowed difference of the signal, which is in band, plus the windowed
 residue jumps at the flagged fold positions S.  Only the jumps survive the
 out-of-band projector P = V^H V of the window (see `dsp.OobSystem`), so they
 solve the real normal equations P[S, S] x = (P d)[S] of the out-of-band
-least-squares system.  Both sides come from the projector rows P[S, :],
-gathered from the O(n) projector view: the Gram block is their S columns and
-(P d)[S] = P[S, :] d, so no transform of d is taken.  Segments with the same
-fold count are checked as one batch by `dsp.check_gram`, which finds the
-segments whose jumps are not identifiable, and solved as one batch by
-np.linalg.solve, which forms no inverse.  A value solved at position p of
-the segment that starts at `start` belongs to the flag at sample
-start + p; the two window tapers covering an overlapped sample sum to one,
-so adding the one or two segments' values at each flag restores its
-unwindowed jump.  Those are rounded to integer counts of the 2*threshold
-lattice and integrated into the residue, and the unfolded signal is the
-quantized stream minus the residue, lowpassed back to the signal band.
+least-squares system.  Segments with the same fold count k form one group,
+checked as one batch by `dsp.check_gram`, which finds the segments whose
+jumps are not identifiable, and solved as one batch by np.linalg.solve,
+which forms no inverse.  A group takes one of two solves:
+
+- direct: both sides come from the projector rows P[S, :], gathered from
+  the O(n) projector view; the Gram block is their S columns and
+  (P d)[S] = P[S, :] d, so no transform of d is taken, and the k x k Gram
+  is solved;
+- complement: with W the n x r orthonormal basis of the r = n - num_bins
+  bins not out of band (`dsp.inband_basis`), P = I - W W^T, so P[S, S] =
+  I - W_S W_S^T is a rank-r update of the identity.  (P d)[S] is
+  d[S] - W_S (W^T d), and by Woodbury x = y + W_S M^-1 W_S^T y with
+  y = (P d)[S] and M = I_r - W_S^T W_S, an r x r solve.
+
+At high oversampling r is small (3 at desk OF 40-50, 5 at OF 24-32) while
+a segment holds up to 27 folds, so the complement turns the densest
+groups' k x k systems into r x r ones and gathers no projector rows.  It
+has more steps, so small groups lose by it: a group takes it when
+k > 2r, where it was measured faster (see _COMPLEMENT).  The
+identifiability rule is the same on both: for k > r, M has the Gram's
+eigenvalues but for the Gram's k - r unit ones, so the Gram's largest is
+1, M's margins certify by the same floor, and an uncertified block is
+singular at lambda_min(M) <= n*eps.
+
+A value solved at position p of the segment that starts at `start`
+belongs to the flag at sample start + p; the two window tapers covering
+an overlapped sample sum to one, so adding the one or two segments'
+values at each flag restores its unwindowed jump.  Those are rounded to
+integer counts of the 2*threshold lattice and integrated into the
+residue, and the unfolded signal is the quantized stream minus the
+residue, lowpassed back to the signal band.
 
 Besides its two outputs, a call holds one more record-length float array
 at a time: the first difference while the solve runs, then the quantized
@@ -32,7 +52,8 @@ it gathers them, the same products a windowed copy of every segment would
 hold.  The solve batches stay whole, one per fold count over the whole
 record: cutting the record into blocks of segments would split them and
 multiply the checks and solves (26 groups in a desk OF-50 call), and the
-largest group's projector rows there take 0.75 of a record length.
+largest direct group's projector rows there take 0.74 of a record length
+(seed 1).
 """
 
 from __future__ import annotations
@@ -45,7 +66,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import (_LPF_LENGTH, _LPF_TRANSITION, _MAX_LENGTH, OobSystem, TukeyWindow,
                   build_oob_system, check_gram, design_lowpass, filter_zero_delay, fold_gram,
-                  tukey_edge, tukey_window)
+                  inband_basis, tukey_edge, tukey_window)
 from .errors import ConfigurationError, InfeasibleError, check_number, check_record
 from .modulo_adc import AdcOutput
 from .signal_model import _MAX_SAMPLES, SampledSignal
@@ -128,6 +149,16 @@ def segment_starts(num_samples: int, length: int, alpha: float) -> np.ndarray:
     return np.arange(0, num_samples, length - tukey_edge(length, alpha))
 
 
+# A fold-count group of k folds is solved in the r-dimensional complement
+# when k > _COMPLEMENT * r.  Complement time over direct time, per group at
+# n 64 (random fold sets, median of 40, r 3 to 19, 10 to 1,000 segments):
+# 1.07-1.60 at k = r; at k = 2r + 1, 0.33-0.85 from 100 segments up and
+# 0.43-1.29 at 10.  Whole desk calls at OF 50 took 0.65 of the direct-only
+# time at k > r and k > 2r, 0.70 at k > 3r (seed 1), and 0.70 at k > 2r
+# (seed 11); at OF 4-16 k > 2r was within 3 % of it.
+_COMPLEMENT = 2
+
+
 def residue_pre_estimate(differences, window, starts, flags,
                          system: OobSystem) -> tuple[np.ndarray, np.ndarray]:
     """Residue jumps at the flagged samples and fold counts of a batch of segments.
@@ -137,18 +168,24 @@ def residue_pre_estimate(differences, window, starts, flags,
     view; window holds the n taper coefficients; flags holds the sorted
     flagged samples, in the coordinates of starts.  With d the windowed
     difference of a segment, the values at its flagged positions S solve
-    P[S, S] x = (P d)[S]; segments with equal fold counts are solved as one
-    batch, found by one stable sort of the counts, and (P d)[S] = P[S, :] d.
-    Each group's rows are windowed as they are gathered, so no windowed copy
-    of the batch is made.  Returns (jumps, folds): jumps[j] sums the values
-    solved at flags[j] by the one or two segments that hold it, which is
-    its unwindowed jump, and folds[i] counts the flags of segment i.
+    P[S, S] x = (P d)[S].  Segments with equal fold counts k are solved as
+    one batch, found by one stable sort of the counts, and each group's rows
+    are windowed as they are gathered, so no windowed copy of the batch is
+    made.  A group with k <= 2r, r = n - num_bins, gathers the projector
+    rows P[S, :] and solves the k x k Gram; one with k > 2r builds the
+    in-band basis W (dsp.inband_basis, once per call, only if some group
+    needs it) and solves the r x r system M = I_r - W_S^T W_S by Woodbury,
+    as the module docstring derives.  Returns (jumps, folds): jumps[j] sums
+    the values solved at flags[j] by the one or two segments that hold it,
+    which is its unwindowed jump, and folds[i] counts the flags of segment i.
 
     A segment with more folds than out-of-band equations, or one whose Gram
     has smallest eigenvalue at most n*eps times its largest
     (dsp.check_gram), raises InfeasibleError: its jumps are not
     identifiable at this oversampling.  Both name the first such segment by
-    its row.
+    its row.  A complement group is checked on M, whose smallest eigenvalue
+    is the Gram's, against the Gram's largest, 1, and the message names
+    those two.
     """
     lo = np.searchsorted(flags, starts)
     folds = np.searchsorted(flags, starts + system.n) - lo
@@ -164,6 +201,8 @@ def residue_pre_estimate(differences, window, starts, flags,
     # row order (a stable sort); order[bounds[k - 1]:bounds[k]] has count k.
     order = np.argsort(folds, kind="stable")
     bounds = np.searchsorted(folds[order], np.arange(1, most + 2))
+    rank = system.n - system.num_bins
+    basis = None
     singular = []
     for k in np.flatnonzero(np.diff(bounds)) + 1:
         segs = order[bounds[k - 1]:bounds[k]]
@@ -171,18 +210,32 @@ def residue_pre_estimate(differences, window, starts, flags,
         positions = flags[ids] - starts[segs, None]
         diffed = differences[segs]
         diffed *= window
-        # The projector rows P[S, :] are gathered here and dropped by the
-        # product, not returned by a helper: such a helper kept the previous
-        # group's arrays alive through the next gather, which raised minor
-        # page faults tenfold and cost about 20 % at n 256.
-        rhs = system.projector[positions] @ diffed[..., None]
-        gram = fold_gram(system, positions)
-        # Checked before the solve: solving first raised the median peak resident
-        # set of perfbench sweep by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
-        singular += [(segs[i], low, high) for i, low, high in check_gram(gram, system.n)[2]]
+        # The arrays of either solve are built and dropped here, not returned
+        # by a helper: such a helper kept the previous group's arrays alive
+        # through the next gather, which raised minor page faults tenfold and
+        # cost about 20 % at n 256.  Each group is checked before its solve:
+        # solving first raised the median peak resident set of perfbench sweep
+        # by 1.4 and 3.1 MB in two sets of 10 pairs (2 cores).
+        if k > _COMPLEMENT * rank:
+            if basis is None:
+                basis = inband_basis(system)
+            cols = basis[positions]  # W_S, (b, k, r)
+            cols_t = cols.transpose(0, 2, 1)
+            # (P d)[S] = d[S] - W_S (W^T d), then Woodbury's r x r solve.
+            rhs = np.take_along_axis(diffed, positions, 1)[..., None]
+            rhs -= cols @ (diffed @ basis)[..., None]
+            gram = np.eye(rank) - cols_t @ cols
+            bad = check_gram(gram, system.n, top=1.0)[2]
+            values = rhs + cols @ np.linalg.solve(gram, cols_t @ rhs)
+        else:
+            rhs = system.projector[positions] @ diffed[..., None]
+            gram = fold_gram(system, positions)
+            bad = check_gram(gram, system.n)[2]
+            values = np.linalg.solve(gram, rhs)
+        singular += [(segs[i], low, high) for i, low, high in bad]
         # Two segments of one group can share a flag, so the sum is unbuffered;
         # flat indices take numpy's fast path, 2-D ones were 6 times slower.
-        np.add.at(jumps, ids.ravel(), np.linalg.solve(gram, rhs).ravel())
+        np.add.at(jumps, ids.ravel(), values.ravel())
     if singular:
         row, low, high = min(singular)
         raise InfeasibleError(

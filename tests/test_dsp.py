@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modunfold.dsp import _BLOCK as BLOCK
 from modunfold.dsp import (blocks, build_oob_system, check_gram, design_lowpass,
-                           filter_zero_delay, fold_gram, oob_bin_indices, tukey_window)
+                           filter_zero_delay, fold_gram, inband_basis, oob_bin_indices,
+                           tukey_window)
 from modunfold.errors import ConfigurationError, InfeasibleError
 from conftest import traced_peak
 from oob_reference import oob_bins, oob_matrix
@@ -188,6 +189,33 @@ class TestCheckGram:
         singular = check_gram(fold_gram(system, sets), 64)[2]
         assert [i for i, _, _ in singular] == [2]
 
+    def test_top_stands_for_the_gram_largest(self):
+        # lambda_min 48 eps against lambda_max 0.5 passes the block's own
+        # rule (48 eps > 64 eps * 0.5), not the rule at top 1, which is the
+        # Gram's largest when the block is a complement M = I - W_S^T W_S.
+        block = np.diag([48 * self.EPS, 0.5, 0.5])[None]
+        assert check_gram(block, 64)[2] == []
+        assert check_gram(block, 64, top=1.0)[2] == [(0, 48 * self.EPS, 1.0)]
+
+
+class TestInbandBasis:
+    @pytest.mark.parametrize("guard", [0.0, np.pi / 32])
+    @pytest.mark.parametrize("n", [64, 128, 256, 63])
+    def test_complements_the_projector(self, n, guard):
+        for oversampling in (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 50.0):
+            system = build_oob_system(n, 1 / oversampling, guard)
+            basis = inband_basis(system)
+            assert basis.shape == (n, n - system.num_bins)
+            assert_allclose(np.eye(n) - basis @ basis.T, system.projector, rtol=0, atol=1e-14)
+            assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-14)
+
+    def test_desk_ranks(self):
+        # r = n - num_bins at the desk window and guard: 3 at OF 40-50 and
+        # 5 at OF 24-32, against up to 27 folds in a desk OF-50 segment.
+        ranks = [inband_basis(build_oob_system(64, 1 / of, np.pi / 32)).shape[1]
+                 for of in (4.0, 16.0, 24.0, 32.0, 40.0, 50.0)]
+        assert ranks == [19, 7, 5, 5, 3, 3]
+
 
 class TestTukeyWindow:
     def test_left_edge_is_zero(self):
@@ -310,6 +338,17 @@ class TestFilterZeroDelay:
     def test_short_signal_rejected(self):
         with pytest.raises(ConfigurationError):
             filter_zero_delay(np.zeros(100), self.lowpass)
+
+    # Even taps used to run and return the output shifted by half a sample,
+    # NaN taps an all-NaN record, and 2-D or empty taps a raw ValueError.
+    @pytest.mark.parametrize("taps, message", [
+        (np.full(256, 1 / 256), "odd tap count"),
+        (np.where(np.arange(257) == 128, np.nan, 1 / 257), "taps sample 128 is not finite"),
+        (np.full((3, 257), 1 / 257), "1-D, nonempty taps"),
+        (np.zeros(0), "1-D, nonempty taps")], ids=["even", "nan", "2-D", "empty"])
+    def test_bad_taps_rejected(self, taps, message):
+        with pytest.raises(ConfigurationError, match=message):
+            filter_zero_delay(np.zeros(4096), taps)
 
     # Overlap-save blocks: the smallest power of two of at least 4096 and
     # twice the tap count, each yielding block - taps + 1 outputs.  The

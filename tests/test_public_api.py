@@ -171,6 +171,23 @@ def test_bad_record_rejected(call, record):
         RECORD_CALLS[call](RECORDS[record])
 
 
+# Records whose dtype is not a real number.  A float cast used to drop the
+# complex record's imaginary part (with a ComplexWarning) and read the
+# others as numbers: False as 0, "0.2" as 0.2.
+NOT_REAL = {"complex": np.full(400, 0.2 + 0.1j),
+            "bool": np.zeros(400, dtype=bool),
+            "str": np.full(400, "0.2"),
+            "object": np.full(400, 0.2, dtype=object),
+            "timedelta": np.zeros(400, dtype="m8[s]")}
+
+
+@pytest.mark.parametrize("record", NOT_REAL)
+@pytest.mark.parametrize("call", RECORD_CALLS)
+def test_record_of_non_numbers_rejected(call, record):
+    with pytest.raises(ConfigurationError, match="must be real numbers, got dtype"):
+        RECORD_CALLS[call](NOT_REAL[record])
+
+
 if __name__ == "__main__":
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_BYTES, CHILD_BYTES))
